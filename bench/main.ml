@@ -262,11 +262,11 @@ let run_benchmarks () =
 (* Phase 3: solver-kernel benchmarks (time + allocation), --json mode.    *)
 (* ---------------------------------------------------------------------- *)
 
-(* The allocating reference paths are kept in {!Lepts_core.Objective}
-   precisely so this group can put a number on the workspace kernels:
-   same inputs, alloc vs workspace, ns/op and minor-words/op side by
-   side — plus full multi-start solves at three plan sizes and the
-   sequential-vs-parallel multi-start wall clock. *)
+(* The allocating {!Lepts_core.Objective} entry points ([eval] via
+   [trace], [eval_with_gradient] on a throwaway workspace) against the
+   workspace kernels the solver calls: same inputs, ns/op and
+   minor-words/op side by side — plus full multi-start solves at three
+   plan sizes and the sequential-vs-parallel multi-start wall clock. *)
 
 module Workspace = Lepts_core.Workspace
 
@@ -290,7 +290,7 @@ let rand16_plan =
 
 (* ns/op of the "ACS solve (random n=8, 660 subs)" kernel row as
    recorded in BENCH_solver.json before the structure-exploiting solve
-   path landed. [--min-huge-speedup] gates the current fast-path time
+   path landed. [--min-huge-speedup] gates the current solve time
    against this constant: CI machines differ from the recording one, so
    the floor is set conservatively below the locally measured ratio. *)
 let seed_acs_n8_ns = 3.37e9
@@ -590,48 +590,33 @@ let fig6a_warm_measurement ~quick () =
     f6_cold_s = t_cold; f6_warm_s = t_warm;
     f6_cold_misses = misses cold; f6_warm_misses = misses warm }
 
-(* ----- structure-exploiting huge solves -------------------------------- *)
+(* ----- huge solves ------------------------------------------------------ *)
 
 type huge_row = {
   huge_name : string;
   huge_subs : int;
-  huge_fast_s : float;
-  huge_exact_s : float option;
-      (** dense reference kernels; skipped on the largest case, where
-          only the fast path is meant to run *)
+  huge_solve_s : float;
   huge_objective : float;
-  huge_identical : bool;  (** fast vs exact schedules, bit for bit;
-                              vacuously true when exact is skipped *)
 }
 
-let huge_speedup_vs_seed r = seed_acs_n8_ns /. Float.max (r.huge_fast_s *. 1e9) 1e-9
+let huge_speedup_vs_seed r = seed_acs_n8_ns /. Float.max (r.huge_solve_s *. 1e9) 1e-9
 
-(* Full ACS multi-start solves at the two largest plan sizes, fast path
-   vs the dense reference kernels. The two paths must agree bit for bit
-   (the whole point of keeping threshold-by-sort in the fast projection
-   — see DESIGN.md §12), so correctness is asserted here as well as in
-   the test suite; the n=8 fast time also feeds [--min-huge-speedup]. *)
+(* Full ACS multi-start solves at the two largest plan sizes; the n=8
+   time also feeds [--min-huge-speedup]. Bit-identity of these solves
+   with the dense reference is a test-suite check (test_structure.ml),
+   not a bench one. *)
 let huge_measurement ~quick () =
   let reps = if quick then 1 else 2 in
-  let solve structure plan () =
-    Result.get_ok (Solver.solve_acs ~structure ~plan ~power ())
-  in
-  let measure ?(exact = true) plan_lazy =
+  let measure plan_lazy =
     let plan = Lazy.force plan_lazy in
-    let fast_s, (fast_sched, fast_stats) =
-      best_of reps (solve Solver.Fast plan)
-    in
-    let huge_exact_s, huge_identical =
-      if exact then
-        let exact_s, (exact_sched, _) = best_of reps (solve Solver.Exact plan) in
-        (Some exact_s, schedule_bits fast_sched = schedule_bits exact_sched)
-      else (None, true)
+    let solve_s, (_, stats) =
+      best_of reps (fun () -> Result.get_ok (Solver.solve_acs ~plan ~power ()))
     in
     { huge_name = Printf.sprintf "ACS solve (%d subs)" (Plan.size plan);
-      huge_subs = Plan.size plan; huge_fast_s = fast_s; huge_exact_s;
-      huge_objective = fast_stats.Solver.objective; huge_identical }
+      huge_subs = Plan.size plan; huge_solve_s = solve_s;
+      huge_objective = stats.Solver.objective }
   in
-  (measure rand8_plan, measure ~exact:false rand16_plan)
+  (measure rand8_plan, measure rand16_plan)
 
 (* ----- adaptive estimator smoke sweep ---------------------------------- *)
 
@@ -662,7 +647,7 @@ let adaptive_measurement ~quick () =
   let rounds = if quick then 120 else 300 in
   let config =
     { Lepts_robust.Adaptive.estimator = Lepts_sim.Estimator.default_config;
-      resolve_every = 10; structure = Solver.Fast }
+      resolve_every = 10 }
   in
   let sweep jobs =
     Lepts_robust.Adaptive.sweep ~rounds ~jobs ~config ~spec ~schedule
@@ -867,12 +852,10 @@ let emit_par_row oc key r =
 
 let emit_huge_row oc ~last r =
   let out fmt = Printf.fprintf oc fmt in
-  out "    {\"plan\": \"%s\", \"subs\": %d, \"fast_s\": %s, \"exact_s\": %s, "
-    (json_escape r.huge_name) r.huge_subs (json_float r.huge_fast_s)
-    (match r.huge_exact_s with Some s -> json_float s | None -> "null");
-  out "\"speedup_vs_seed\": %s, \"objective\": %s, \"bit_identical\": %b}%s\n"
+  out "    {\"plan\": \"%s\", \"subs\": %d, \"solve_s\": %s, "
+    (json_escape r.huge_name) r.huge_subs (json_float r.huge_solve_s);
+  out "\"speedup_vs_seed\": %s, \"objective\": %s}%s\n"
     (json_float (huge_speedup_vs_seed r)) (json_float r.huge_objective)
-    r.huge_identical
     (if last then "" else ",")
 
 let emit_solver_json ~path ~quick rows ~stream ~saturated
@@ -882,7 +865,7 @@ let emit_solver_json ~path ~quick rows ~stream ~saturated
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
-  out "  \"schema\": \"lepts-bench-solver/5\",\n";
+  out "  \"schema\": \"lepts-bench-solver/6\",\n";
   out "  \"quick\": %b,\n" quick;
   out "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
   out "  \"benchmarks\": [\n";
@@ -929,7 +912,7 @@ let emit_solver_json ~path ~quick rows ~stream ~saturated
   out "    }\n";
   out "  },\n";
   (* [speedup_vs_seed] divides the recorded pre-PR-8 n=8 solve time by
-     the measured fast-path wall clock, so it understates the true gain
+     the measured solve wall clock, so it understates the true gain
      on machines slower than the recording one. *)
   out "  \"huge_solve\": {\n";
   out "    \"seed_acs_n8_ns\": %s,\n" (json_float seed_acs_n8_ns);
@@ -997,13 +980,8 @@ let print_par_row label r =
     (par_vs_sequential r) r.par_identical
 
 let print_huge_row r =
-  Printf.printf
-    "  huge %s: fast %.3fs%s — %.1fx vs recorded seed, identical: %b\n%!"
-    r.huge_name r.huge_fast_s
-    (match r.huge_exact_s with
-    | Some s -> Printf.sprintf ", exact %.3fs" s
-    | None -> "")
-    (huge_speedup_vs_seed r) r.huge_identical
+  Printf.printf "  huge %s: %.3fs — %.1fx vs recorded seed\n%!" r.huge_name
+    r.huge_solve_s (huge_speedup_vs_seed r)
 
 let run_solver_json ~path ~quick ~max_telemetry_overhead_ns ~min_parallel_speedup
     ~min_vs_sequential ~min_warm_speedup ~min_huge_speedup
@@ -1099,8 +1077,6 @@ let run_solver_json ~path ~quick ~max_telemetry_overhead_ns ~min_parallel_speedu
     fail "warm continuation speedup %.2fx below the %.2fx floor"
       (warm_speedup continuation) floor
   | _ -> ());
-  if not (huge_n8.huge_identical && huge_n16.huge_identical) then
-    fail "fast and exact solve paths disagree on a huge instance";
   (match min_huge_speedup with
   | Some floor when huge_speedup_vs_seed huge_n8 < floor ->
     fail "huge-solve speedup %.2fx vs the recorded seed below the %.2fx floor"

@@ -61,18 +61,6 @@ let warm_start_arg =
                  flag is part of the checkpoint fingerprint. Results remain \
                  bit-identical for every -j / --solver-jobs value.")
 
-let exact_solve_arg =
-  Arg.(value & flag
-       & info [ "exact-solve" ]
-           ~doc:"Solve with the dense reference kernels instead of the \
-                 structure-exploiting fast path (see DESIGN.md §12). The \
-                 two paths produce bit-identical schedules — this flag \
-                 exists as an audit escape hatch and for CI's parity diff \
-                 — but the exact path is much slower on large plans.")
-
-let structure_of exact_solve =
-  if exact_solve then Solver.Exact else Solver.Fast
-
 let progress line =
   print_endline line;
   flush stdout
@@ -311,7 +299,7 @@ let fig6b_cmd ~profile =
 (* --- schedule ---------------------------------------------------------- *)
 
 let schedule_cmd ~profile =
-  let run verbose v_min v_max exact_solve =
+  let run verbose v_min v_max =
     setup_logs verbose;
     with_observability ~command:"schedule" ~profile ~telemetry_file:None
     @@ fun _telemetry ->
@@ -319,7 +307,7 @@ let schedule_cmd ~profile =
     let ts = Lepts_workloads.Cnc.task_set ~power ~ratio:0.1 () in
     let plan = Plan.expand ts in
     Format.printf "CNC fully preemptive plan:@.%a@." Plan.pp_timeline plan;
-    (match Solver.solve_acs ~structure:(structure_of exact_solve) ~plan ~power () with
+    (match Solver.solve_acs ~plan ~power () with
     | Error e -> Format.printf "error: %a@." Solver.pp_error e
     | Ok (schedule, stats) ->
       Format.printf "%a@." Static_schedule.pp schedule;
@@ -334,7 +322,7 @@ let schedule_cmd ~profile =
   Cmd.v
     (Cmd.info "schedule"
        ~doc:"Expand and solve the CNC task set; print the plan and the ACS schedule.")
-    Term.(const run $ verbose_arg $ v_min_arg $ v_max_arg $ exact_solve_arg)
+    Term.(const run $ verbose_arg $ v_min_arg $ v_max_arg)
 
 (* --- random ------------------------------------------------------------ *)
 
@@ -481,7 +469,7 @@ let utilization_cmd ~profile =
 (* --- faults ------------------------------------------------------------- *)
 
 let faults_cmd ~profile =
-  let run verbose n ratio rounds seed jobs v_min v_max exact_solve overrun_prob
+  let run verbose n ratio rounds seed jobs v_min v_max overrun_prob
       overrun_factor jitter_prob jitter_frac denial_prob no_shed no_escalate
       adaptive estimator_kind ewma_alpha window drift_threshold hysteresis
       resolve_every resolve_budget fail_on_degraded checkpoint resume
@@ -497,8 +485,7 @@ let faults_cmd ~profile =
       { Lepts_robust.Adaptive.estimator =
           { Lepts_sim.Estimator.predictor; drift_threshold; hysteresis;
             resolve_budget };
-        resolve_every;
-        structure = structure_of exact_solve }
+        resolve_every }
     in
     (* Malformed estimator parameters are a usage error (exit 2, like
        --chaos), caught before any solving starts. *)
@@ -525,8 +512,7 @@ let faults_cmd ~profile =
     | Ok ts -> (
       let plan = Plan.expand ts in
       match
-        Lepts_robust.Robust_solver.solve ~structure:(structure_of exact_solve)
-          ?telemetry ~plan ~power ()
+        Lepts_robust.Robust_solver.solve ?telemetry ~plan ~power ()
       with
       | Error e -> Format.printf "error: %a@." Solver.pp_error e; 1
       | Ok (schedule, diagnostics) ->
@@ -725,7 +711,7 @@ let faults_cmd ~profile =
              optionally followed by the adaptive-estimator sweep \
              (--adaptive).")
     Term.(const run $ verbose_arg $ n $ ratio $ rounds_arg 500 $ seed_arg
-          $ jobs_arg $ v_min_arg $ v_max_arg $ exact_solve_arg $ overrun_prob
+          $ jobs_arg $ v_min_arg $ v_max_arg $ overrun_prob
           $ overrun_factor $ jitter_prob $ jitter_frac $ denial_prob $ no_shed
           $ no_escalate $ adaptive $ estimator_kind $ ewma_alpha $ window
           $ drift_threshold $ hysteresis $ resolve_every $ resolve_budget
@@ -1055,7 +1041,7 @@ let serve_cmd ~profile =
 (* --- export -------------------------------------------------------------- *)
 
 let export_cmd ~profile =
-  let run verbose n ratio seed v_min v_max exact_solve out =
+  let run verbose n ratio seed v_min v_max out =
     setup_logs verbose;
     with_observability ~command:"export" ~profile ~telemetry_file:None
     @@ fun _telemetry ->
@@ -1073,7 +1059,7 @@ let export_cmd ~profile =
         | Error msg -> failwith msg
     in
     let plan = Plan.expand ts in
-    (match Solver.solve_acs ~structure:(structure_of exact_solve) ~plan ~power () with
+    (match Solver.solve_acs ~plan ~power () with
     | Error e -> Format.printf "error: %a@." Solver.pp_error e
     | Ok (schedule, _) ->
       let csv = Lepts_core.Export.schedule_to_csv schedule in
@@ -1101,8 +1087,7 @@ let export_cmd ~profile =
   in
   Cmd.v
     (Cmd.info "export" ~doc:"Export an ACS schedule as CSV (the firmware tables).")
-    Term.(const run $ verbose_arg $ n $ ratio $ seed_arg $ v_min_arg $ v_max_arg
-          $ exact_solve_arg $ out)
+    Term.(const run $ verbose_arg $ n $ ratio $ seed_arg $ v_min_arg $ v_max_arg $ out)
 
 let commands ~profile =
   [ motivation_cmd ~profile; fig6a_cmd ~profile; fig6b_cmd ~profile;

@@ -31,9 +31,15 @@ let make_constraints (plan : Plan.t) ~power =
   done;
   List.rev !constraints
 
-let make_projection (plan : Plan.t) =
-  let m = Array.length plan.Plan.order in
+(* Clamp the end-times into their windows and project each instance's
+   quota block onto its [sum = WCEC] simplex, through the workspace's
+   flat block index. *)
+let make_projection (ws : Workspace.t) =
+  let plan = ws.Workspace.plan in
+  let m = ws.Workspace.m in
   let ts = plan.Plan.task_set in
+  let off = ws.Workspace.blk_off and idx = ws.Workspace.blk_idx in
+  let buf = ws.Workspace.blk_buf and scratch = ws.Workspace.blk_scratch in
   fun x ->
     let out = Vec.copy x in
     Array.iter
@@ -42,44 +48,52 @@ let make_projection (plan : Plan.t) =
           Lepts_util.Num_ext.clamp ~lo:sub.Sub.release ~hi:sub.Sub.boundary
             x.(sub.Sub.index))
       plan.Plan.order;
-    Array.iteri
-      (fun i per_instance ->
-        let wcec = (Task_set.task ts i).Task.wcec in
-        Array.iter
-          (fun idxs ->
-            let slice = Array.map (fun k -> x.(m + k)) idxs in
-            let projected = Projection.simplex ~total:wcec slice in
-            Array.iteri (fun pos k -> out.(m + k) <- projected.(pos)) idxs)
-          per_instance)
-      plan.Plan.instance_subs;
+    for b = 0 to ws.Workspace.n_blocks - 1 do
+      let lo = off.(b) in
+      let n = off.(b + 1) - lo in
+      for pos = 0 to n - 1 do
+        buf.(pos) <- x.(m + idx.(lo + pos))
+      done;
+      Projection.simplex_fast_ip
+        ~total:(Task_set.task ts ws.Workspace.blk_task.(b)).Task.wcec ~scratch ~n buf;
+      for pos = 0 to n - 1 do
+        out.(m + idx.(lo + pos)) <- buf.(pos)
+      done
+    done;
     out
 
-let solve ?(max_outer = 40) ?(max_inner = 2000) ~mode ~(plan : Plan.t) ~power () =
+let solve ~mode ~(plan : Plan.t) ~power () =
   match Solver.initial_point ~plan ~power with
   | Error _ as err -> err
   | Ok (e0, q0) ->
     let m = Array.length plan.Plan.order in
+    let ws = Workspace.create plan in
     let totals = Objective.instance_totals mode plan in
     let unpack x = (Array.sub x 0 m, Array.sub x m m) in
     let objective x =
       let e, w_hat = unpack x in
-      Objective.eval ~plan ~power ~totals ~e ~w_hat
+      Objective.eval_ws ws ~power ~totals ~e ~w_hat
     in
     let gradient =
       match power.Model.delay with
       | Model.Ideal _ ->
+        let de = Array.make m 0. and dq = Array.make m 0. in
         fun x ->
           let e, w_hat = unpack x in
-          let _, de, dq = Objective.eval_with_gradient ~plan ~power ~totals ~e ~w_hat in
+          let (_ : float) =
+            Objective.eval_with_gradient_ws ws ~power ~totals ~e ~w_hat ~de ~dwq:dq
+          in
           Array.append de dq
       | Model.Alpha _ -> fun x -> Numdiff.gradient ~f:objective x
     in
     let problem =
       { Nlp.dim = 2 * m; objective; gradient;
         inequalities = make_constraints plan ~power;
-        project = make_projection plan }
+        project = make_projection ws }
     in
-    let report = Al.solve ~max_outer ~max_inner problem ~x0:(Array.append e0 q0) in
+    let report =
+      Al.solve ~max_outer:40 ~max_inner:2000 problem ~x0:(Array.append e0 q0)
+    in
     let e, q = unpack report.Al.x in
     (match Solver.repair ~plan ~power ~e ~q with
     | Error _ as err -> err
@@ -87,7 +101,7 @@ let solve ?(max_outer = 40) ?(max_inner = 2000) ~mode ~(plan : Plan.t) ~power ()
       let schedule = Static_schedule.create ~plan ~power ~end_times:e ~quotas:q in
       Ok
         ( schedule,
-          { Solver.objective = Static_schedule.predicted_energy schedule ~mode;
+          { Solver.objective = Objective.eval_ws ws ~power ~totals ~e ~w_hat:q;
             max_violation = report.Al.max_violation;
             outer_iterations = report.Al.outer_iterations;
             inner_iterations = report.Al.inner_iterations } ))

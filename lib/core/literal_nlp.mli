@@ -18,12 +18,12 @@
     constraints; see DESIGN.md §5). *)
 
 val solve :
-  ?max_outer:int ->
-  ?max_inner:int ->
   mode:Objective.mode ->
   plan:Lepts_preempt.Plan.t ->
   power:Lepts_power.Model.t ->
   unit ->
   (Static_schedule.t * Solver.stats, Solver.error) result
 (** Solve the literal formulation from the greedy worst-case initial
-    point. Same result conventions as {!Solver.solve}. *)
+    point (40 augmented-Lagrangian rounds of at most 2000
+    projected-gradient steps). Same result conventions as
+    {!Solver.solve}. *)

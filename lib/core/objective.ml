@@ -50,7 +50,7 @@ let split_workloads (plan : Plan.t) ~totals ~w_hat =
     plan.instance_subs;
   w
 
-let run ~plan ~power ~totals ~e ~w_hat ~record =
+let trace ~plan ~power ~totals ~e ~w_hat =
   let m = Array.length plan.Plan.order in
   if Array.length e <> m || Array.length w_hat <> m then
     invalid_arg "Objective: vector length does not match plan size";
@@ -70,13 +70,11 @@ let run ~plan ~power ~totals ~e ~w_hat ~record =
       in
       energy := !energy +. Model.energy power ~v ~cycles:w.(k);
       finish := s +. Model.exec_time power ~v ~cycles:w.(k);
-      if record then begin
-        starts.(k) <- s;
-        volts.(k) <- v;
-        finishes.(k) <- !finish
-      end
+      starts.(k) <- s;
+      volts.(k) <- v;
+      finishes.(k) <- !finish
     end
-    else if record then begin
+    else begin
       starts.(k) <- Float.max sub.Sub.release !finish;
       finishes.(k) <- starts.(k)
     end
@@ -84,105 +82,17 @@ let run ~plan ~power ~totals ~e ~w_hat ~record =
   { start_times = starts; voltages = volts; exec_workloads = w;
     finish_times = finishes; energy = !energy }
 
-let eval ~plan ~power ~totals ~e ~w_hat =
-  (run ~plan ~power ~totals ~e ~w_hat ~record:false).energy
-
-let trace ~plan ~power ~totals ~e ~w_hat = run ~plan ~power ~totals ~e ~w_hat ~record:true
-
-(* One dispatched step of the forward recurrence, with the branch
-   choices needed to replay it backwards. *)
-type step = {
-  k : int;
-  d : float;  (** guarded window *)
-  v : float;
-  w : float;  (** executed workload *)
-  wq : float;  (** worst-case quota *)
-  clamped : bool;  (** voltage clamped (at either end of the range) *)
-  guarded : bool;  (** window floored *)
-  s_from_finish : bool;  (** start = previous finish (vs release) *)
-}
-
-let eval_with_gradient ~plan ~power ~totals ~e ~w_hat =
-  let c0 =
-    match power.Model.delay with
-    | Model.Ideal { c0 } -> c0
-    | Model.Alpha _ ->
-      invalid_arg "Objective.eval_with_gradient: analytic adjoint requires ideal delay"
-  in
-  let m = Array.length plan.Plan.order in
-  if Array.length e <> m || Array.length w_hat <> m then
-    invalid_arg "Objective: vector length does not match plan size";
-  let w_hat = sanitize w_hat in
-  let w = split_workloads plan ~totals ~w_hat in
-  (* Forward sweep, recording branches. *)
-  let steps = ref [] in
-  let finish = ref 0. and energy = ref 0. in
-  for k = 0 to m - 1 do
-    let sub = plan.Plan.order.(k) in
-    if w.(k) > skip_eps then begin
-      let s_from_finish = !finish >= sub.Sub.release in
-      let s = if s_from_finish then !finish else sub.Sub.release in
-      let d_raw = e.(k) -. s in
-      let guarded = d_raw < window_floor in
-      let d = if guarded then window_floor else d_raw in
-      let v_raw = c0 *. w_hat.(k) /. d in
-      let clamped = v_raw <= power.Model.v_min || v_raw > power.Model.v_max in
-      let v =
-        Lepts_util.Num_ext.clamp ~lo:power.Model.v_min ~hi:power.Model.v_max v_raw
-      in
-      energy := !energy +. (power.Model.c_eff *. v *. v *. w.(k));
-      finish := s +. (w.(k) *. c0 /. v);
-      steps :=
-        { k; d; v; w = w.(k); wq = w_hat.(k); clamped; guarded; s_from_finish }
-        :: !steps
-    end
-  done;
-  (* Backward (adjoint) sweep over the dispatched steps, most recent
-     first. [phi] is the adjoint of the running finish time. *)
-  let de = Array.make m 0. and dwq = Array.make m 0. in
-  let dw = Array.make m 0. in
-  let phi = ref 0. in
-  List.iter
-    (fun st ->
-      let sigma = ref !phi in
-      (* finish = s + w c0 / v ; E += c_eff v^2 w *)
-      let alpha =
-        (2. *. power.Model.c_eff *. st.w *. st.v) -. (!phi *. st.w *. c0 /. (st.v *. st.v))
-      in
-      let beta = (power.Model.c_eff *. st.v *. st.v) +. (!phi *. c0 /. st.v) in
-      if not st.clamped then begin
-        (* v = c0 wq / d *)
-        dwq.(st.k) <- dwq.(st.k) +. (alpha *. c0 /. st.d);
-        if not st.guarded then begin
-          let delta = -.alpha *. c0 *. st.wq /. (st.d *. st.d) in
-          de.(st.k) <- de.(st.k) +. delta;
-          sigma := !sigma -. delta
-        end
-      end;
-      dw.(st.k) <- dw.(st.k) +. beta;
-      phi := if st.s_from_finish then !sigma else 0.)
-    !steps;
-  (* Waterfall vector-Jacobian products per instance. *)
-  Array.iteri
-    (fun i per_instance ->
-      Array.iteri
-        (fun j idxs ->
-          let quotas = Array.map (fun k -> w_hat.(k)) idxs in
-          let adjoint = Array.map (fun k -> dw.(k)) idxs in
-          let back = Waterfall.backward ~quotas ~total:totals.(i).(j) ~adjoint in
-          Array.iteri (fun pos k -> dwq.(k) <- dwq.(k) +. back.(pos)) idxs)
-        per_instance)
-    plan.Plan.instance_subs;
-  (!energy, de, dwq)
+let eval ~plan ~power ~totals ~e ~w_hat = (trace ~plan ~power ~totals ~e ~w_hat).energy
 
 (* --- Workspace kernels -------------------------------------------------- *)
 
-(* The paths above allocate their intermediates and stay as the
-   reference implementation; the [_ws] kernels below recompute exactly
-   the same floating-point operations in the same order over the
-   preallocated buffers of a {!Workspace.t} (asserted bit-for-bit by
-   the test suite), so the solver's inner loop — which evaluates them
-   tens of thousands of times per solve — allocates no arrays. *)
+(* The [_ws] kernels perform the operations of {!trace} (energy only)
+   and of the adjoint sweep over the preallocated buffers of a
+   {!Workspace.t}, so the solver's inner loop — which evaluates them
+   tens of thousands of times per solve — allocates no arrays. The
+   gradient kernel is the only implementation of the adjoint; the
+   test suite checks it bit for bit against a dense list-based
+   reference. *)
 
 let check_lengths ws ~e ~w_hat =
   let m = ws.Workspace.m in
@@ -359,3 +269,9 @@ let eval_with_gradient_ws (ws : Workspace.t) ~power ~totals ~e ~w_hat ~de ~dwq =
     done
   done;
   !energy
+
+let eval_with_gradient ~plan ~power ~totals ~e ~w_hat =
+  let ws = Workspace.create plan in
+  let de = Array.make ws.Workspace.m 0. and dwq = Array.make ws.Workspace.m 0. in
+  let energy = eval_with_gradient_ws ws ~power ~totals ~e ~w_hat ~de ~dwq in
+  (energy, de, dwq)

@@ -17,11 +17,11 @@
       E    += c_eff * v_k^2 * w_k
     v}
 
-    [eval] computes this energy; [eval_with_gradient] additionally
-    returns its gradient with respect to [(e, w_hat)] by a hand-written
-    reverse-mode (adjoint) sweep — exact for the ideal delay model, and
-    cross-checked against numerical differentiation in the test
-    suite. *)
+    [trace] replays this recurrence and [eval] is its energy;
+    [eval_with_gradient_ws] additionally returns the gradient with
+    respect to [(e, w_hat)] by a hand-written reverse-mode (adjoint)
+    sweep — exact for the ideal delay model, and cross-checked against
+    numerical differentiation in the test suite. *)
 
 type mode =
   | Average  (** instances take their ACEC — the ACS objective *)
@@ -48,11 +48,12 @@ val eval :
   e:float array ->
   w_hat:float array ->
   float
-(** Runtime energy for the given actual instance workloads. [e] and
-    [w_hat] are indexed by total-order position. Degenerate windows are
-    guarded: a dispatched sub-instance whose window [e_k - s_k] is not
-    positive is priced at a tiny positive window, so the value stays
-    finite (and enormous) on infeasible iterates. *)
+(** Runtime energy for the given actual instance workloads: the
+    [energy] field of {!trace}. [e] and [w_hat] are indexed by
+    total-order position. Degenerate windows are guarded: a dispatched
+    sub-instance whose window [e_k - s_k] is not positive is priced at
+    a tiny positive window, so the value stays finite (and enormous) on
+    infeasible iterates. *)
 
 val trace :
   plan:Lepts_preempt.Plan.t ->
@@ -61,26 +62,13 @@ val trace :
   e:float array ->
   w_hat:float array ->
   trace
-(** Like {!eval} but returning the full execution trace. *)
-
-val eval_with_gradient :
-  plan:Lepts_preempt.Plan.t ->
-  power:Lepts_power.Model.t ->
-  totals:float array array ->
-  e:float array ->
-  w_hat:float array ->
-  float * float array * float array
-(** [(energy, de, dw_hat)]. Requires the ideal delay model; raises
-    [Invalid_argument] for the alpha model (use numerical
-    differentiation there — see {!Solver}). *)
+(** The full execution trace of the recurrence above. *)
 
 (** {1 Workspace kernels}
 
-    Allocation-free variants of {!eval} and {!eval_with_gradient} over
-    the preallocated buffers of a {!Workspace.t}. They perform exactly
-    the same floating-point operations in the same order as the
-    allocating paths above — bit-identical results, asserted by the
-    test suite — and are what the solver's inner loop calls. *)
+    Allocation-free kernels over the preallocated buffers of a
+    {!Workspace.t}: what the solver's inner loop and every other
+    caller holding a workspace call. *)
 
 val eval_ws :
   Workspace.t ->
@@ -89,8 +77,10 @@ val eval_ws :
   e:float array ->
   w_hat:float array ->
   float
-(** Bit-identical to {!eval} on [Workspace.plan ws]; allocates
-    nothing. Clobbers the workspace's objective buffers. *)
+(** Bit-identical to {!eval} on [Workspace.plan ws] (the same
+    floating-point operations in the same order, asserted by the test
+    suite); allocates nothing. Clobbers the workspace's objective
+    buffers. *)
 
 val eval_with_gradient_ws :
   Workspace.t ->
@@ -101,6 +91,20 @@ val eval_with_gradient_ws :
   de:float array ->
   dwq:float array ->
   float
-(** Bit-identical energy and gradients to {!eval_with_gradient},
-    writing the gradients into [de] and [dwq] (both of the plan size)
-    instead of allocating them. Requires the ideal delay model. *)
+(** The energy, with its gradients written into [de] (end-times) and
+    [dwq] (worst-case quotas), both of the plan size. This is the one
+    implementation of the objective adjoint; the test suite checks it
+    bit for bit against a dense list-based reference and against
+    numerical differentiation. Requires the ideal delay model; raises
+    [Invalid_argument] for the alpha model (use numerical
+    differentiation there — see {!Solver}). *)
+
+val eval_with_gradient :
+  plan:Lepts_preempt.Plan.t ->
+  power:Lepts_power.Model.t ->
+  totals:float array array ->
+  e:float array ->
+  w_hat:float array ->
+  float * float array * float array
+(** [(energy, de, dw_hat)]: {!eval_with_gradient_ws} on a throwaway
+    workspace, for one-off callers. *)

@@ -14,18 +14,6 @@ module Span = Lepts_obs.Span
 
 type error = Unschedulable | Solver_stalled of string
 
-(* Kernel selection for the structure-exploiting solve path (DESIGN.md
-   §12). Both modes run the same algorithm — scaled coordinates, the
-   same projections mathematically, the same adaptive inner budget —
-   and differ only in kernel implementation, so they produce
-   bit-identical iterates: [Exact] is the dense reference (sort-based
-   projection via [Float.compare], full forward/adjoint sweeps, dense
-   penalty and multiplier loops), [Fast] substitutes the structure
-   kernels (flat block projection with raw-compare sort, incremental
-   dirty-prefix forward sweeps, cached penalty prefix sums,
-   active-segment-pruned penalty/multiplier/adjoint loops). *)
-type structure = Exact | Fast
-
 type stats = {
   objective : float;
   max_violation : float;
@@ -156,10 +144,6 @@ let forward_scaled_range (ws : Workspace.t) ~t_max (z : Vec.t) lo frontier0 =
     frontier := e.(k)
   done
 
-(* Full forward sweep (the Exact reference). *)
-let forward_scaled (ws : Workspace.t) ~t_max (z : Vec.t) =
-  forward_scaled_range ws ~t_max z 0 0.
-
 (* Incremental forward sweep: the recursion is a prefix chain, so when
    [z] agrees with the point of the previous sweep ([ws.y_prev]) on a
    prefix — per index, both the u and the s coordinate — the derived
@@ -171,7 +155,7 @@ let forward_scaled (ws : Workspace.t) ~t_max (z : Vec.t) =
    point of the objective call just before it). Equality is by float
    value: NaN never occurs in iterates (guarded), and [y_prev] starts
    as NaN so the first sweep after workspace creation is always full.
-   Bit-identical to {!forward_scaled} because the recomputed suffix
+   Bit-identical to a full sweep because the recomputed suffix
    performs exactly the operations the full sweep would, on state the
    full sweep would have produced. *)
 let forward_scaled_incr (ws : Workspace.t) ~t_max (z : Vec.t) =
@@ -202,12 +186,12 @@ let forward_scaled_incr (ws : Workspace.t) ~t_max (z : Vec.t) =
    objective) and dP/dg_k (from the penalty terms), accumulate
    gradients with respect to u and s in one backward sweep over the
    branches recorded by the forward sweep. [hi] truncates the sweep to
-   the last index with a nonzero sensitivity (pass [m - 1] for the
-   dense reference): above it every term is zero and the additions are
-   bitwise no-ops — the accumulators are never [-0.] (they are built
-   by [+.] chains from [+0.], which cannot produce [-0.] from finite
-   summands of mixed sign) and the frontier adjoint entering [hi] is
-   exactly [+0.], the value the dense sweep computes. *)
+   the last index with a nonzero sensitivity: above it every term is
+   zero and the additions are bitwise no-ops — the accumulators are
+   never [-0.] (they are built by [+.] chains from [+0.], which cannot
+   produce [-0.] from finite summands of mixed sign) and the frontier
+   adjoint entering [hi] is exactly [+0.], the value a full sweep
+   computes. *)
 let backward_scaled (ws : Workspace.t) ~hi ~de ~dg ~into_du ~into_ds =
   let room = ws.Workspace.room and start_ff = ws.Workspace.start_ff in
   let psi = ref 0. in
@@ -224,117 +208,47 @@ let backward_scaled (ws : Workspace.t) ~hi ~de ~dg ~into_du ~into_ds =
     psi := if start_ff.(k) then dstart else 0.
   done
 
-(* In-place projection of packed [y]: each instance's quota slice onto
-   its [sum = WCEC] simplex, slacks clamped into [0, hyper]. The slices
-   partition the quota prefix, so projecting in place is equivalent to
-   the copy-out form; the exact-length gather / sort buffers per
-   instance are allocated once and reused by every call. *)
-let make_projection_ip (plan : Plan.t) ~hyper =
-  let m = Array.length plan.Plan.order in
-  let ts = plan.Plan.task_set in
-  let subs = plan.Plan.instance_subs in
-  let buffers =
-    Array.map
-      (Array.map (fun idxs ->
-           (Array.make (Array.length idxs) 0., Array.make (Array.length idxs) 0.)))
-      subs
+(* Block projection of packed [z]: each instance's quota block onto
+   its [sum = scale * WCEC] simplex, slacks clamped into [0, hyper].
+   The solver projects scaled coordinates ([scale = t_max]); warm
+   continuation seeds project quota units ([scale = 1.], and
+   [1. *. wcec] is exact). {!Projection.simplex_fast_ip} runs from the
+   workspace's flat block index with two shared max-length buffers;
+   singleton blocks (most blocks, on realistic plans) are inlined as
+   the one-element threshold unfolded. *)
+let make_projection (ws : Workspace.t) ~scale ~hyper =
+  let m = ws.Workspace.m in
+  let ts = ws.Workspace.plan.Plan.task_set in
+  let n_blocks = ws.Workspace.n_blocks in
+  let off = ws.Workspace.blk_off and idx = ws.Workspace.blk_idx in
+  let buf = ws.Workspace.blk_buf and scratch = ws.Workspace.blk_scratch in
+  let totals =
+    Array.init n_blocks (fun b ->
+        scale *. (Task_set.task ts ws.Workspace.blk_task.(b)).Task.wcec)
   in
-  fun (y : Vec.t) ->
-    for i = 0 to Array.length subs - 1 do
-      let wcec = (Task_set.task ts i).Task.wcec in
-      let per = subs.(i) in
-      for j = 0 to Array.length per - 1 do
-        let idxs = per.(j) in
-        let buf, scratch = buffers.(i).(j) in
-        let n = Array.length idxs in
+  fun (z : Vec.t) ->
+    for b = 0 to n_blocks - 1 do
+      let lo = off.(b) in
+      let n = off.(b + 1) - lo in
+      let total = totals.(b) in
+      if n = 1 then begin
+        let k = idx.(lo) in
+        let v = z.(k) in
+        z.(k) <- fmax 0. (v -. (v -. total))
+      end
+      else begin
         for pos = 0 to n - 1 do
-          buf.(pos) <- y.(idxs.(pos))
+          buf.(pos) <- z.(idx.(lo + pos))
         done;
-        Projection.simplex_ip ~total:wcec ~scratch buf;
+        Projection.simplex_fast_ip ~total ~scratch ~n buf;
         for pos = 0 to n - 1 do
-          y.(idxs.(pos)) <- buf.(pos)
+          z.(idx.(lo + pos)) <- buf.(pos)
         done
-      done
+      end
     done;
     for k = m to (2 * m) - 1 do
-      y.(k) <- Lepts_util.Num_ext.clamp ~lo:0. ~hi:hyper y.(k)
+      z.(k) <- Lepts_util.Num_ext.clamp ~lo:0. ~hi:hyper z.(k)
     done
-
-(* Scaled-coordinate projection: each instance's u-slice onto its
-   [sum = t_max * WCEC] simplex, slacks clamped into [0, hyper].
-   [Exact] walks the nested instance map with exact-length buffers and
-   the [Float.compare] sort ({!Projection.simplex_ip}) — the bit-
-   identity reference. [Fast] drives {!Projection.simplex_fast_ip}
-   from the workspace's flat block index with two shared max-length
-   buffers, inlining singleton blocks (most blocks, on realistic
-   plans). The two produce bit-identical output: same threshold
-   arithmetic over the same descending value sequence (see
-   {!Projection.simplex_fast_ip}), and the singleton inline is the
-   one-element threshold unfolded. *)
-let make_projection_scaled (ws : Workspace.t) ~t_max ~hyper ~structure =
-  let plan = ws.Workspace.plan in
-  let m = ws.Workspace.m in
-  let ts = plan.Plan.task_set in
-  match structure with
-  | Exact ->
-    let subs = plan.Plan.instance_subs in
-    let buffers =
-      Array.map
-        (Array.map (fun idxs ->
-             (Array.make (Array.length idxs) 0., Array.make (Array.length idxs) 0.)))
-        subs
-    in
-    fun (z : Vec.t) ->
-      for i = 0 to Array.length subs - 1 do
-        let total = t_max *. (Task_set.task ts i).Task.wcec in
-        let per = subs.(i) in
-        for j = 0 to Array.length per - 1 do
-          let idxs = per.(j) in
-          let buf, scratch = buffers.(i).(j) in
-          let n = Array.length idxs in
-          for pos = 0 to n - 1 do
-            buf.(pos) <- z.(idxs.(pos))
-          done;
-          Projection.simplex_ip ~total ~scratch buf;
-          for pos = 0 to n - 1 do
-            z.(idxs.(pos)) <- buf.(pos)
-          done
-        done
-      done;
-      for k = m to (2 * m) - 1 do
-        z.(k) <- Lepts_util.Num_ext.clamp ~lo:0. ~hi:hyper z.(k)
-      done
-  | Fast ->
-    let n_blocks = ws.Workspace.n_blocks in
-    let off = ws.Workspace.blk_off and idx = ws.Workspace.blk_idx in
-    let buf = ws.Workspace.blk_buf and scratch = ws.Workspace.blk_scratch in
-    let totals =
-      Array.init n_blocks (fun b ->
-          t_max *. (Task_set.task ts ws.Workspace.blk_task.(b)).Task.wcec)
-    in
-    fun (z : Vec.t) ->
-      for b = 0 to n_blocks - 1 do
-        let lo = off.(b) in
-        let n = off.(b + 1) - lo in
-        let total = totals.(b) in
-        if n = 1 then begin
-          let k = idx.(lo) in
-          let v = z.(k) in
-          z.(k) <- fmax 0. (v -. (v -. total))
-        end
-        else begin
-          for pos = 0 to n - 1 do
-            buf.(pos) <- z.(idx.(lo + pos))
-          done;
-          Projection.simplex_fast_ip ~total ~scratch ~n buf;
-          for pos = 0 to n - 1 do
-            z.(idx.(lo + pos)) <- buf.(pos)
-          done
-        end
-      done;
-      for k = m to (2 * m) - 1 do
-        z.(k) <- Lepts_util.Num_ext.clamp ~lo:0. ~hi:hyper z.(k)
-      done
 
 (* Final feasibility repair: walk the total order once, capping each
    quota to what fits before its boundary at maximum speed (moving any
@@ -409,23 +323,30 @@ let slacks_for (plan : Plan.t) ~t_max ~e ~q =
 
 (* --- Augmented Lagrangian over the slack parametrisation --------------- *)
 
-(* [totals_list] holds one or more workload scenarios; the objective is
-   their mean runtime energy (a single ACEC or WCEC scenario for the
-   deterministic modes, a Monte-Carlo sample for the stochastic
-   extension). *)
-let solve_from ?deadline ?telemetry ?(structure = Fast) ~max_outer ~max_inner
-    ~totals_list ~(plan : Plan.t) ~power ~y0 () =
-    let m = Array.length plan.Plan.order in
+(* Mean runtime energy of [(e, q)] over the workload scenarios. *)
+let mean_energy ws ~power ~totals_list ~e ~q =
+  List.fold_left
+    (fun acc totals -> acc +. Objective.eval_ws ws ~power ~totals ~e ~w_hat:q)
+    0. totals_list
+  /. float_of_int (List.length totals_list)
+
+(* One augmented-Lagrangian descent from [y0] over the workspace's
+   plan. [totals_list] holds one or more workload scenarios; the
+   objective is their mean runtime energy (a single ACEC or WCEC
+   scenario for the deterministic modes, a Monte-Carlo sample for the
+   stochastic extension). *)
+let solve_from ?deadline ?telemetry ~max_outer ~totals_list ~(ws : Workspace.t) ~power
+    ~y0 () =
+    let plan = ws.Workspace.plan in
+    let m = ws.Workspace.m in
     let t_max = t_at_vmax power in
     let hyper = Plan.hyper_period plan in
     let scenario_count = float_of_int (List.length totals_list) in
-    let ws = Workspace.create plan in
-    let fast = structure = Fast in
     (* The accumulation closures below are built once per solve and
        capture only the workspace, so the hot path — [lag] and
        [lag_grad_into], called once per inner iteration — allocates
-       nothing. The left-to-right scenario accumulation order matches
-       the allocating reference path bit for bit. *)
+       nothing. Scenarios accumulate left to right, as in
+       {!mean_energy}. *)
     let acc = Array.make 1 0. in
     let add_energy totals =
       acc.(0) <- acc.(0) +. Objective.eval_ws ws ~power ~totals ~e:ws.Workspace.e
@@ -447,17 +368,10 @@ let solve_from ?deadline ?telemetry ?(structure = Fast) ~max_outer ~max_inner
         ws.Workspace.dq.(k) <- ws.Workspace.dq.(k) +. (ws.Workspace.dq_i.(k) /. scenario_count)
       done
     in
-    (* Forward sweep dispatch: the Fast path goes through the
-       dirty-prefix bookkeeping and reports the first recomputed index
-       (consumed by the penalty prefix cache below); the Exact path
-       always sweeps fully and never touches the incremental state. *)
-    let forward z =
-      if fast then forward_scaled_incr ws ~t_max z
-      else begin
-        forward_scaled ws ~t_max z;
-        0
-      end
-    in
+    (* Forward sweep through the dirty-prefix bookkeeping; returns the
+       first recomputed index (consumed by the penalty prefix cache
+       below). *)
+    let forward z = forward_scaled_incr ws ~t_max z in
     let energy_of z =
       let (_ : int) = forward z in
       mean_energy_ws ()
@@ -474,7 +388,7 @@ let solve_from ?deadline ?telemetry ?(structure = Fast) ~max_outer ~max_inner
         (Array.init (2 * m) (fun k ->
              if k < m then t_max *. y0.(k) else y0.(k)))
     in
-    let project_ip = make_projection_scaled ws ~t_max ~hyper ~structure in
+    let project_ip = make_projection ws ~scale:t_max ~hyper in
     let inner_total = ref 0 in
     let outer = ref 0 in
     let violation = ref infinity in
@@ -514,43 +428,30 @@ let solve_from ?deadline ?telemetry ?(structure = Fast) ~max_outer ~max_inner
         let d = forward z in
         let energy = mean_energy_ws () in
         let g = ws.Workspace.g in
-        if fast then begin
-          (* Penalty via cached ascending prefix sums: terms over the
-             clean prefix [0, pstart) were accumulated by a previous
-             evaluation at identical (g, lambda, mu), so resuming the
-             accumulator from [pen_prefix.(pstart)] reproduces the
-             dense left-to-right sum bit for bit. Inactive segments
-             (zero multiplier, satisfied constraint) contribute
-             [-. 0.], a bitwise no-op on any accumulator value, so
-             the active-set branch skips them entirely. *)
-          let pp = ws.Workspace.pen_prefix in
-          let pstart = if ws.Workspace.pen_valid then d else 0 in
-          let penalty = ref (if pstart = 0 then 0. else pp.(pstart)) in
-          for k = pstart to m - 1 do
-            if lambda.(k) > 0. || g.(k) > 0. then begin
-              let t = lambda.(k) +. (mu_now *. g.(k)) in
-              if t > 0. then
-                penalty :=
-                  !penalty
-                  +. (((t *. t) -. (lambda.(k) *. lambda.(k))) /. (2. *. mu_now))
-              else penalty := !penalty -. (lambda.(k) *. lambda.(k) /. (2. *. mu_now))
-            end;
-            pp.(k + 1) <- !penalty
-          done;
-          ws.Workspace.pen_valid <- true;
-          energy +. !penalty
-        end
-        else begin
-          let penalty = ref 0. in
-          for k = 0 to m - 1 do
+        (* Penalty via cached ascending prefix sums: terms over the
+           clean prefix [0, pstart) were accumulated by a previous
+           evaluation at identical (g, lambda, mu), so resuming the
+           accumulator from [pen_prefix.(pstart)] reproduces the dense
+           left-to-right sum bit for bit. Inactive segments (zero
+           multiplier, satisfied constraint) contribute [-. 0.], a
+           bitwise no-op on any accumulator value, so the active-set
+           branch skips them entirely. *)
+        let pp = ws.Workspace.pen_prefix in
+        let pstart = if ws.Workspace.pen_valid then d else 0 in
+        let penalty = ref (if pstart = 0 then 0. else pp.(pstart)) in
+        for k = pstart to m - 1 do
+          if lambda.(k) > 0. || g.(k) > 0. then begin
             let t = lambda.(k) +. (mu_now *. g.(k)) in
             if t > 0. then
               penalty :=
-                !penalty +. (((t *. t) -. (lambda.(k) *. lambda.(k))) /. (2. *. mu_now))
+                !penalty
+                +. (((t *. t) -. (lambda.(k) *. lambda.(k))) /. (2. *. mu_now))
             else penalty := !penalty -. (lambda.(k) *. lambda.(k) /. (2. *. mu_now))
-          done;
-          energy +. !penalty
-        end
+          end;
+          pp.(k + 1) <- !penalty
+        done;
+        ws.Workspace.pen_valid <- true;
+        energy +. !penalty
       in
       let lag_grad_analytic_into z ~into =
         let (_ : int) = forward z in
@@ -571,36 +472,23 @@ let solve_from ?deadline ?telemetry ?(structure = Fast) ~max_outer ~max_inner
           dq.(k) <- dq.(k) /. t_max
         done;
         let g = ws.Workspace.g in
-        if fast then
-          (* Inactive segments have zero penalty slope; write the zero
-             without computing the test value. Bit-identical: on such
-             segments [t <= 0] forces the dense branch to write [0.]
-             too. *)
-          for k = 0 to m - 1 do
-            if lambda.(k) > 0. || g.(k) > 0. then begin
-              let t = lambda.(k) +. (mu_now *. g.(k)) in
-              dg.(k) <- (if t > 0. then t else 0.)
-            end
-            else dg.(k) <- 0.
-          done
-        else
-          for k = 0 to m - 1 do
+        (* Inactive segments have zero penalty slope; write the zero
+           without computing the test value ([t <= 0] there, so the
+           dense formula would write [0.] too). *)
+        for k = 0 to m - 1 do
+          if lambda.(k) > 0. || g.(k) > 0. then begin
             let t = lambda.(k) +. (mu_now *. g.(k)) in
             dg.(k) <- (if t > 0. then t else 0.)
-          done;
-        (* Truncate the adjoint sweep to the last nonzero sensitivity
-           (Fast); the skipped suffix only adds exact zeros. *)
-        let hi =
-          if fast then begin
-            let h = ref (m - 1) in
-            while !h >= 0 && de.(!h) = 0. && dg.(!h) = 0. do
-              decr h
-            done;
-            !h
           end
-          else m - 1
-        in
-        backward_scaled ws ~hi ~de ~dg ~into_du:dq ~into_ds:ds;
+          else dg.(k) <- 0.
+        done;
+        (* Truncate the adjoint sweep to the last nonzero sensitivity;
+           the skipped suffix only adds exact zeros. *)
+        let hi = ref (m - 1) in
+        while !hi >= 0 && de.(!hi) = 0. && dg.(!hi) = 0. do
+          decr hi
+        done;
+        backward_scaled ws ~hi:!hi ~de ~dg ~into_du:dq ~into_ds:ds;
         Array.blit dq 0 into 0 m;
         Array.blit ds 0 into m m
       in
@@ -612,12 +500,8 @@ let solve_from ?deadline ?telemetry ?(structure = Fast) ~max_outer ~max_inner
          few rounds — they deserve a real descent — while later
          rounds only track the multiplier updates, which small fixed
          budgets follow within tolerance (validated against
-         per-instance budget sweeps; see DESIGN.md §12). Identical
-         for both structures, so it does not affect Exact/Fast
-         parity. *)
-      let inner_budget =
-        if !outer <= 3 then min max_inner 300 else min max_inner 60
-      in
+         per-instance budget sweeps; see DESIGN.md §12). *)
+      let inner_budget = if !outer <= 3 then 300 else 60 in
       let r =
         Pg.minimize_ws ?telemetry:ring ?should_stop ~max_iter:inner_budget
           ~tol:1e-10 ~f:lag ~grad_into ~project_ip ~x0:!x ()
@@ -630,11 +514,11 @@ let solve_from ?deadline ?telemetry ?(structure = Fast) ~max_outer ~max_inner
       violation := 0.;
       (* The multiplier update is a no-op on inactive segments
          ([fmax 0.] of a non-positive value writes back the [+0.]
-         already there), so Fast skips the arithmetic; the violation
-         max must still scan every constraint. *)
+         already there), so it is skipped there; the violation max
+         must still scan every constraint. *)
       for k = 0 to m - 1 do
         violation := fmax !violation g.(k);
-        if (not fast) || lambda.(k) > 0. || g.(k) > 0. then
+        if lambda.(k) > 0. || g.(k) > 0. then
           lambda.(k) <- fmax 0. (lambda.(k) +. (mu_now *. g.(k)))
       done;
       Log.debug (fun f ->
@@ -672,13 +556,8 @@ let solve_from ?deadline ?telemetry ?(structure = Fast) ~max_outer ~max_inner
         let schedule = Static_schedule.create ~plan ~power ~end_times:e ~quotas:q in
         let stats =
           { objective =
-              List.fold_left
-                (fun acc totals ->
-                  acc
-                  +. Objective.eval ~plan ~power ~totals ~e:schedule.Static_schedule.end_times
-                       ~w_hat:schedule.Static_schedule.quotas)
-                0. totals_list
-              /. scenario_count;
+              mean_energy ws ~power ~totals_list ~e:schedule.Static_schedule.end_times
+                ~q:schedule.Static_schedule.quotas;
             max_violation = !violation;
             outer_iterations = !outer;
             inner_iterations = !inner_total }
@@ -705,8 +584,8 @@ let solve_from ?deadline ?telemetry ?(structure = Fast) ~max_outer ~max_inner
    indexed by start, and the reduction below scans them in start order
    with a strict-improvement test — so the pick is the same schedule
    for every [jobs] value. *)
-let solve_multi_start ?wall_budget ?telemetry ?(jobs = 1) ?structure ~max_outer
-    ~max_inner ~warm_starts ~totals_list ~(plan : Plan.t) ~power () =
+let solve_multi_start ?wall_budget ?telemetry ?(jobs = 1) ~max_outer ~warm_starts
+    ~totals_list ~(plan : Plan.t) ~power () =
   match initial_point ~plan ~power with
   | Error _ as err -> err
   | Ok (e0, q0) ->
@@ -737,8 +616,8 @@ let solve_multi_start ?wall_budget ?telemetry ?(jobs = 1) ?structure ~max_outer
                 Option.map (fun s -> Telemetry.start_slot s start) telemetry
               in
               try
-                solve_from ?deadline ?telemetry ?structure ~max_outer ~max_inner
-                  ~totals_list ~plan ~power ~y0:candidates.(start) ()
+                solve_from ?deadline ?telemetry ~max_outer ~totals_list
+                  ~ws:(Workspace.create plan) ~power ~y0:candidates.(start) ()
               with Lepts_optim.Guard.Non_finite what ->
                 Error
                   (Solver_stalled
@@ -773,8 +652,8 @@ let solve_multi_start ?wall_budget ?telemetry ?(jobs = 1) ?structure ~max_outer
       Error
         (Solver_stalled ("no start point produced a feasible schedule" ^ detail)))
 
-let solve ?wall_budget ?telemetry ?jobs ?structure ?(max_outer = 30)
-    ?(max_inner = 2000) ?(warm_starts = []) ~mode ~(plan : Plan.t) ~power () =
+let solve ?wall_budget ?telemetry ?jobs ?(max_outer = 30) ?(warm_starts = []) ~mode
+    ~(plan : Plan.t) ~power () =
   let span_name =
     match mode with
     | Objective.Average -> "solve:acs"
@@ -782,12 +661,11 @@ let solve ?wall_budget ?telemetry ?jobs ?structure ?(max_outer = 30)
   in
   Span.with_ ~name:span_name (fun () ->
       let totals_list = [ Objective.instance_totals mode plan ] in
-      solve_multi_start ?wall_budget ?telemetry ?jobs ?structure ~max_outer
-        ~max_inner ~warm_starts ~totals_list ~plan ~power ())
+      solve_multi_start ?wall_budget ?telemetry ?jobs ~max_outer ~warm_starts
+        ~totals_list ~plan ~power ())
 
-let solve_stochastic ?telemetry ?jobs ?structure ?(max_outer = 30)
-    ?(max_inner = 2000) ?(warm_starts = []) ?(scenarios = 16) ?(seed = 1)
-    ~(plan : Plan.t) ~power () =
+let solve_stochastic ?telemetry ?jobs ?(max_outer = 30) ?(warm_starts = [])
+    ?(scenarios = 16) ?(seed = 1) ~(plan : Plan.t) ~power () =
   if scenarios <= 0 then invalid_arg "Solver.solve_stochastic: scenarios";
   let rng = Lepts_prng.Xoshiro256.create ~seed in
   let sample () =
@@ -804,18 +682,16 @@ let solve_stochastic ?telemetry ?jobs ?structure ?(max_outer = 30)
   in
   let totals_list = List.init scenarios (fun _ -> sample ()) in
   Span.with_ ~name:"solve:stochastic" (fun () ->
-      solve_multi_start ?telemetry ?jobs ?structure ~max_outer ~max_inner
-        ~warm_starts ~totals_list ~plan ~power ())
+      solve_multi_start ?telemetry ?jobs ~max_outer ~warm_starts ~totals_list ~plan
+        ~power ())
 
-let solve_acs ?wall_budget ?telemetry ?jobs ?structure ?max_outer ?max_inner
-    ?warm_starts ~plan ~power () =
-  solve ?wall_budget ?telemetry ?jobs ?structure ?max_outer ?max_inner
-    ?warm_starts ~mode:Objective.Average ~plan ~power ()
+let solve_acs ?wall_budget ?telemetry ?jobs ?max_outer ?warm_starts ~plan ~power () =
+  solve ?wall_budget ?telemetry ?jobs ?max_outer ?warm_starts ~mode:Objective.Average
+    ~plan ~power ()
 
-let solve_wcs ?wall_budget ?telemetry ?jobs ?structure ?max_outer ?max_inner
-    ?warm_starts ~plan ~power () =
-  solve ?wall_budget ?telemetry ?jobs ?structure ?max_outer ?max_inner
-    ?warm_starts ~mode:Objective.Worst ~plan ~power ()
+let solve_wcs ?wall_budget ?telemetry ?jobs ?max_outer ?warm_starts ~plan ~power () =
+  solve ?wall_budget ?telemetry ?jobs ?max_outer ?warm_starts ~mode:Objective.Worst
+    ~plan ~power ()
 
 (* --- Warm-start continuation and incremental re-solve ------------------- *)
 
@@ -868,36 +744,30 @@ let quota_sums_match ~(plan : Plan.t) (prev : Static_schedule.t) =
     plan.Plan.instance_subs;
   !ok
 
+(* Relative margin by which a warm continuation must beat its seed. *)
+let seed_margin = 1e-6
+
 (* One continuation descent seeded from [prev], reduced prev-first with
    a relative strict-improvement threshold: the continuation replaces
-   the seed only when it is better by more than [improvement_rel]
+   the seed only when it is better by more than [seed_margin]
    (relative to the seed's objective). Restarting the augmented
    Lagrangian from a converged point produces sub-tolerance drift
    (fresh multipliers, one more projection); the threshold keeps the
    seed in that case, so re-solving a converged instance returns it
    bit-identically and a warm solve is never worse than its seed. *)
-let continue_from ?deadline ?telemetry ?structure ~max_outer ~max_inner
-    ~improvement_rel ~totals_list ~(plan : Plan.t) ~power
+let continue_from ?deadline ?telemetry ~max_outer ~totals_list ~(plan : Plan.t) ~power
     ~(prev : Static_schedule.t) () =
   let m = Array.length plan.Plan.order in
   let t_max = t_at_vmax power in
-  let hyper = Plan.hyper_period plan in
-  let scenario_count = float_of_int (List.length totals_list) in
-  let mean_objective e q =
-    List.fold_left
-      (fun acc totals -> acc +. Objective.eval ~plan ~power ~totals ~e ~w_hat:q)
-      0. totals_list
-    /. scenario_count
-  in
+  let ws = Workspace.create plan in
   let prev_e = prev.Static_schedule.end_times in
   let prev_q = prev.Static_schedule.quotas in
   (* Seed point: previous quotas re-projected onto the current
-     per-instance simplexes, end-times clamped into the current
-     windows, slacks re-derived to realise those end-times under the
-     frontier recursion. *)
+     per-instance simplexes (in quota units), end-times clamped into
+     the current windows, slacks re-derived to realise those end-times
+     under the frontier recursion. *)
   let y0 = Array.append (Array.copy prev_q) (Array.make m 0.) in
-  let project_ip = make_projection_ip plan ~hyper in
-  project_ip y0;
+  make_projection ws ~scale:1. ~hyper:(Plan.hyper_period plan) y0;
   let e_seed =
     Array.mapi
       (fun k e ->
@@ -923,33 +793,29 @@ let continue_from ?deadline ?telemetry ?structure ~max_outer ~max_inner
       Ok
         ( schedule,
           { objective =
-              mean_objective schedule.Static_schedule.end_times
-                schedule.Static_schedule.quotas;
+              mean_energy ws ~power ~totals_list ~e:schedule.Static_schedule.end_times
+                ~q:schedule.Static_schedule.quotas;
             max_violation = 0.; outer_iterations = 0; inner_iterations = 0 } )
   in
   let continued =
-    try
-      solve_from ?deadline ?telemetry ?structure ~max_outer ~max_inner
-        ~totals_list ~plan ~power ~y0 ()
+    try solve_from ?deadline ?telemetry ~max_outer ~totals_list ~ws ~power ~y0 ()
     with Lepts_optim.Guard.Non_finite what ->
       Error (Solver_stalled (Printf.sprintf "non-finite evaluation (%s)" what))
   in
   match (baseline, continued) with
   | Ok (_, bstats), Ok (_, cstats)
     when cstats.objective
-         >= bstats.objective -. (improvement_rel *. Float.abs bstats.objective) ->
+         >= bstats.objective -. (seed_margin *. Float.abs bstats.objective) ->
     baseline
   | _, Ok result -> Ok result
   | Ok _, Error _ -> baseline
   | (Error _ as err), Error _ -> err
 
-let solve_warm ?wall_budget ?telemetry ?jobs ?structure ?(max_outer = 30)
-    ?(max_inner = 2000) ?(improvement_rel = 1e-6) ~mode
+let solve_warm ?wall_budget ?telemetry ?jobs ?(max_outer = 30) ~mode
     ~(prev : Static_schedule.t) ~(plan : Plan.t) ~power () =
   if not (structurally_compatible ~plan prev) then
     (* Nothing to continue from: full cold multi-start. *)
-    solve ?wall_budget ?telemetry ?jobs ?structure ~max_outer ~max_inner ~mode
-      ~plan ~power ()
+    solve ?wall_budget ?telemetry ?jobs ~max_outer ~mode ~plan ~power ()
   else
     Span.with_ ~name:"solve:warm" (fun () ->
         let totals_list = [ Objective.instance_totals mode plan ] in
@@ -960,8 +826,8 @@ let solve_warm ?wall_budget ?telemetry ?jobs ?structure ?(max_outer = 30)
         Option.iter (fun s -> Telemetry.init_starts s ~n:1) telemetry;
         let slot = Option.map (fun s -> Telemetry.start_slot s 0) telemetry in
         let result =
-          continue_from ?deadline ?telemetry:slot ?structure ~max_outer
-            ~max_inner ~improvement_rel ~totals_list ~plan ~power ~prev ()
+          continue_from ?deadline ?telemetry:slot ~max_outer ~totals_list ~plan ~power
+            ~prev ()
         in
         Metrics.observe h_solve_seconds (now () -. t0);
         (match result with
@@ -969,25 +835,22 @@ let solve_warm ?wall_budget ?telemetry ?jobs ?structure ?(max_outer = 30)
         | Ok _ -> ());
         result)
 
-let resolve_incremental ?wall_budget ?telemetry ?jobs ?structure ?max_outer
-    ?max_inner ?improvement_rel ~mode ~(prev : Static_schedule.t)
-    ~(plan : Plan.t) ~power () =
+let resolve_incremental ?wall_budget ?telemetry ?jobs ?max_outer ~mode
+    ~(prev : Static_schedule.t) ~(plan : Plan.t) ~power () =
   if structurally_compatible ~plan prev then
     (* Only workloads (ACEC / WCEC values) changed: one continuation
        descent from the previous solution, never worse than the seed. *)
-    solve_warm ?wall_budget ?telemetry ?jobs ?structure ?max_outer ?max_inner
-      ?improvement_rel ~mode ~prev ~plan ~power ()
+    solve_warm ?wall_budget ?telemetry ?jobs ?max_outer ~mode ~prev ~plan ~power ()
   else if
     Array.length prev.Static_schedule.end_times = Array.length plan.Plan.order
   then
     (* Same order length but shifted windows (e.g. one task's period or
        deadline changed): the previous point still carries information,
        so feed it to the multi-start as an extra warm start. *)
-    solve ?wall_budget ?telemetry ?jobs ?structure ?max_outer ?max_inner
+    solve ?wall_budget ?telemetry ?jobs ?max_outer
       ~warm_starts:
         [ (prev.Static_schedule.end_times, prev.Static_schedule.quotas) ]
       ~mode ~plan ~power ()
   else
     (* Structure changed (task added/removed): cold solve. *)
-    solve ?wall_budget ?telemetry ?jobs ?structure ?max_outer ?max_inner ~mode
-      ~plan ~power ()
+    solve ?wall_budget ?telemetry ?jobs ?max_outer ~mode ~plan ~power ()

@@ -24,27 +24,18 @@
     The initial point is the worst-case rate-monotonic execution at
     maximum speed (all slacks zero), which is feasible whenever the
     task set is RM-schedulable; the solver then trades that slack for
-    runtime energy. *)
+    runtime energy.
+
+    Each computation of the descent has one structure-exploiting
+    kernel: a flat per-instance block projection, incremental
+    dirty-prefix forward sweeps, cached penalty prefix sums and
+    active-segment pruning of the penalty, multiplier and adjoint
+    loops (DESIGN.md §12). The test suite checks them bit for bit
+    against a dense reference solve. *)
 
 type error =
   | Unschedulable  (** the task set misses a deadline even at v_max *)
   | Solver_stalled of string  (** the NLP did not reach feasibility *)
-
-type structure =
-  | Exact
-      (** dense reference kernels: sort-based simplex projection via
-          [Float.compare], full forward/adjoint sweeps every
-          evaluation, dense penalty and multiplier loops *)
-  | Fast
-      (** structure-exploiting kernels (the default): flat per-instance
-          block projection with a raw-compare sort, incremental
-          dirty-prefix forward sweeps, cached penalty prefix sums, and
-          active-segment pruning of the penalty, multiplier and
-          adjoint loops. Runs the same algorithm as [Exact] — the two
-          differ only in kernel implementation and produce
-          bit-identical schedules (asserted by the property tests);
-          [Exact] exists as the auditable reference and CLI escape
-          hatch ([--exact-solve]). See DESIGN.md §12. *)
 
 type stats = {
   objective : float;  (** energy at the solution, in model units *)
@@ -76,9 +67,7 @@ val solve :
   ?wall_budget:float ->
   ?telemetry:Lepts_obs.Telemetry.solve ->
   ?jobs:int ->
-  ?structure:structure ->
   ?max_outer:int ->
-  ?max_inner:int ->
   ?warm_starts:(float array * float array) list ->
   mode:Objective.mode ->
   plan:Lepts_preempt.Plan.t ->
@@ -126,9 +115,7 @@ val solve_acs :
   ?wall_budget:float ->
   ?telemetry:Lepts_obs.Telemetry.solve ->
   ?jobs:int ->
-  ?structure:structure ->
   ?max_outer:int ->
-  ?max_inner:int ->
   ?warm_starts:(float array * float array) list ->
   plan:Lepts_preempt.Plan.t ->
   power:Lepts_power.Model.t ->
@@ -140,9 +127,7 @@ val solve_wcs :
   ?wall_budget:float ->
   ?telemetry:Lepts_obs.Telemetry.solve ->
   ?jobs:int ->
-  ?structure:structure ->
   ?max_outer:int ->
-  ?max_inner:int ->
   ?warm_starts:(float array * float array) list ->
   plan:Lepts_preempt.Plan.t ->
   power:Lepts_power.Model.t ->
@@ -154,10 +139,7 @@ val solve_warm :
   ?wall_budget:float ->
   ?telemetry:Lepts_obs.Telemetry.solve ->
   ?jobs:int ->
-  ?structure:structure ->
   ?max_outer:int ->
-  ?max_inner:int ->
-  ?improvement_rel:float ->
   mode:Objective.mode ->
   prev:Static_schedule.t ->
   plan:Lepts_preempt.Plan.t ->
@@ -172,9 +154,9 @@ val solve_warm :
     restarts from that point (fresh multipliers).
 
     The reduction is prev-first with a {e relative} strict-improvement
-    threshold [improvement_rel] (default [1e-6]): the continuation
-    result replaces the (repaired, re-evaluated) seed only when it is
-    better by more than that fraction of the seed's objective.
+    threshold of [1e-6]: the continuation result replaces the
+    (repaired, re-evaluated) seed only when it is better by more than
+    that fraction of the seed's objective.
     Consequences, both asserted by the test suite:
 
     - re-solving a converged instance warm returns the previous
@@ -201,10 +183,7 @@ val resolve_incremental :
   ?wall_budget:float ->
   ?telemetry:Lepts_obs.Telemetry.solve ->
   ?jobs:int ->
-  ?structure:structure ->
   ?max_outer:int ->
-  ?max_inner:int ->
-  ?improvement_rel:float ->
   mode:Objective.mode ->
   prev:Static_schedule.t ->
   plan:Lepts_preempt.Plan.t ->
@@ -224,9 +203,7 @@ val resolve_incremental :
 val solve_stochastic :
   ?telemetry:Lepts_obs.Telemetry.solve ->
   ?jobs:int ->
-  ?structure:structure ->
   ?max_outer:int ->
-  ?max_inner:int ->
   ?warm_starts:(float array * float array) list ->
   ?scenarios:int ->
   ?seed:int ->

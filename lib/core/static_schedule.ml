@@ -19,20 +19,6 @@ let create ~plan ~power ~end_times ~quotas =
 
 let size t = Array.length t.end_times
 
-let avg_workloads t =
-  let totals = Objective.instance_totals Objective.Average t.plan in
-  let w = Array.make (size t) 0. in
-  Array.iteri
-    (fun i per_instance ->
-      Array.iteri
-        (fun j idxs ->
-          let quotas = Array.map (fun k -> t.quotas.(k)) idxs in
-          let dist = Waterfall.distribute ~quotas ~total:totals.(i).(j) in
-          Array.iteri (fun pos k -> w.(k) <- dist.(pos)) idxs)
-        per_instance)
-    t.plan.Plan.instance_subs;
-  w
-
 let predicted_energy t ~mode =
   let totals = Objective.instance_totals mode t.plan in
   Objective.eval ~plan:t.plan ~power:t.power ~totals ~e:t.end_times ~w_hat:t.quotas

@@ -24,9 +24,6 @@ val create :
 
 val size : t -> int
 
-val avg_workloads : t -> float array
-(** The ACEC waterfall split [w-bar] implied by the quotas. *)
-
 val predicted_energy : t -> mode:Objective.mode -> float
 (** Closed-form runtime energy under greedy reclamation when all
     instances take their ACEC ([Average]) or WCEC ([Worst]). *)

@@ -34,7 +34,7 @@ type t = {
   dg : float array;
   dq : float array;
   ds : float array;
-  (* structure-exploiting fast path (DESIGN.md §12) *)
+  (* structure-exploiting solver kernels (DESIGN.md §12) *)
   n_blocks : int;
   blk_off : int array;
   blk_idx : int array;

@@ -48,7 +48,7 @@ type t = {
   dg : float array;
   dq : float array;
   ds : float array;
-  (* structure-exploiting fast path (DESIGN.md §12) *)
+  (* structure-exploiting solver kernels (DESIGN.md §12) *)
   n_blocks : int;
       (** number of per-instance quota blocks (simplex constraints) *)
   blk_off : int array;

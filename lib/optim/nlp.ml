@@ -14,14 +14,6 @@ type t = {
   project : Vec.t -> Vec.t;
 }
 
-let unconstrained ~dim ~objective ~gradient =
-  { dim; objective; gradient; inequalities = []; project = Fun.id }
-
-let with_numerical_gradient ~dim ~objective ?(inequalities = []) ?(project = Fun.id) () =
-  { dim; objective;
-    gradient = (fun x -> Numdiff.gradient ~f:objective x);
-    inequalities; project }
-
 let linear_constraint ~name ~coeffs ~bound =
   let value x =
     List.fold_left (fun acc (i, c) -> acc +. (c *. x.(i))) (-.bound) coeffs
@@ -30,15 +22,6 @@ let linear_constraint ~name ~coeffs ~bound =
     List.iter (fun (i, c) -> into.(i) <- into.(i) +. (scale *. c)) coeffs
   in
   { name; value; add_gradient }
-
-let nonlinear_constraint ~name ~value ~gradient =
-  let add_gradient ~x ~scale ~into = Vec.axpy_ip scale (gradient x) ~into in
-  { name; value; add_gradient }
-
-let constraint_gradient c x =
-  let g = Vec.zeros (Vec.dim x) in
-  c.add_gradient ~x ~scale:1. ~into:g;
-  g
 
 let max_violation t x =
   List.fold_left (fun acc c -> Float.max acc (c.value x)) 0. t.inequalities

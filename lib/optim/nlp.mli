@@ -33,40 +33,11 @@ type t = {
   project : Lepts_linalg.Vec.t -> Lepts_linalg.Vec.t;
 }
 
-val unconstrained :
-  dim:int ->
-  objective:(Lepts_linalg.Vec.t -> float) ->
-  gradient:(Lepts_linalg.Vec.t -> Lepts_linalg.Vec.t) ->
-  t
-(** Problem with no inequalities and the identity projection. *)
-
-val with_numerical_gradient :
-  dim:int ->
-  objective:(Lepts_linalg.Vec.t -> float) ->
-  ?inequalities:constraint_ list ->
-  ?project:(Lepts_linalg.Vec.t -> Lepts_linalg.Vec.t) ->
-  unit ->
-  t
-(** Convenience constructor that differentiates the objective
-    numerically (central differences). Intended for tests and the
-    paper-literal formulation; production paths supply analytic
-    gradients. *)
-
 val linear_constraint :
   name:string -> coeffs:(int * float) list -> bound:float -> constraint_
 (** [linear_constraint ~coeffs ~bound] is the constraint
     [sum_i c_i * x_i <= bound] written with a sparse coefficient
     list. *)
-
-val nonlinear_constraint :
-  name:string ->
-  value:(Lepts_linalg.Vec.t -> float) ->
-  gradient:(Lepts_linalg.Vec.t -> Lepts_linalg.Vec.t) ->
-  constraint_
-(** Wrap a dense-gradient constraint in the accumulation interface. *)
-
-val constraint_gradient : constraint_ -> Lepts_linalg.Vec.t -> Lepts_linalg.Vec.t
-(** Dense gradient of one constraint (testing helper). *)
 
 val max_violation : t -> Lepts_linalg.Vec.t -> float
 (** Largest positive constraint value at [x] (0 when feasible). *)

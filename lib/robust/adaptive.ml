@@ -57,13 +57,11 @@ let m_estimate_ratio =
 type config = {
   estimator : Estimator.config;
   resolve_every : int;
-  structure : Solver.structure;
 }
 
 let default_config =
   { estimator = Estimator.default_config;
-    resolve_every = 25;
-    structure = Solver.Fast }
+    resolve_every = 25 }
 
 type counters = {
   drift_checks : int;
@@ -174,7 +172,7 @@ let run ?(rounds = 500) ?(jobs = 1) ?dist ?(config = default_config)
           (* Structurally identical plan: this takes the solve_warm
              continuation — a single descent, jobs-independent. *)
           match
-            Solver.resolve_incremental ~jobs:1 ~structure:config.structure
+            Solver.resolve_incremental ~jobs:1
               ~mode:Lepts_core.Objective.Average ~prev:!current ~plan:plan'
               ~power ()
           with

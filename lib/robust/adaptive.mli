@@ -29,13 +29,10 @@ type config = {
   resolve_every : int;
       (** epoch length: drift is checked (and at most one re-solve
           performed) every this many rounds; >= 1 *)
-  structure : Lepts_core.Solver.structure;
-      (** kernel choice for the re-solves (CLI [--exact-solve]) *)
 }
 
 val default_config : config
-(** {!Lepts_sim.Estimator.default_config}, [resolve_every = 25],
-    [Fast] kernels. *)
+(** {!Lepts_sim.Estimator.default_config}, [resolve_every = 25]. *)
 
 type counters = {
   drift_checks : int;  (** epoch boundaries examined *)

@@ -9,9 +9,9 @@ let log_src = Logs.Src.create "lepts.robust.solver" ~doc:"resilient solve pipeli
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type budget = { max_outer : int; max_inner : int; wall_budget : float option }
+type budget = { max_outer : int; wall_budget : float option }
 
-let default_budget = { max_outer = 30; max_inner = 2000; wall_budget = None }
+let default_budget = { max_outer = 30; wall_budget = None }
 
 type config = { acs : budget; wcs : budget }
 
@@ -100,13 +100,9 @@ let validated (schedule, stats) =
     Error (Printf.sprintf "solution failed validation (%s)" (violations_string vs))
 
 let attempt_nlp ~budget ~solve =
-  if budget.max_outer <= 0 || budget.max_inner <= 0 then
-    Error "iteration budget exhausted before start"
+  if budget.max_outer <= 0 then Error "iteration budget exhausted before start"
   else
-    match
-      solve ?wall_budget:budget.wall_budget ~max_outer:budget.max_outer
-        ~max_inner:budget.max_inner ()
-    with
+    match solve ?wall_budget:budget.wall_budget ~max_outer:budget.max_outer () with
     | Error e -> Error (error_string e)
     | Ok pair -> validated pair
 
@@ -125,8 +121,8 @@ let attempt_rm ~plan ~power =
         (Printf.sprintf "canonical RM schedule failed validation (%s)"
            (violations_string vs)))
 
-let solve ?(config = default_config) ?(skip_acs = false) ?prev ?structure
-    ?telemetry ~plan ~power () =
+let solve ?(config = default_config) ?(skip_acs = false) ?prev ?telemetry ~plan
+    ~power () =
   let failures = ref [] in
   let run ?budget stage attempt =
     Metrics.incr (m_attempts stage);
@@ -187,7 +183,7 @@ let solve ?(config = default_config) ?(skip_acs = false) ?prev ?structure
     else
       run ~budget:config.acs Acs (fun () ->
           attempt_nlp ~budget:config.acs
-            ~solve:(fun ?wall_budget ~max_outer ~max_inner () ->
+            ~solve:(fun ?wall_budget ~max_outer () ->
               (* With a previous schedule of the same structure in hand
                  (the serve-layer warm chain), the ACS stage goes
                  through the incremental path: a continuation descent
@@ -196,13 +192,12 @@ let solve ?(config = default_config) ?(skip_acs = false) ?prev ?structure
                  compatible. *)
               match prev with
               | Some prev ->
-                Solver.resolve_incremental ?wall_budget ?structure
-                  ?telemetry:(sink "pipeline:acs") ~max_outer ~max_inner
+                Solver.resolve_incremental ?wall_budget
+                  ?telemetry:(sink "pipeline:acs") ~max_outer
                   ~mode:Lepts_core.Objective.Average ~prev ~plan ~power ()
               | None ->
-                Solver.solve_acs ?wall_budget ?structure
-                  ?telemetry:(sink "pipeline:acs") ~max_outer ~max_inner ~plan
-                  ~power ()))
+                Solver.solve_acs ?wall_budget ?telemetry:(sink "pipeline:acs")
+                  ~max_outer ~plan ~power ()))
   in
   let result =
     acs_result
@@ -210,10 +205,9 @@ let solve ?(config = default_config) ?(skip_acs = false) ?prev ?structure
            Some config.wcs,
            fun () ->
              attempt_nlp ~budget:config.wcs
-               ~solve:(fun ?wall_budget ~max_outer ~max_inner () ->
-                 Solver.solve_wcs ?wall_budget ?structure
-                   ?telemetry:(sink "pipeline:wcs") ~max_outer ~max_inner
-                   ~plan ~power ()) )
+               ~solve:(fun ?wall_budget ~max_outer () ->
+                 Solver.solve_wcs ?wall_budget ?telemetry:(sink "pipeline:wcs")
+                   ~max_outer ~plan ~power ()) )
     <|>? (Rm_vmax, None, fun () -> attempt_rm ~plan ~power)
   in
   match result with

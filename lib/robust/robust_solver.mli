@@ -22,12 +22,11 @@
 type budget = {
   max_outer : int;  (** augmented-Lagrangian outer iterations; <= 0
                         fails the stage before it starts *)
-  max_inner : int;  (** projected-gradient inner iterations per outer *)
   wall_budget : float option;  (** CPU-seconds cap for the stage *)
 }
 
 val default_budget : budget
-(** The solver defaults: 30 outer, 2000 inner, no wall cap. *)
+(** The solver defaults: 30 outer iterations, no wall cap. *)
 
 type config = { acs : budget; wcs : budget }
 
@@ -49,7 +48,6 @@ val solve :
   ?config:config ->
   ?skip_acs:bool ->
   ?prev:Lepts_core.Static_schedule.t ->
-  ?structure:Lepts_core.Solver.structure ->
   ?telemetry:Lepts_obs.Telemetry.collector ->
   plan:Lepts_preempt.Plan.t ->
   power:Lepts_power.Model.t ->
@@ -61,10 +59,6 @@ val solve :
     whole chain failed — [Unschedulable] when any stage reported the
     task set unschedulable, otherwise [Solver_stalled] carrying every
     stage's failure reason.
-
-    [structure] selects the solver kernels for the ACS and WCS stages
-    ({!Lepts_core.Solver.structure}; default [Fast]). The RM fallback
-    involves no optimisation, so the knob does not reach it.
 
     [skip_acs] (default [false]) starts the chain at WCS — the route a
     {!Lepts_serve.Breaker} takes while its circuit is open. The skip is

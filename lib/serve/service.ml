@@ -179,8 +179,7 @@ let solve_once ~power ~before_solve ~skip_acs ~prev ~wait_ms ~attempt
         req.Request.budget_ms
     in
     let stage_budget ?max_outer () =
-      { Robust_solver.default_budget with
-        max_outer =
+      { Robust_solver.max_outer =
           Option.value max_outer
             ~default:Robust_solver.default_budget.Robust_solver.max_outer;
         wall_budget =

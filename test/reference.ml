@@ -1,0 +1,476 @@
+(* Dense reference implementations: the executable specification that
+   the production kernels are tested against, bit for bit (DESIGN.md
+   §12). Nothing outside the test suite calls these. Each one is the
+   plain form of a computation the library implements exactly once,
+   in a structure-exploiting or allocation-free kernel:
+
+   - [simplex] / [simplex_ip]: sort-based simplex projection ordered by
+     [Float.compare] (production: [Projection.simplex_fast_ip]);
+   - [eval_with_gradient]: the list-based objective adjoint
+     (production: [Objective.eval_with_gradient_ws]);
+   - [solve] / [solve_warm]: the dense solve, with a nested
+     per-instance projection, full forward and adjoint sweeps on every
+     evaluation, and dense penalty and multiplier loops (production:
+     [Solver.solve] / [Solver.solve_warm]).
+
+   The arithmetic is the production arithmetic, operation for
+   operation; only the bookkeeping differs. *)
+
+module Plan = Lepts_preempt.Plan
+module Sub = Lepts_preempt.Sub_instance
+module Model = Lepts_power.Model
+module Task = Lepts_task.Task
+module Task_set = Lepts_task.Task_set
+module Pg = Lepts_optim.Projected_gradient
+module Numdiff = Lepts_optim.Numdiff
+open Lepts_core
+
+(* --- Simplex projection -------------------------------------------------- *)
+
+let tau_of_sorted ~total sorted =
+  let n = Array.length sorted in
+  let cumulative = ref 0. and tau = ref (sorted.(0) -. total) in
+  for i = 0 to n - 1 do
+    cumulative := !cumulative +. sorted.(i);
+    let candidate = (!cumulative -. total) /. float_of_int (i + 1) in
+    if sorted.(i) > candidate then tau := candidate
+  done;
+  !tau
+
+(* Threshold by descending sort: find tau with
+   sum max(0, x_i - tau) = total, then shift and clip. *)
+let simplex ~total x =
+  if total < 0. then invalid_arg "Reference.simplex: negative total";
+  if Array.length x = 0 then invalid_arg "Reference.simplex: empty vector";
+  let sorted = Array.copy x in
+  Array.sort (fun a b -> Float.compare b a) sorted;
+  let tau = tau_of_sorted ~total sorted in
+  Array.map (fun v -> Float.max 0. (v -. tau)) x
+
+let[@inline] fmax (x : float) (y : float) =
+  if y > x || (x <> x && not (y <> y)) then y else x
+
+(* In-place form with a monomorphic insertion sort under the same
+   [Float.compare] order. *)
+let simplex_ip ~total ~scratch x =
+  let n = Array.length x in
+  if total < 0. then invalid_arg "Reference.simplex_ip: negative total";
+  if n = 0 then invalid_arg "Reference.simplex_ip: empty vector";
+  if Array.length scratch <> n then
+    invalid_arg "Reference.simplex_ip: scratch length mismatch";
+  Array.blit x 0 scratch 0 n;
+  for i = 1 to n - 1 do
+    let key = scratch.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && Float.compare scratch.(!j) key < 0 do
+      scratch.(!j + 1) <- scratch.(!j);
+      decr j
+    done;
+    scratch.(!j + 1) <- key
+  done;
+  let tau = tau_of_sorted ~total scratch in
+  for i = 0 to n - 1 do
+    x.(i) <- fmax 0. (x.(i) -. tau)
+  done
+
+(* --- Objective adjoint ---------------------------------------------------- *)
+
+(* [Objective]'s dispatch threshold and window floor. *)
+let skip_eps = 1e-12
+let window_floor = 1e-12
+
+let split_workloads (plan : Plan.t) ~totals ~w_hat =
+  let w = Array.make (Array.length plan.Plan.order) 0. in
+  Array.iteri
+    (fun i per_instance ->
+      Array.iteri
+        (fun j idxs ->
+          let quotas = Array.map (fun k -> w_hat.(k)) idxs in
+          let dist = Waterfall.distribute ~quotas ~total:totals.(i).(j) in
+          Array.iteri (fun pos k -> w.(k) <- dist.(pos)) idxs)
+        per_instance)
+    plan.Plan.instance_subs;
+  w
+
+(* One dispatched step of the forward recurrence, with the branch
+   choices needed to replay it backwards. *)
+type step = {
+  k : int;
+  d : float;  (** guarded window *)
+  v : float;
+  w : float;  (** executed workload *)
+  wq : float;  (** worst-case quota *)
+  clamped : bool;  (** voltage clamped (at either end of the range) *)
+  guarded : bool;  (** window floored *)
+  s_from_finish : bool;  (** start = previous finish (vs release) *)
+}
+
+let eval_with_gradient ~plan ~power ~totals ~e ~w_hat =
+  let c0 =
+    match power.Model.delay with
+    | Model.Ideal { c0 } -> c0
+    | Model.Alpha _ -> invalid_arg "Reference.eval_with_gradient: ideal delay only"
+  in
+  let m = Array.length plan.Plan.order in
+  if Array.length e <> m || Array.length w_hat <> m then
+    invalid_arg "Reference.eval_with_gradient: vector length";
+  let w_hat = Array.map (fun q -> Float.max 0. q) w_hat in
+  let w = split_workloads plan ~totals ~w_hat in
+  (* Forward sweep, recording branches. *)
+  let steps = ref [] in
+  let finish = ref 0. and energy = ref 0. in
+  for k = 0 to m - 1 do
+    let sub = plan.Plan.order.(k) in
+    if w.(k) > skip_eps then begin
+      let s_from_finish = !finish >= sub.Sub.release in
+      let s = if s_from_finish then !finish else sub.Sub.release in
+      let d_raw = e.(k) -. s in
+      let guarded = d_raw < window_floor in
+      let d = if guarded then window_floor else d_raw in
+      let v_raw = c0 *. w_hat.(k) /. d in
+      let clamped = v_raw <= power.Model.v_min || v_raw > power.Model.v_max in
+      let v =
+        Lepts_util.Num_ext.clamp ~lo:power.Model.v_min ~hi:power.Model.v_max v_raw
+      in
+      energy := !energy +. (power.Model.c_eff *. v *. v *. w.(k));
+      finish := s +. (w.(k) *. c0 /. v);
+      steps :=
+        { k; d; v; w = w.(k); wq = w_hat.(k); clamped; guarded; s_from_finish }
+        :: !steps
+    end
+  done;
+  (* Backward (adjoint) sweep over the dispatched steps, most recent
+     first. [phi] is the adjoint of the running finish time. *)
+  let de = Array.make m 0. and dwq = Array.make m 0. in
+  let dw = Array.make m 0. in
+  let phi = ref 0. in
+  List.iter
+    (fun st ->
+      let sigma = ref !phi in
+      (* finish = s + w c0 / v ; E += c_eff v^2 w *)
+      let alpha =
+        (2. *. power.Model.c_eff *. st.w *. st.v) -. (!phi *. st.w *. c0 /. (st.v *. st.v))
+      in
+      let beta = (power.Model.c_eff *. st.v *. st.v) +. (!phi *. c0 /. st.v) in
+      if not st.clamped then begin
+        (* v = c0 wq / d *)
+        dwq.(st.k) <- dwq.(st.k) +. (alpha *. c0 /. st.d);
+        if not st.guarded then begin
+          let delta = -.alpha *. c0 *. st.wq /. (st.d *. st.d) in
+          de.(st.k) <- de.(st.k) +. delta;
+          sigma := !sigma -. delta
+        end
+      end;
+      dw.(st.k) <- dw.(st.k) +. beta;
+      phi := if st.s_from_finish then !sigma else 0.)
+    !steps;
+  (* Waterfall vector-Jacobian products per instance. *)
+  Array.iteri
+    (fun i per_instance ->
+      Array.iteri
+        (fun j idxs ->
+          let quotas = Array.map (fun k -> w_hat.(k)) idxs in
+          let adjoint = Array.map (fun k -> dw.(k)) idxs in
+          let back = Waterfall.backward ~quotas ~total:totals.(i).(j) ~adjoint in
+          Array.iteri (fun pos k -> dwq.(k) <- dwq.(k) +. back.(pos)) idxs)
+        per_instance)
+    plan.Plan.instance_subs;
+  (!energy, de, dwq)
+
+(* --- Dense solve ---------------------------------------------------------- *)
+
+let t_at_vmax power = Model.cycle_time power ~v:power.Model.v_max
+
+(* Nested per-instance projection: each instance's quota slice onto its
+   [sum = scale * WCEC] simplex through exact-length gather buffers,
+   slacks clamped into [0, hyper]. *)
+let make_projection (plan : Plan.t) ~scale ~hyper =
+  let m = Array.length plan.Plan.order in
+  let ts = plan.Plan.task_set in
+  let subs = plan.Plan.instance_subs in
+  let buffers =
+    Array.map
+      (Array.map (fun idxs ->
+           (Array.make (Array.length idxs) 0., Array.make (Array.length idxs) 0.)))
+      subs
+  in
+  fun (z : float array) ->
+    for i = 0 to Array.length subs - 1 do
+      let total = scale *. (Task_set.task ts i).Task.wcec in
+      let per = subs.(i) in
+      for j = 0 to Array.length per - 1 do
+        let idxs = per.(j) in
+        let buf, scratch = buffers.(i).(j) in
+        let n = Array.length idxs in
+        for pos = 0 to n - 1 do
+          buf.(pos) <- z.(idxs.(pos))
+        done;
+        simplex_ip ~total ~scratch buf;
+        for pos = 0 to n - 1 do
+          z.(idxs.(pos)) <- buf.(pos)
+        done
+      done
+    done;
+    for k = m to (2 * m) - 1 do
+      z.(k) <- Lepts_util.Num_ext.clamp ~lo:0. ~hi:hyper z.(k)
+    done
+
+let alap_end_times (plan : Plan.t) ~t_max ~e ~q =
+  let m = Array.length plan.Plan.order in
+  let out = Array.copy e in
+  if m > 0 then begin
+    out.(m - 1) <- plan.Plan.order.(m - 1).Sub.boundary;
+    for k = m - 2 downto 0 do
+      let b = plan.Plan.order.(k).Sub.boundary in
+      out.(k) <- Float.max e.(k) (Float.min b (out.(k + 1) -. (t_max *. q.(k + 1))))
+    done
+  end;
+  out
+
+let slacks_for (plan : Plan.t) ~t_max ~e ~q =
+  let m = Array.length plan.Plan.order in
+  let s = Array.make m 0. in
+  let frontier = ref 0. in
+  for k = 0 to m - 1 do
+    let start = Float.max plan.Plan.order.(k).Sub.release !frontier in
+    s.(k) <- Float.max 0. (e.(k) -. start -. (t_max *. q.(k)));
+    frontier := start +. (t_max *. q.(k)) +. s.(k)
+  done;
+  s
+
+(* One augmented-Lagrangian descent in scaled coordinates z = [u; s],
+   u = t_max * q, every evaluation recomputing the whole frontier
+   recursion. *)
+let solve_from ~max_outer ~totals_list ~(plan : Plan.t) ~power ~y0 =
+  let m = Array.length plan.Plan.order in
+  let t_max = t_at_vmax power in
+  let hyper = Plan.hyper_period plan in
+  let scenario_count = float_of_int (List.length totals_list) in
+  let ws = Workspace.create plan in
+  let q = Array.make m 0. and e = Array.make m 0. in
+  let start_ff = Array.make m false in
+  let room = Array.make m 0. and g = Array.make m 0. in
+  let forward (z : float array) =
+    let frontier = ref 0. in
+    for k = 0 to m - 1 do
+      let sub = plan.Plan.order.(k) in
+      let from_frontier = !frontier >= sub.Sub.release in
+      let st = if from_frontier then !frontier else sub.Sub.release in
+      let uk = fmax 0. z.(k) and sk = fmax 0. z.(m + k) in
+      q.(k) <- z.(k) /. t_max;
+      start_ff.(k) <- from_frontier;
+      room.(k) <- fmax 0. (sub.Sub.boundary -. st);
+      g.(k) <- uk +. sk -. room.(k);
+      e.(k) <- st +. uk +. sk;
+      frontier := e.(k)
+    done
+  in
+  let mean_energy () =
+    List.fold_left
+      (fun acc totals -> acc +. Objective.eval_ws ws ~power ~totals ~e ~w_hat:q)
+      0. totals_list
+    /. scenario_count
+  in
+  let analytic =
+    match power.Model.delay with Model.Ideal _ -> true | Model.Alpha _ -> false
+  in
+  let lambda = Array.make m 0. in
+  let mu = ref 10. in
+  let x = ref (Array.init (2 * m) (fun k -> if k < m then t_max *. y0.(k) else y0.(k))) in
+  let project_ip = make_projection plan ~scale:t_max ~hyper in
+  let inner_total = ref 0 and outer = ref 0 in
+  let violation = ref infinity and finished = ref false in
+  while (not !finished) && !outer < max_outer do
+    incr outer;
+    let mu_now = !mu in
+    let lag z =
+      forward z;
+      let energy = mean_energy () in
+      let penalty = ref 0. in
+      for k = 0 to m - 1 do
+        let t = lambda.(k) +. (mu_now *. g.(k)) in
+        if t > 0. then
+          penalty :=
+            !penalty +. (((t *. t) -. (lambda.(k) *. lambda.(k))) /. (2. *. mu_now))
+        else penalty := !penalty -. (lambda.(k) *. lambda.(k) /. (2. *. mu_now))
+      done;
+      energy +. !penalty
+    in
+    let grad_analytic z ~into =
+      forward z;
+      let de = Array.make m 0. and dq = Array.make m 0. in
+      let de_i = Array.make m 0. and dq_i = Array.make m 0. in
+      List.iter
+        (fun totals ->
+          let (_ : float) =
+            Objective.eval_with_gradient_ws ws ~power ~totals ~e ~w_hat:q ~de:de_i
+              ~dwq:dq_i
+          in
+          for k = 0 to m - 1 do
+            de.(k) <- de.(k) +. (de_i.(k) /. scenario_count);
+            dq.(k) <- dq.(k) +. (dq_i.(k) /. scenario_count)
+          done)
+        totals_list;
+      for k = 0 to m - 1 do
+        dq.(k) <- dq.(k) /. t_max
+      done;
+      let dg =
+        Array.init m (fun k ->
+            let t = lambda.(k) +. (mu_now *. g.(k)) in
+            if t > 0. then t else 0.)
+      in
+      let ds = Array.make m 0. in
+      (* Adjoint of the frontier recursion over every index. *)
+      let psi = ref 0. in
+      for k = m - 1 downto 0 do
+        let total = de.(k) +. !psi in
+        dq.(k) <- dq.(k) +. total +. dg.(k);
+        ds.(k) <- ds.(k) +. total +. dg.(k);
+        let dstart = total +. (if room.(k) > 0. then dg.(k) else 0.) in
+        psi := if start_ff.(k) then dstart else 0.
+      done;
+      Array.blit dq 0 into 0 m;
+      Array.blit ds 0 into m m
+    in
+    let grad_into =
+      if analytic then grad_analytic
+      else fun z ~into -> Array.blit (Numdiff.gradient ~f:lag z) 0 into 0 (2 * m)
+    in
+    let inner_budget = if !outer <= 3 then 300 else 60 in
+    let r =
+      Pg.minimize_ws ~max_iter:inner_budget ~tol:1e-10 ~f:lag ~grad_into ~project_ip
+        ~x0:!x ()
+    in
+    inner_total := !inner_total + r.Pg.iterations;
+    x := r.Pg.x;
+    forward !x;
+    let previous_violation = !violation in
+    violation := 0.;
+    for k = 0 to m - 1 do
+      violation := fmax !violation g.(k);
+      lambda.(k) <- fmax 0. (lambda.(k) +. (mu_now *. g.(k)))
+    done;
+    if !violation <= 1e-9 *. hyper then finished := true
+    else if !violation > 0.5 *. previous_violation then mu := !mu *. 5.
+  done;
+  (* Leave scaled coordinates with repair's own quota-unit products. *)
+  let z = !x in
+  forward z;
+  let frontier = ref 0. in
+  for k = 0 to m - 1 do
+    let sub = plan.Plan.order.(k) in
+    let st = if !frontier >= sub.Sub.release then !frontier else sub.Sub.release in
+    let qk = fmax 0. q.(k) and sk = fmax 0. z.(m + k) in
+    e.(k) <- st +. (t_max *. qk) +. sk;
+    frontier := e.(k)
+  done;
+  match Solver.repair ~plan ~power ~e ~q with
+  | Error _ as err -> err
+  | Ok (e, q) ->
+    let schedule = Static_schedule.create ~plan ~power ~end_times:e ~quotas:q in
+    let objective =
+      List.fold_left
+        (fun acc totals ->
+          acc
+          +. Objective.eval ~plan ~power ~totals ~e:schedule.Static_schedule.end_times
+               ~w_hat:schedule.Static_schedule.quotas)
+        0. totals_list
+      /. scenario_count
+    in
+    Ok
+      ( schedule,
+        { Solver.objective; max_violation = !violation; outer_iterations = !outer;
+          inner_iterations = !inner_total } )
+
+(* Sequential multi-start over the greedy start, its ALAP push-right
+   and the warm starts; the first strictly best result wins. *)
+let solve ?(max_outer = 30) ?(warm_starts = []) ~mode ~(plan : Plan.t) ~power () =
+  match Solver.initial_point ~plan ~power with
+  | Error _ as err -> err
+  | Ok (e0, q0) ->
+    let m = Array.length plan.Plan.order in
+    let t_max = t_at_vmax power in
+    let totals_list = [ Objective.instance_totals mode plan ] in
+    let point_of_eq (e, q) = Array.append q (slacks_for plan ~t_max ~e ~q) in
+    let candidates =
+      Array.append q0 (Array.make m 0.)
+      :: point_of_eq (alap_end_times plan ~t_max ~e:e0 ~q:q0, q0)
+      :: List.map point_of_eq warm_starts
+    in
+    let best =
+      List.fold_left
+        (fun best y0 ->
+          match (best, solve_from ~max_outer ~totals_list ~plan ~power ~y0) with
+          | Some (_, (b : Solver.stats)), Ok (_, s) when b.objective <= s.objective -> best
+          | _, Ok result -> Some result
+          | _, Error _ -> best)
+        None candidates
+    in
+    Option.to_result ~none:(Solver.Solver_stalled "no start point") best
+
+let quota_sums_match ~(plan : Plan.t) (prev : Static_schedule.t) =
+  let ts = plan.Plan.task_set in
+  let q = prev.Static_schedule.quotas in
+  let ok = ref true in
+  Array.iteri
+    (fun i per_instance ->
+      let wcec = (Task_set.task ts i).Task.wcec in
+      Array.iter
+        (fun idxs ->
+          let sum = Array.fold_left (fun acc k -> acc +. q.(k)) 0. idxs in
+          if Float.abs (sum -. wcec) > 1e-6 *. Float.max 1. wcec then ok := false)
+        per_instance)
+    plan.Plan.instance_subs;
+  !ok
+
+(* Warm continuation from [prev] on a structurally identical plan: the
+   seed is prev's quotas projected in quota units, end-times clamped
+   into the windows and slacks re-derived; the continuation replaces
+   the repaired seed only when better by more than 1e-6 relative. *)
+let solve_warm ?(max_outer = 30) ~mode ~(prev : Static_schedule.t) ~(plan : Plan.t)
+    ~power () =
+  let m = Array.length plan.Plan.order in
+  let t_max = t_at_vmax power in
+  let totals_list = [ Objective.instance_totals mode plan ] in
+  let mean_objective e q =
+    List.fold_left
+      (fun acc totals -> acc +. Objective.eval ~plan ~power ~totals ~e ~w_hat:q)
+      0. totals_list
+    /. float_of_int (List.length totals_list)
+  in
+  let prev_e = prev.Static_schedule.end_times in
+  let prev_q = prev.Static_schedule.quotas in
+  let y0 = Array.append (Array.copy prev_q) (Array.make m 0.) in
+  make_projection plan ~scale:1. ~hyper:(Plan.hyper_period plan) y0;
+  let e_seed =
+    Array.mapi
+      (fun k e ->
+        let sub = plan.Plan.order.(k) in
+        Lepts_util.Num_ext.clamp ~lo:sub.Sub.release ~hi:sub.Sub.boundary e)
+      prev_e
+  in
+  let q_seed = Array.sub y0 0 m in
+  Array.blit (slacks_for plan ~t_max ~e:e_seed ~q:q_seed) 0 y0 m m;
+  let baseline =
+    let e_b, q_b =
+      if quota_sums_match ~plan prev then (prev_e, prev_q) else (e_seed, q_seed)
+    in
+    match Solver.repair ~plan ~power ~e:e_b ~q:q_b with
+    | Error _ as err -> err
+    | Ok (e, q) ->
+      let schedule = Static_schedule.create ~plan ~power ~end_times:e ~quotas:q in
+      Ok
+        ( schedule,
+          { Solver.objective =
+              mean_objective schedule.Static_schedule.end_times
+                schedule.Static_schedule.quotas;
+            max_violation = 0.; outer_iterations = 0; inner_iterations = 0 } )
+  in
+  match (baseline, solve_from ~max_outer ~totals_list ~plan ~power ~y0) with
+  | Ok (_, b), Ok (_, c)
+    when c.Solver.objective >= b.Solver.objective -. (1e-6 *. Float.abs b.Solver.objective)
+    ->
+    baseline
+  | _, Ok result -> Ok result
+  | Ok _, Error _ -> baseline
+  | (Error _ as err), Error _ -> err

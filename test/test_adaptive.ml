@@ -250,8 +250,7 @@ let adaptive_config ?(budget = 8) () =
   { Adaptive.estimator =
       { Estimator.predictor = Estimator.Ewma { alpha = 0.3 };
         drift_threshold = 0.05; hysteresis = 0.; resolve_budget = budget };
-    resolve_every = 10;
-    structure = Solver.Fast }
+    resolve_every = 10 }
 
 let run_point ~jobs ?(budget = 8) () =
   let plan = Plan.expand three_task_set in

@@ -1,0 +1,86 @@
+(* Golden outputs: the byte-exact stdout of `lepts motivation`,
+   `lepts schedule` and `lepts export --ratio 0.1|0.5|0.9`, plus the
+   Int64 bits of the paper-literal NLP's schedules and objectives. The
+   numbers come only from correctly rounded IEEE-754 operations, so the
+   recorded bytes hold on any conforming machine; a change that moves
+   any of them changed the solver's arithmetic, not just its code.
+
+   Regenerate a CLI golden with, e.g.,
+   `dune exec -- lepts export --ratio 0.5 > test/golden/export_0.5.csv`,
+   and only when the change is meant to move the numbers. *)
+
+open Lepts_core
+module Plan = Lepts_preempt.Plan
+
+(* The runner lives in _build/<context>/test; its dependencies (the CLI
+   and the golden files) are staged beside it by dune. *)
+let build_dir = Filename.dirname Sys.executable_name
+let lepts = Filename.concat (Filename.dirname build_dir) "bin/lepts.exe"
+let golden name = In_channel.with_open_bin (Filename.concat build_dir ("golden/" ^ name)) In_channel.input_all
+
+let check_text ~what expect got =
+  if expect <> got then begin
+    let rec first_diff line = function
+      | e :: es, g :: gs ->
+        if e = g then first_diff (line + 1) (es, gs)
+        else Alcotest.failf "%s, line %d:\n  golden: %s\n  actual: %s" what line e g
+      | e :: _, [] -> Alcotest.failf "%s: output ends before line %d (%s)" what line e
+      | [], g :: _ -> Alcotest.failf "%s: extra line %d (%s)" what line g
+      | [], [] -> Alcotest.failf "%s: outputs differ" what
+    in
+    first_diff 1 (String.split_on_char '\n' expect, String.split_on_char '\n' got)
+  end
+
+let run_lepts args =
+  let ic = Unix.open_process_args_in lepts (Array.of_list (lepts :: args)) in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> out
+  | _ -> Alcotest.failf "lepts %s did not exit 0" (String.concat " " args)
+
+let cli_case ~file args =
+  ( "lepts " ^ String.concat " " args,
+    `Quick,
+    fun () -> check_text ~what:file (golden file) (run_lepts args) )
+
+(* The motivational example and CNC at ratio 0.1, both modes: one block
+   per solve, each vector as space-separated hex of its IEEE-754 bits. *)
+let literal_nlp_bits () =
+  let bits xs =
+    String.concat " "
+      (Array.to_list
+         (Array.map (fun x -> Printf.sprintf "%016Lx" (Int64.bits_of_float x)) xs))
+  in
+  let cnc_power = Lepts_power.Model.ideal ~v_min:0.5 ~v_max:4.0 () in
+  let fixtures =
+    [ ( "motivation",
+        Plan.expand (Lepts_experiments.Motivation.task_set ()),
+        Lepts_experiments.Motivation.power () );
+      ( "cnc",
+        Plan.expand (Lepts_workloads.Cnc.task_set ~power:cnc_power ~ratio:0.1 ()),
+        cnc_power ) ]
+  in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (name, plan, power) ->
+      List.iter
+        (fun (mode_name, mode) ->
+          match Literal_nlp.solve ~mode ~plan ~power () with
+          | Error e -> Alcotest.failf "%s %s: %a" name mode_name Solver.pp_error e
+          | Ok (s, stats) ->
+            Printf.bprintf buf "%s %s\nobjective %s\nend_times %s\nquotas %s\n" name
+              mode_name
+              (bits [| stats.Solver.objective |])
+              (bits s.Static_schedule.end_times)
+              (bits s.Static_schedule.quotas))
+        [ ("average", Objective.Average); ("worst", Objective.Worst) ])
+    fixtures;
+  check_text ~what:"literal_nlp.txt" (golden "literal_nlp.txt") (Buffer.contents buf)
+
+let suite =
+  [ cli_case ~file:"motivation.txt" [ "motivation" ];
+    cli_case ~file:"schedule.txt" [ "schedule" ];
+    cli_case ~file:"export_0.1.csv" [ "export"; "--ratio"; "0.1" ];
+    cli_case ~file:"export_0.5.csv" [ "export"; "--ratio"; "0.5" ];
+    cli_case ~file:"export_0.9.csv" [ "export"; "--ratio"; "0.9" ];
+    ("Literal_nlp pinned bits", `Quick, literal_nlp_bits) ]

@@ -30,72 +30,8 @@ let test_vec_helpers () =
   Alcotest.check vec "map2" [| 3.; 8. |]
     (Vec.map2 (fun a b -> a *. b) [| 1.; 2. |] [| 3.; 4. |])
 
-let test_mat_identity () =
-  let i3 = Mat.identity 3 in
-  let v = [| 1.; 2.; 3. |] in
-  Alcotest.check vec "I v = v" v (Mat.mul_vec i3 v)
-
-let test_mat_mul_vec () =
-  let m = Mat.of_rows [| [| 1.; 2. |]; [| 3.; 4. |] |] in
-  Alcotest.check vec "Mv" [| 5.; 11. |] (Mat.mul_vec m [| 1.; 2. |])
-
-let test_mat_transpose () =
-  let m = Mat.of_rows [| [| 1.; 2.; 3. |]; [| 4.; 5.; 6. |] |] in
-  let t = Mat.transpose m in
-  Alcotest.(check (pair int int)) "dims" (3, 2) (Mat.dims t);
-  Alcotest.(check (float 0.)) "element" 6. (Mat.get t 2 1)
-
-let test_mat_mul () =
-  let a = Mat.of_rows [| [| 1.; 2. |]; [| 3.; 4. |] |] in
-  let b = Mat.of_rows [| [| 0.; 1. |]; [| 1.; 0. |] |] in
-  let c = Mat.mul a b in
-  Alcotest.(check (float 0.)) "swap columns" 2. (Mat.get c 0 0);
-  Alcotest.(check (float 0.)) "swap columns" 1. (Mat.get c 0 1)
-
-let test_solve_simple () =
-  let a = Mat.of_rows [| [| 2.; 1. |]; [| 1.; 3. |] |] in
-  let b = [| 5.; 10. |] in
-  let x = Mat.solve a b in
-  Alcotest.check vec "residual" b (Mat.mul_vec a x)
-
-let test_solve_pivoting () =
-  (* Requires row exchange: leading zero pivot. *)
-  let a = Mat.of_rows [| [| 0.; 1. |]; [| 1.; 0. |] |] in
-  let x = Mat.solve a [| 2.; 3. |] in
-  Alcotest.check vec "permuted solve" [| 3.; 2. |] x
-
-let test_solve_singular () =
-  let a = Mat.of_rows [| [| 1.; 2. |]; [| 2.; 4. |] |] in
-  Alcotest.check_raises "singular" (Failure "Mat.solve: singular matrix") (fun () ->
-      ignore (Mat.solve a [| 1.; 1. |]))
-
-let test_solve_random_roundtrip () =
-  let rng = Lepts_prng.Xoshiro256.create ~seed:33 in
-  for _ = 1 to 20 do
-    let n = 1 + Lepts_prng.Xoshiro256.int rng ~bound:8 in
-    let a =
-      Mat.of_rows
-        (Array.init n (fun i ->
-             Array.init n (fun j ->
-                 Lepts_prng.Xoshiro256.uniform rng ~lo:(-1.) ~hi:1.
-                 +. if i = j then float_of_int n else 0.)))
-    in
-    let x_true = Array.init n (fun _ -> Lepts_prng.Xoshiro256.uniform rng ~lo:(-5.) ~hi:5.) in
-    let b = Mat.mul_vec a x_true in
-    let x = Mat.solve a b in
-    if Vec.dist2 x x_true > 1e-8 then Alcotest.failf "roundtrip failed (n=%d)" n
-  done
-
 let suite =
   [ ("vec basics", `Quick, test_vec_basics);
     ("vec axpy in place", `Quick, test_vec_axpy_ip);
     ("vec dimension mismatch", `Quick, test_vec_mismatch);
-    ("vec helpers", `Quick, test_vec_helpers);
-    ("mat identity", `Quick, test_mat_identity);
-    ("mat mul_vec", `Quick, test_mat_mul_vec);
-    ("mat transpose", `Quick, test_mat_transpose);
-    ("mat mul", `Quick, test_mat_mul);
-    ("solve simple", `Quick, test_solve_simple);
-    ("solve with pivoting", `Quick, test_solve_pivoting);
-    ("solve singular", `Quick, test_solve_singular);
-    ("solve random roundtrip", `Quick, test_solve_random_roundtrip) ]
+    ("vec helpers", `Quick, test_vec_helpers) ]

@@ -33,4 +33,5 @@ let () =
       ("export", Test_export.suite);
       ("properties", Test_properties.suite);
       ("ablations", Test_ablations.suite);
-      ("obs", Test_obs.suite) ]
+      ("obs", Test_obs.suite);
+      ("golden", Test_golden.suite) ]

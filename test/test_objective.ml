@@ -192,7 +192,8 @@ let test_instance_totals () =
   Alcotest.(check (float 0.)) "acec" 10. avg.(0).(0);
   Alcotest.(check (float 0.)) "wcec" 20. worst.(2).(0)
 
-(* --- Workspace kernels: bit-for-bit parity with the allocating paths --- *)
+(* --- Workspace kernels: bit-for-bit parity with the allocating path and
+   the dense reference adjoint ---------------------------------------- *)
 
 let check_bits msg expect got =
   if not (Int64.equal (Int64.bits_of_float expect) (Int64.bits_of_float got)) then
@@ -254,8 +255,9 @@ let test_ws_eval_alpha_bitwise () =
 
 let test_ws_gradient_bitwise_random () =
   (* Random feasible-ish points on a genuinely preemptive plan: value
-     and both gradient blocks must agree bit-for-bit with the
-     allocating adjoint, with the workspace reused across points. *)
+     and both gradient blocks must agree bit-for-bit with the dense
+     list-based reference adjoint, with the workspace reused across
+     points. *)
   let ts =
     Task_set.create
       [ Task.with_ratio ~name:"a" ~period:4 ~wcec:3. ~ratio:0.3;
@@ -287,7 +289,7 @@ let test_ws_gradient_bitwise_random () =
       if round mod 5 = 0 then
         e.(round mod m) <- plan.Plan.order.(round mod m).Lepts_preempt.Sub_instance.release +. 1e-6;
       let fx, de_ref, dq_ref =
-        Objective.eval_with_gradient ~plan ~power ~totals ~e ~w_hat:q0
+        Reference.eval_with_gradient ~plan ~power ~totals ~e ~w_hat:q0
       in
       let fx_ws =
         Objective.eval_with_gradient_ws ws ~power ~totals ~e ~w_hat:q0 ~de ~dwq
@@ -315,7 +317,7 @@ let test_ws_gradient_branch_points_numdiff () =
       Objective.eval_with_gradient_ws ws ~power ~totals ~e ~w_hat ~de ~dwq
     in
     let fx, de_ref, dq_ref =
-      Objective.eval_with_gradient ~plan ~power ~totals ~e ~w_hat
+      Reference.eval_with_gradient ~plan ~power ~totals ~e ~w_hat
     in
     check_bits "branch value" fx fx_ws;
     check_bits_arr "branch de" de_ref de;

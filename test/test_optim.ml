@@ -81,75 +81,26 @@ let test_guard_passes_finite () =
   Alcotest.(check bool) "vector passthrough" true
     (Guard.finite_vec ~where:"v" [| 1.; 2. |] = [| 1.; 2. |])
 
-(* --- Line search -------------------------------------------------------- *)
-
-let test_backtracking_accepts () =
-  let x = [| 4. |] in
-  let fx = sphere x in
-  let dir = [| -8. |] in
-  match Line_search.backtracking ~f:sphere ~x ~fx ~dir ~slope:(Vec.dot dir (sphere_grad x)) ~init:1. () with
-  | None -> Alcotest.fail "no step found"
-  | Some r ->
-    Alcotest.(check bool) "decreased" true (r.Line_search.value < fx)
-
-let test_backtracking_rejects_ascent () =
-  let x = [| 4. |] in
-  match Line_search.backtracking ~f:sphere ~x ~fx:(sphere x) ~dir:[| 8. |] ~slope:64. ~init:1. () with
-  | None -> ()
-  | Some _ -> Alcotest.fail "accepted an ascent direction"
-
-(* --- L-BFGS ------------------------------------------------------------- *)
-
-let test_lbfgs_sphere () =
-  let r = Lbfgs.minimize ~f:sphere ~grad:sphere_grad ~x0:[| 5.; -3.; 2. |] () in
-  Alcotest.(check bool) "converged" true r.Lbfgs.converged;
-  check_float 1e-10 "minimum value" 0. r.Lbfgs.value
-
-let test_lbfgs_shifted_quadratic () =
-  let c = [| 1.; 2.; 3.; 4. |] in
-  let f = quadratic_bowl c in
-  let grad x = Vec.scale 2. (Vec.sub x c) in
-  let r = Lbfgs.minimize ~f ~grad ~x0:(Vec.zeros 4) () in
-  Alcotest.(check bool) "found center" true (Vec.dist2 r.Lbfgs.x c < 1e-6)
-
-let test_lbfgs_rosenbrock () =
-  let r =
-    Lbfgs.minimize ~max_iter:2000 ~f:rosenbrock ~grad:rosenbrock_grad
-      ~x0:[| -1.2; 1. |] ()
-  in
-  Alcotest.(check bool) "reaches (1,1)" true (Vec.dist2 r.Lbfgs.x [| 1.; 1. |] < 1e-4)
-
-let test_lbfgs_already_optimal () =
-  let r = Lbfgs.minimize ~f:sphere ~grad:sphere_grad ~x0:(Vec.zeros 3) () in
-  Alcotest.(check int) "no iterations" 0 r.Lbfgs.iterations;
-  Alcotest.(check bool) "converged" true r.Lbfgs.converged
-
-let test_lbfgs_illconditioned () =
-  (* Diagonal quadratic with condition number 1e4. *)
-  let d = [| 1.; 100. |] in
-  let f x = (d.(0) *. x.(0) *. x.(0)) +. (d.(1) *. x.(1) *. x.(1)) in
-  let grad x = [| 2. *. d.(0) *. x.(0); 2. *. d.(1) *. x.(1) |] in
-  let r = Lbfgs.minimize ~max_iter:1000 ~f ~grad ~x0:[| 1.; 1. |] () in
-  check_float 1e-8 "ill-conditioned minimum" 0. r.Lbfgs.value
-
 (* --- Projections -------------------------------------------------------- *)
 
-let test_box_projection () =
-  let p = Projection.box ~lo:[| 0.; 0. |] ~hi:[| 1.; 2. |] [| -1.; 5. |] in
-  Alcotest.(check (float 0.)) "clamped low" 0. p.(0);
-  Alcotest.(check (float 0.)) "clamped high" 2. p.(1)
+(* The production simplex kernel as a function. *)
+let simplex ~total x =
+  let n = Array.length x in
+  let y = Array.copy x in
+  Projection.simplex_fast_ip ~total ~scratch:(Array.make n 0.) ~n y;
+  y
 
 let simplex_sum x = Array.fold_left ( +. ) 0. x
 
 let test_simplex_projection_basic () =
-  let p = Projection.simplex ~total:1. [| 0.5; 0.5 |] in
+  let p = simplex ~total:1. [| 0.5; 0.5 |] in
   check_float 1e-12 "already feasible" 0.5 p.(0);
-  let p = Projection.simplex ~total:1. [| 2.; 0. |] in
+  let p = simplex ~total:1. [| 2.; 0. |] in
   check_float 1e-12 "vertex" 1. p.(0);
   check_float 1e-12 "vertex zero" 0. p.(1)
 
 let test_simplex_projection_negative () =
-  let p = Projection.simplex ~total:6. [| -1.; 5.; 10. |] in
+  let p = simplex ~total:6. [| -1.; 5.; 10. |] in
   check_float 1e-9 "sums to total" 6. (simplex_sum p);
   Array.iter (fun v -> Alcotest.(check bool) "non-negative" true (v >= 0.)) p
 
@@ -160,7 +111,7 @@ let test_simplex_projection_property () =
     let n = 1 + Lepts_prng.Xoshiro256.int rng ~bound:6 in
     let total = Lepts_prng.Xoshiro256.uniform rng ~lo:0.1 ~hi:10. in
     let x = Array.init n (fun _ -> Lepts_prng.Xoshiro256.uniform rng ~lo:(-5.) ~hi:5.) in
-    let p = Projection.simplex ~total x in
+    let p = simplex ~total x in
     check_float 1e-8 "sum" total (simplex_sum p);
     Array.iter (fun v -> if v < -1e-12 then Alcotest.failf "negative %g" v) p;
     (* random feasible point via normalized exponentials *)
@@ -171,15 +122,6 @@ let test_simplex_projection_property () =
     if inner > 1e-7 then Alcotest.failf "not a projection: %g" inner
   done
 
-let test_blocks_projection () =
-  let proj = Projection.blocks
-      [| Projection.simplex ~total:1.; (fun s -> Array.map (Float.max 0.) s) |]
-      ~offsets:[| (0, 2); (2, 2) |] in
-  let p = proj [| 3.; 0.; -1.; 4. |] in
-  check_float 1e-9 "simplex block" 1. (p.(0) +. p.(1));
-  Alcotest.(check (float 0.)) "box block" 0. p.(2);
-  Alcotest.(check (float 0.)) "untouched" 4. p.(3)
-
 (* --- Projected gradient -------------------------------------------------- *)
 
 let test_pg_unconstrained () =
@@ -189,11 +131,14 @@ let test_pg_unconstrained () =
   in
   check_float 1e-8 "min" 0. r.Projected_gradient.value
 
+(* Componentwise clamp onto [lo, hi]. *)
+let clamp_box ~lo ~hi x = Array.mapi (fun i v -> Float.min hi.(i) (Float.max lo.(i) v)) x
+
 let test_pg_box_active () =
   (* min (x-3)^2 over [0, 1]: solution at the bound x = 1. *)
   let f x = (x.(0) -. 3.) ** 2. in
   let grad x = [| 2. *. (x.(0) -. 3.) |] in
-  let project = Projection.box ~lo:[| 0. |] ~hi:[| 1. |] in
+  let project = clamp_box ~lo:[| 0. |] ~hi:[| 1. |] in
   let r = Projected_gradient.minimize ~f ~grad ~project ~x0:[| 0. |] () in
   check_float 1e-8 "active bound" 1. r.Projected_gradient.x.(0)
 
@@ -202,16 +147,16 @@ let test_pg_simplex () =
   let c = [| 0.9; 0.4; -0.3 |] in
   let f x = Vec.dot (Vec.sub x c) (Vec.sub x c) in
   let grad x = Vec.scale 2. (Vec.sub x c) in
-  let project = Projection.simplex ~total:1. in
+  let project = simplex ~total:1. in
   let r = Projected_gradient.minimize ~f ~grad ~project ~x0:[| 0.4; 0.3; 0.3 |] () in
-  let expected = Projection.simplex ~total:1. c in
+  let expected = simplex ~total:1. c in
   Alcotest.(check bool) "matches direct projection" true
     (Vec.dist2 r.Projected_gradient.x expected < 1e-6)
 
 let test_pg_infeasible_start () =
   let f x = Vec.dot x x in
   let grad x = Vec.scale 2. x in
-  let project = Projection.box ~lo:[| 1.; 1. |] ~hi:[| 2.; 2. |] in
+  let project = clamp_box ~lo:[| 1.; 1. |] ~hi:[| 2.; 2. |] in
   let r = Projected_gradient.minimize ~f ~grad ~project ~x0:[| -10.; 10. |] () in
   Alcotest.(check bool) "lands at corner" true
     (Vec.dist2 r.Projected_gradient.x [| 1.; 1. |] < 1e-7)
@@ -221,7 +166,8 @@ let test_pg_infeasible_start () =
 let test_linear_constraint () =
   let c = Nlp.linear_constraint ~name:"test" ~coeffs:[ (0, 2.); (2, -1.) ] ~bound:3. in
   check_float 1e-12 "value" (-1.) (c.Nlp.value [| 1.; 9.; 0. |]);
-  let g = Nlp.constraint_gradient c [| 0.; 0.; 0. |] in
+  let g = Array.make 3 0. in
+  c.Nlp.add_gradient ~x:[| 0.; 0.; 0. |] ~scale:1. ~into:g;
   Alcotest.(check bool) "gradient" true (g = [| 2.; 0.; -1. |])
 
 let test_al_equality_via_projection () =
@@ -230,7 +176,7 @@ let test_al_equality_via_projection () =
   let grad x = [| 2. *. (x.(0) -. 2.); 2. *. (x.(1) -. 2.) |] in
   let problem =
     { Nlp.dim = 2; objective = f; gradient = grad; inequalities = [];
-      project = Projection.simplex ~total:1. }
+      project = simplex ~total:1. }
   in
   let r = Augmented_lagrangian.solve problem ~x0:[| 1.; 0. |] in
   Alcotest.(check bool) "symmetric solution" true
@@ -282,8 +228,10 @@ let test_nlp_max_violation () =
   (* Feasible region: 2 <= x <= 5. *)
   let c1 = Nlp.linear_constraint ~name:"lb" ~coeffs:[ (0, -1.) ] ~bound:(-2.) in
   let c2 = Nlp.linear_constraint ~name:"ub" ~coeffs:[ (0, 1.) ] ~bound:5. in
-  let p = Nlp.with_numerical_gradient ~dim:1 ~objective:(fun _ -> 0.)
-      ~inequalities:[ c1; c2 ] () in
+  let p =
+    { Nlp.dim = 1; objective = (fun _ -> 0.); gradient = (fun _ -> [| 0. |]);
+      inequalities = [ c1; c2 ]; project = Fun.id }
+  in
   check_float 1e-12 "violated by 1" 1. (Nlp.max_violation p [| 1. |]);
   check_float 1e-12 "feasible" 0. (Nlp.max_violation p [| 2.5 |]);
   check_float 1e-12 "upper violated" 2. (Nlp.max_violation p [| 7. |])
@@ -296,8 +244,9 @@ let check_bits msg expect got =
 
 let test_simplex_ip_bitwise () =
   (* Random vectors — duplicates, negatives, zeros, a large block — and
-     assorted totals: the in-place projection (with its monomorphic
-     sort) must return exactly [Projection.simplex]'s values. *)
+     assorted totals: the dense reference's in-place projection (with
+     its monomorphic sort) and the production kernel must both return
+     exactly the reference [simplex]'s values. *)
   let rng = Lepts_prng.Xoshiro256.create ~seed:1234 in
   let rand_vec n =
     Array.init n (fun _ -> (Lepts_prng.Xoshiro256.float rng *. 10.) -. 4.)
@@ -310,12 +259,15 @@ let test_simplex_ip_bitwise () =
   in
   List.iter
     (fun (x, total) ->
-      let expect = Projection.simplex ~total x in
+      let expect = Reference.simplex ~total x in
       let got = Array.copy x in
       let scratch = Array.make (Array.length x) 0. in
-      Projection.simplex_ip ~total ~scratch got;
+      Reference.simplex_ip ~total ~scratch got;
+      let fast = simplex ~total x in
       Array.iteri
-        (fun i v -> check_bits (Printf.sprintf "coord %d" i) v got.(i))
+        (fun i v ->
+          check_bits (Printf.sprintf "coord %d" i) v got.(i);
+          check_bits (Printf.sprintf "fast coord %d" i) v fast.(i))
         expect)
     cases
 
@@ -325,20 +277,15 @@ let test_minimize_ws_bitwise () =
   let c = [| 0.3; 1.4; -0.2; 0.9 |] in
   let f x = quadratic_bowl c x in
   let grad x = Vec.scale 2. (Vec.sub x c) in
-  let project x =
-    let out = Array.copy x in
-    let scratch = Array.make (Array.length x) 0. in
-    Projection.simplex_ip ~total:1. ~scratch out;
-    out
-  in
+  let project = simplex ~total:1. in
   let x0 = [| 2.; -1.; 0.5; 3. |] in
   let r =
     Projected_gradient.minimize ~max_iter:500 ~f ~grad ~project ~x0 ()
   in
   let grad_into x ~into = Array.blit (grad x) 0 into 0 (Array.length x) in
   let project_ip x =
-    let scratch = Array.make (Array.length x) 0. in
-    Projection.simplex_ip ~total:1. ~scratch x
+    let n = Array.length x in
+    Projection.simplex_fast_ip ~total:1. ~scratch:(Array.make n 0.) ~n x
   in
   let r_ws =
     Projected_gradient.minimize_ws ~max_iter:500 ~f ~grad_into ~project_ip ~x0 ()
@@ -362,18 +309,9 @@ let suite =
     ("pg nan objective guard", `Quick, test_pg_guards_nan_at_start);
     ("pg nan gradient guard", `Quick, test_pg_guards_nan_gradient);
     ("guard finite passthrough", `Quick, test_guard_passes_finite);
-    ("backtracking accepts descent", `Quick, test_backtracking_accepts);
-    ("backtracking rejects ascent", `Quick, test_backtracking_rejects_ascent);
-    ("lbfgs sphere", `Quick, test_lbfgs_sphere);
-    ("lbfgs shifted quadratic", `Quick, test_lbfgs_shifted_quadratic);
-    ("lbfgs rosenbrock", `Quick, test_lbfgs_rosenbrock);
-    ("lbfgs at optimum", `Quick, test_lbfgs_already_optimal);
-    ("lbfgs ill-conditioned", `Quick, test_lbfgs_illconditioned);
-    ("box projection", `Quick, test_box_projection);
     ("simplex projection basic", `Quick, test_simplex_projection_basic);
     ("simplex projection negatives", `Quick, test_simplex_projection_negative);
     ("simplex projection optimality", `Quick, test_simplex_projection_property);
-    ("block projection", `Quick, test_blocks_projection);
     ("pg unconstrained", `Quick, test_pg_unconstrained);
     ("pg active box", `Quick, test_pg_box_active);
     ("pg simplex", `Quick, test_pg_simplex);

@@ -355,7 +355,7 @@ let test_runner_percentiles_ordered () =
 
 (* --- Resilient solve pipeline --------------------------------------------- *)
 
-let zero_budget = { Robust_solver.max_outer = 0; max_inner = 0; wall_budget = None }
+let zero_budget = { Robust_solver.max_outer = 0; wall_budget = None }
 
 let test_robust_solver_default_uses_acs () =
   let plan, _ = preemptive_acs () in
@@ -440,7 +440,7 @@ let test_robust_solver_budget_expiry_annotated () =
   let plan, _ = preemptive_acs () in
   let config =
     { Robust_solver.default_config with
-      acs = { Robust_solver.max_outer = 0; max_inner = 0; wall_budget = Some 0. } }
+      acs = { Robust_solver.max_outer = 0; wall_budget = Some 0. } }
   in
   match Robust_solver.solve ~config ~plan ~power () with
   | Error _ -> Alcotest.fail "pipeline must survive the expired stage"

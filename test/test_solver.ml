@@ -178,7 +178,7 @@ let test_alpha_model_solve () =
         Task.create ~name:"t2" ~period:20 ~wcec:20. ~acec:10. ~bcec:0. ]
   in
   let plan = Plan.expand ts in
-  match Solver.solve_acs ~max_outer:8 ~max_inner:300 ~plan ~power:alpha () with
+  match Solver.solve_acs ~max_outer:8 ~plan ~power:alpha () with
   | Error e -> Alcotest.failf "alpha solve failed: %a" Solver.pp_error e
   | Ok (schedule, _) ->
     Alcotest.(check bool) "feasible under alpha model" true

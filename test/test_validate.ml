@@ -131,13 +131,6 @@ let test_structural_checks () =
     (Invalid_argument "Static_schedule.create: negative quota") (fun () ->
       ignore (schedule plan [| 10.; 15.; 20. |] [| -1.; 20.; 20. |]))
 
-let test_avg_workloads () =
-  let plan = plan3 () in
-  let s = schedule plan [| 10.; 15.; 20. |] [| 20.; 20.; 20. |] in
-  let w = Static_schedule.avg_workloads s in
-  (* Unsplit tasks: average workload = ACEC. *)
-  Alcotest.(check (array (float 1e-9))) "acec" [| 10.; 10.; 10. |] w
-
 let test_pp_violation () =
   let v = { Validate.where = "T1.1"; what = "broken" } in
   Alcotest.(check string) "format" "T1.1: broken"
@@ -152,5 +145,4 @@ let suite =
     ("below v_min allowed", `Quick, test_below_vmin_is_fine);
     ("zero-quota windows ignored", `Quick, test_zero_quota_ignores_window);
     ("structural checks", `Quick, test_structural_checks);
-    ("avg workloads", `Quick, test_avg_workloads);
     ("violation printer", `Quick, test_pp_violation) ]

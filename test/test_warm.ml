@@ -52,8 +52,8 @@ let solve_cold ?jobs ~mode plan =
 
 let test_warm_converged_bit_identical () =
   (* Drive an instance to the warm fixpoint (each accepted continuation
-     must improve by > improvement_rel, so this terminates), then check
-     that re-solving the converged instance returns the previous
+     must improve by more than 1e-6 relative, so this terminates), then
+     check that re-solving the converged instance returns the previous
      schedule bit for bit, with outer = inner = 0 marking "seed kept". *)
   let plan = Plan.expand (preemptive_ts ()) in
   List.iter
