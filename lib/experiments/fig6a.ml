@@ -87,11 +87,11 @@ let run_point ?(jobs = 1) ?(solver_jobs = 1) ?(warm_start = false) ?telemetry
   in
   (* Sets flow through the checkpointable driver, one section per
      (task count, ratio) point so keys never collide across points.
-     [chunk:1] saves after every completed set — a set is the expensive
-     unit here (generate + two NLP solves + simulations), so a crash
-     loses at most one. *)
+     [chunk:jobs] runs one set per domain and saves after each such
+     round — a set is the expensive unit here (generate + two NLP
+     solves + simulations), so a crash loses at most [jobs] sets. *)
   let results =
-    Checkpoint.map_indices ?session:checkpoint ?should_stop ~chunk:1
+    Checkpoint.map_indices ?session:checkpoint ?should_stop ~chunk:jobs
       ~section:(Printf.sprintf "set:n%d:r%g" n_tasks ratio)
       ~encode:set_fields ~decode:set_of_fields ~jobs ~n:config.sets_per_point
       ~f:one_set ()

@@ -67,11 +67,13 @@ val run :
     is identical for every [jobs] value.
 
     [checkpoint] makes the sweep crash-safe at set granularity: every
-    completed set's measurement is saved (section [set:n<N>:r<R>], one
-    save per set), and a resumed sweep recomputes only the missing
-    sets — the final points are bit-identical to an uninterrupted
-    run's. [should_stop] is polled between sets; when it fires the
-    session is saved and {!Lepts_robust.Checkpoint.Drained} raised. *)
+    completed set's measurement is saved (section [set:n<N>:r<R>]).
+    Sets run [jobs] at a time, one per domain, with one save after
+    each such chunk, so a crash loses at most [jobs] sets. A resumed
+    sweep recomputes only the missing sets — the final points are
+    bit-identical to an uninterrupted run's. [should_stop] is polled
+    between chunks; when it fires the session is saved and
+    {!Lepts_robust.Checkpoint.Drained} raised. *)
 
 val to_table : point list -> Lepts_util.Table.t
 (** Rows: one per (task count, ratio) — the series of the paper's

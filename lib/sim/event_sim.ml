@@ -42,20 +42,33 @@ type dispatch = {
 
 type action = Run of float | Shed
 
+(* Instance states grouped by task, in RM priority order, each task's
+   instances in release order: [.(task).(instance)]. *)
 let build_instances ?faults (schedule : Static_schedule.t) ~totals =
   let plan = schedule.Static_schedule.plan in
   let ts = plan.Plan.task_set in
   let enforce_budget =
     match faults with None -> true | Some f -> f.enforce_budget
   in
+  (* The dispatcher's scans assume no instance arrives before
+     [j * period]; see [run_with]. *)
   let offset i j =
-    match faults with None -> 0. | Some f -> f.release_offsets.(i).(j)
+    match faults with
+    | None -> 0.
+    | Some f ->
+      let o = f.release_offsets.(i).(j) in
+      if Float.is_finite o && o >= 0. then o
+      else
+        invalid_arg
+          (Printf.sprintf
+             "Event_sim.run: release_offsets.(%d).(%d) = %g must be finite and \
+              non-negative"
+             i j o)
   in
-  let states = ref [] in
-  Array.iteri
+  Array.mapi
     (fun i per_instance ->
       let period = float_of_int (Task_set.task ts i).Task.period in
-      Array.iteri
+      Array.mapi
         (fun j subs ->
           let quota_sum =
             Array.fold_left
@@ -76,19 +89,16 @@ let build_instances ?faults (schedule : Static_schedule.t) ~totals =
             if enforce_budget then Float.min totals.(i).(j) quota_sum
             else totals.(i).(j)
           in
-          states :=
-            { task = i; instance = j; release;
-              deadline = float_of_int (j + 1) *. period;
-              subs;
-              remaining = (if remaining <= tiny then 0. else remaining);
-              sub_pos = 0;
-              quota_remaining = first_quota;
-              finish = (if remaining <= tiny then release else Float.nan);
-              shed = false }
-            :: !states)
+          { task = i; instance = j; release;
+            deadline = float_of_int (j + 1) *. period;
+            subs;
+            remaining = (if remaining <= tiny then 0. else remaining);
+            sub_pos = 0;
+            quota_remaining = first_quota;
+            finish = (if remaining <= tiny then release else Float.nan);
+            shed = false })
         per_instance)
-    plan.Plan.instance_subs;
-  Array.of_list (List.rev !states)
+    plan.Plan.instance_subs
 
 (* Advance to the first sub-instance with unused quota; [None] means
    every quota is exhausted but actual work remains (within the repair
@@ -126,14 +136,32 @@ let budget_remaining (schedule : Static_schedule.t) st =
 
 type transition = { time_per_volt : float; energy_per_volt : float }
 
-let run_traced ?transition ?faults ?control ~(schedule : Static_schedule.t)
-    ~policy ~totals () =
+(* One hyper-period; execution spans are collected only when [record]. *)
+let run_with ~record ?transition ?faults ?control
+    ~(schedule : Static_schedule.t) ~policy ~totals () =
   let spans = ref [] in
   let last_voltage = ref Float.nan in
   let plan = schedule.Static_schedule.plan in
   let power = schedule.Static_schedule.power in
   let static_v = Policy.worst_case_voltages schedule in
-  let states = build_instances ?faults schedule ~totals in
+  let tasks = build_instances ?faults schedule ~totals in
+  let n_tasks = Array.length tasks in
+  let periods =
+    Array.init n_tasks (fun i ->
+        float_of_int (Task_set.task plan.Plan.task_set i).Task.period)
+  in
+  (* [head.(i)]: task [i]'s first unfinished instance. Every instance
+     before it is done and can be neither ready nor an event. *)
+  let head = Array.make n_tasks 0 in
+  let advance_head i =
+    let insts = tasks.(i) in
+    while head.(i) < Array.length insts && insts.(head.(i)).remaining <= tiny do
+      head.(i) <- head.(i) + 1
+    done
+  in
+  for i = 0 to n_tasks - 1 do
+    advance_head i
+  done;
   let energy = ref 0. in
   (* Per-task executed cycles. Bumped only where [executed] is charged
      below — the one place work leaves an instance — so a shed residue
@@ -141,35 +169,47 @@ let run_traced ?transition ?faults ?control ~(schedule : Static_schedule.t)
      (executing past the budget in the [None]-sub branch) is counted
      exactly once. The estimator's observations depend on this
      single-accounting invariant; see the regression tests. *)
-  let consumed = Array.make (Array.length plan.Plan.instance_subs) 0. in
+  let consumed = Array.make n_tasks 0. in
   let now = ref 0. in
-  let guard = ref (10_000 + (100 * Array.length states * Array.length plan.Plan.order)) in
+  let n_states = Array.fold_left (fun acc insts -> acc + Array.length insts) 0 tasks in
+  let guard = ref (10_000 + (100 * n_states * Array.length plan.Plan.order)) in
   let running = ref true in
-  let pick_ready () =
-    Array.fold_left
-      (fun best st ->
-        if st.remaining > tiny && ready_time schedule st <= !now +. tiny then
-          match best with
-          | None -> Some st
-          | Some b ->
-            if st.task < b.task || (st.task = b.task && st.instance < b.instance)
-            then Some st
-            else best
-        else best)
-      None states
+  (* Both scans below rest on one bound: release offsets are
+     non-negative, so instance [j] of task [i] is never ready before
+     [j * period_i], and neither are the task's later instances.
+
+     [pick_ready 0] is the ready instance of highest priority: lowest
+     task, then lowest instance. A task's scan stops at its first
+     unreleased instance. *)
+  let rec pick_ready i = if i = n_tasks then None else scan_task i head.(i)
+  and scan_task i j =
+    let insts = tasks.(i) in
+    if j < Array.length insts && float_of_int j *. periods.(i) <= !now +. tiny then
+      let st = insts.(j) in
+      if st.remaining > tiny && ready_time schedule st <= !now +. tiny then Some st
+      else scan_task i (j + 1)
+    else pick_ready (i + 1)
   in
-  let next_event ~pred =
-    Array.fold_left
-      (fun acc st ->
-        let r = ready_time schedule st in
-        if pred st && r > !now +. tiny then Float.min acc r else acc)
-      infinity states
+  (* Earliest ready time after [now] among tasks [0, upto). A task's
+     scan stops once its release bound reaches the running minimum. *)
+  let next_event upto =
+    let best = ref infinity in
+    for i = 0 to upto - 1 do
+      let insts = tasks.(i) in
+      let j = ref head.(i) in
+      while !j < Array.length insts && float_of_int !j *. periods.(i) < !best do
+        let r = ready_time schedule insts.(!j) in
+        if r > !now +. tiny then best := Float.min !best r;
+        incr j
+      done
+    done;
+    !best
   in
   while !running && !guard > 0 do
     decr guard;
-    match pick_ready () with
+    match pick_ready 0 with
     | None ->
-      let next = next_event ~pred:(fun _ -> true) in
+      let next = next_event n_tasks in
       if Float.is_finite next then now := next else running := false
     | Some st -> (
       let sub = current_sub schedule st in
@@ -198,7 +238,8 @@ let run_traced ?transition ?faults ?control ~(schedule : Static_schedule.t)
            processor time. Its finish time stays nan, so it is counted
            as a deadline miss (it never completed). *)
         st.remaining <- 0.;
-        st.shed <- true
+        st.shed <- true;
+        advance_head st.task
       | Run v ->
         (* A voltage-transition fault pins the processor at the previous
            level for this dispatch. *)
@@ -224,7 +265,7 @@ let run_traced ?transition ?faults ?control ~(schedule : Static_schedule.t)
         let cycle_time = Model.cycle_time power ~v in
         let time_needed = cycles_target *. cycle_time in
         (* A strictly higher-priority instance becoming ready preempts. *)
-        let preempt_at = next_event ~pred:(fun other -> other.task < st.task) in
+        let preempt_at = next_event st.task in
         let run_until = Float.min (!now +. time_needed) preempt_at in
         let executed =
           if run_until >= !now +. time_needed then cycles_target
@@ -232,7 +273,7 @@ let run_traced ?transition ?faults ?control ~(schedule : Static_schedule.t)
         in
         energy := !energy +. Model.energy power ~v ~cycles:executed;
         consumed.(st.task) <- consumed.(st.task) +. executed;
-        if run_until > !now then
+        if record && run_until > !now then
           spans :=
             { Trace.task = st.task; instance = st.instance; from_time = !now;
               to_time = run_until; voltage = v }
@@ -242,23 +283,31 @@ let run_traced ?transition ?faults ?control ~(schedule : Static_schedule.t)
         now := run_until;
         if st.remaining <= tiny then begin
           st.remaining <- 0.;
-          st.finish <- !now
+          st.finish <- !now;
+          advance_head st.task
         end)
   done;
-  let finish_times =
-    Array.map (Array.map (fun _ -> Float.nan)) plan.Plan.instance_subs
-  in
   let misses = ref 0 and shed = ref 0 in
-  Array.iter
-    (fun st ->
-      finish_times.(st.task).(st.instance) <- st.finish;
-      if st.shed then incr shed;
-      if Float.is_nan st.finish || st.finish > st.deadline +. (1e-6 *. st.deadline)
-      then incr misses)
-    states;
+  let finish_times =
+    Array.map
+      (Array.map (fun st ->
+           if st.shed then incr shed;
+           if Float.is_nan st.finish || st.finish > st.deadline +. (1e-6 *. st.deadline)
+           then incr misses;
+           st.finish))
+      tasks
+  in
   ( { Outcome.energy = !energy; deadline_misses = !misses;
       shed_instances = !shed; finish_times; consumed },
-    { Trace.spans = List.rev !spans; horizon = Plan.hyper_period plan } )
+    !spans )
+
+let run_traced ?transition ?faults ?control ~schedule ~policy ~totals () =
+  let outcome, spans =
+    run_with ~record:true ?transition ?faults ?control ~schedule ~policy ~totals ()
+  in
+  ( outcome,
+    { Trace.spans = List.rev spans;
+      horizon = Plan.hyper_period schedule.Static_schedule.plan } )
 
 let run ?transition ?faults ?control ~schedule ~policy ~totals () =
-  fst (run_traced ?transition ?faults ?control ~schedule ~policy ~totals ())
+  fst (run_with ~record:false ?transition ?faults ?control ~schedule ~policy ~totals ())

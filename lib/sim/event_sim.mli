@@ -42,7 +42,20 @@
     wrapped policy's voltage choice) and may override the voltage or
     shed the instance's residual work — the mechanism behind
     {!Lepts_robust.Containment}. With both arguments absent the
-    behaviour is exactly the historical one. *)
+    behaviour is exactly the historical one.
+
+    {2 Cost}
+
+    Each event (a dispatch or an idle advance) costs O(tasks) plus the
+    instances it inspects. The dispatcher keeps every task's instances
+    in release order with a head at the first unfinished one. Instance
+    [j] of a task with period [p] is never released before [j * p], so
+    the search for the ready instance stops at the first instance with
+    [j * p > now], and the search for the next event stops once [j * p]
+    reaches the earliest event found so far. Outside overruns that is
+    one or two instances per task, however long the hyper-period.
+    Dispatch order, and so every result bit, is that of a full scan
+    over all instances. {!run} records no trace. *)
 
 type transition = {
   time_per_volt : float;  (** stall per volt of voltage change (ms/V) *)
@@ -58,8 +71,9 @@ type transition = {
 
 type faults = {
   release_offsets : float array array;
-      (** non-negative arrival delay per instance, indexed
-          [.(task).(instance)] *)
+      (** non-negative, finite arrival delay per instance, indexed
+          [.(task).(instance)]; {!run} and {!run_traced} raise
+          [Invalid_argument] on any other value *)
   enforce_budget : bool;
       (** [true] (the default behaviour) caps each instance's actual
           cycles at its quota sum; [false] lets WCEC overruns execute *)

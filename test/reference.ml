@@ -11,7 +11,11 @@
    - [solve] / [solve_warm]: the dense solve, with a nested
      per-instance projection, full forward and adjoint sweeps on every
      evaluation, and dense penalty and multiplier loops (production:
-     [Solver.solve] / [Solver.solve_warm]).
+     [Solver.solve] / [Solver.solve_warm]);
+   - [Event_sim.run_traced]: the flat dispatcher, which scans every
+     instance of the hyper-period twice per event (production:
+     [Lepts_sim.Event_sim.run] / [run_traced], which scan per task from
+     its first unfinished instance).
 
    The arithmetic is the production arithmetic, operation for
    operation; only the bookkeeping differs. *)
@@ -474,3 +478,221 @@ let solve_warm ?(max_outer = 30) ~mode ~(prev : Static_schedule.t) ~(plan : Plan
   | _, Ok result -> Ok result
   | Ok _, Error _ -> baseline
   | (Error _ as err), Error _ -> err
+
+(* --- Event-driven dispatcher ---------------------------------------------- *)
+
+module Event_sim = struct
+  module Sim = Lepts_sim.Event_sim
+  module Trace = Lepts_sim.Trace
+  module Outcome = Lepts_sim.Outcome
+  module Policy = Lepts_dvs.Policy
+
+  let tiny = 1e-9
+
+  type instance_state = {
+    task : int;
+    instance : int;
+    release : float;
+    deadline : float;
+    subs : int array;
+    mutable remaining : float;
+    mutable sub_pos : int;
+    mutable quota_remaining : float;
+    mutable finish : float;
+    mutable shed : bool;
+  }
+
+  (* One flat array of every instance of the hyper-period, in
+     (task, instance) order. *)
+  let build_instances ?(faults : Sim.faults option) (schedule : Static_schedule.t)
+      ~totals =
+    let plan = schedule.Static_schedule.plan in
+    let ts = plan.Plan.task_set in
+    let enforce_budget =
+      match faults with None -> true | Some f -> f.Sim.enforce_budget
+    in
+    let offset i j =
+      match faults with None -> 0. | Some f -> f.Sim.release_offsets.(i).(j)
+    in
+    let states = ref [] in
+    Array.iteri
+      (fun i per_instance ->
+        let period = float_of_int (Task_set.task ts i).Task.period in
+        Array.iteri
+          (fun j subs ->
+            let quota_sum =
+              Array.fold_left
+                (fun acc k -> acc +. schedule.Static_schedule.quotas.(k))
+                0. subs
+            in
+            let first_quota =
+              if Array.length subs = 0 then 0.
+              else schedule.Static_schedule.quotas.(subs.(0))
+            in
+            let release = (float_of_int j *. period) +. offset i j in
+            let remaining =
+              if enforce_budget then Float.min totals.(i).(j) quota_sum
+              else totals.(i).(j)
+            in
+            states :=
+              { task = i; instance = j; release;
+                deadline = float_of_int (j + 1) *. period;
+                subs;
+                remaining = (if remaining <= tiny then 0. else remaining);
+                sub_pos = 0;
+                quota_remaining = first_quota;
+                finish = (if remaining <= tiny then release else Float.nan);
+                shed = false }
+              :: !states)
+          per_instance)
+      plan.Plan.instance_subs;
+    Array.of_list (List.rev !states)
+
+  let current_sub (schedule : Static_schedule.t) st =
+    while st.quota_remaining <= tiny && st.sub_pos < Array.length st.subs - 1 do
+      st.sub_pos <- st.sub_pos + 1;
+      st.quota_remaining <- schedule.Static_schedule.quotas.(st.subs.(st.sub_pos))
+    done;
+    if st.quota_remaining > tiny then Some st.subs.(st.sub_pos) else None
+
+  let ready_time (schedule : Static_schedule.t) st =
+    if st.remaining <= tiny then infinity
+    else
+      match current_sub schedule st with
+      | Some k ->
+        Float.max schedule.Static_schedule.plan.Plan.order.(k).Sub.release st.release
+      | None -> st.release
+
+  let budget_remaining (schedule : Static_schedule.t) st =
+    let acc = ref (Float.max 0. st.quota_remaining) in
+    for pos = st.sub_pos + 1 to Array.length st.subs - 1 do
+      acc := !acc +. schedule.Static_schedule.quotas.(st.subs.(pos))
+    done;
+    !acc
+
+  (* Every event folds over every instance: [pick_ready] for the ready
+     instance of lowest (task, instance), [next_event] for the earliest
+     future ready time. *)
+  let run_traced ?(transition : Sim.transition option) ?(faults : Sim.faults option)
+      ?control ~(schedule : Static_schedule.t) ~policy ~totals () =
+    let spans = ref [] in
+    let last_voltage = ref Float.nan in
+    let plan = schedule.Static_schedule.plan in
+    let power = schedule.Static_schedule.power in
+    let static_v = Policy.worst_case_voltages schedule in
+    let states = build_instances ?faults schedule ~totals in
+    let energy = ref 0. in
+    let consumed = Array.make (Array.length plan.Plan.instance_subs) 0. in
+    let now = ref 0. in
+    let guard =
+      ref (10_000 + (100 * Array.length states * Array.length plan.Plan.order))
+    in
+    let running = ref true in
+    let pick_ready () =
+      Array.fold_left
+        (fun best st ->
+          if st.remaining > tiny && ready_time schedule st <= !now +. tiny then
+            match best with
+            | None -> Some st
+            | Some b ->
+              if st.task < b.task || (st.task = b.task && st.instance < b.instance)
+              then Some st
+              else best
+          else best)
+        None states
+    in
+    let next_event ~pred =
+      Array.fold_left
+        (fun acc st ->
+          let r = ready_time schedule st in
+          if pred st && r > !now +. tiny then Float.min acc r else acc)
+        infinity states
+    in
+    while !running && !guard > 0 do
+      decr guard;
+      match pick_ready () with
+      | None ->
+        let next = next_event ~pred:(fun _ -> true) in
+        if Float.is_finite next then now := next else running := false
+      | Some st -> (
+        let sub = current_sub schedule st in
+        let base_voltage, cycles_target =
+          match sub with
+          | Some k ->
+            ( Policy.dispatch_voltage policy ~schedule ~static_v ~sub:k ~now:!now
+                ~quota_remaining:st.quota_remaining,
+              Float.min st.remaining st.quota_remaining )
+          | None -> (power.Model.v_max, st.remaining)
+        in
+        let action =
+          match control with
+          | None -> Sim.Run base_voltage
+          | Some decide ->
+            decide
+              { Sim.d_task = st.task; d_instance = st.instance; d_sub = sub;
+                d_now = !now; d_deadline = st.deadline;
+                d_quota_remaining = st.quota_remaining;
+                d_budget_remaining = budget_remaining schedule st;
+                d_work_remaining = st.remaining; d_base_voltage = base_voltage }
+        in
+        match action with
+        | Sim.Shed ->
+          st.remaining <- 0.;
+          st.shed <- true
+        | Sim.Run v ->
+          let v =
+            match (faults, sub) with
+            | Some f, Some k
+              when (not (Float.is_nan !last_voltage))
+                   && Float.abs (v -. !last_voltage) > 1e-9
+                   && f.Sim.deny_transition ~task:st.task ~instance:st.instance
+                        ~sub:k ~now:!now ~requested:v -> !last_voltage
+            | _ -> v
+          in
+          (match transition with
+          | Some { Sim.time_per_volt; energy_per_volt }
+            when (not (Float.is_nan !last_voltage))
+                 && Float.abs (v -. !last_voltage) > 1e-9 ->
+            let dv = Float.abs (v -. !last_voltage) in
+            energy := !energy +. (energy_per_volt *. dv);
+            now := !now +. (time_per_volt *. dv)
+          | Some _ | None -> ());
+          last_voltage := v;
+          let cycle_time = Model.cycle_time power ~v in
+          let time_needed = cycles_target *. cycle_time in
+          let preempt_at = next_event ~pred:(fun other -> other.task < st.task) in
+          let run_until = Float.min (!now +. time_needed) preempt_at in
+          let executed =
+            if run_until >= !now +. time_needed then cycles_target
+            else (run_until -. !now) /. cycle_time
+          in
+          energy := !energy +. Model.energy power ~v ~cycles:executed;
+          consumed.(st.task) <- consumed.(st.task) +. executed;
+          if run_until > !now then
+            spans :=
+              { Trace.task = st.task; instance = st.instance; from_time = !now;
+                to_time = run_until; voltage = v }
+              :: !spans;
+          st.remaining <- st.remaining -. executed;
+          st.quota_remaining <- st.quota_remaining -. executed;
+          now := run_until;
+          if st.remaining <= tiny then begin
+            st.remaining <- 0.;
+            st.finish <- !now
+          end)
+    done;
+    let finish_times =
+      Array.map (Array.map (fun _ -> Float.nan)) plan.Plan.instance_subs
+    in
+    let misses = ref 0 and shed = ref 0 in
+    Array.iter
+      (fun st ->
+        finish_times.(st.task).(st.instance) <- st.finish;
+        if st.shed then incr shed;
+        if Float.is_nan st.finish || st.finish > st.deadline +. (1e-6 *. st.deadline)
+        then incr misses)
+      states;
+    ( { Outcome.energy = !energy; deadline_misses = !misses;
+        shed_instances = !shed; finish_times; consumed },
+      { Trace.spans = List.rev !spans; horizon = Plan.hyper_period plan } )
+end

@@ -335,6 +335,45 @@ let test_campaign_drain_resume_bit_identical () =
   Alcotest.(check bool) "resumed report bit-identical" true
     (uninterrupted = resumed)
 
+(* --- Fig 6(a) checkpointed sweep ------------------------------------------ *)
+
+module Fig6a = Lepts_experiments.Fig6a
+
+let point_key (p : Fig6a.point) =
+  Printf.sprintf "n%d r%h mean %Lx stddev %Lx sets %d misses %d" p.Fig6a.n_tasks
+    p.Fig6a.ratio
+    (Int64.bits_of_float p.Fig6a.mean_improvement_pct)
+    (Int64.bits_of_float p.Fig6a.stddev_improvement_pct)
+    p.Fig6a.sets_measured p.Fig6a.total_misses
+
+let test_fig6a_checkpoint_parallel_bit_identical () =
+  (* A checkpointed sweep runs its sets [jobs] at a time: draining after
+     the first poll leaves exactly [jobs] sets on disk, and the resumed
+     sweep returns the plain run's points bit for bit. *)
+  with_path @@ fun path ->
+  let config =
+    { Fig6a.quick_config with
+      task_counts = [ 2 ]; ratios = [ 0.5 ]; sets_per_point = 4; rounds = 30 }
+  in
+  let jobs = 2 in
+  let plain = List.map point_key (Fig6a.run ~jobs config ~power) in
+  let fp = Checkpoint.fingerprint ~parts:[ "fig6a-test" ] in
+  let session = session_ok (Checkpoint.start ~path ~resume:false ~fingerprint:fp) in
+  let polls = ref 0 in
+  let should_stop () = incr polls; !polls >= 2 in
+  (try
+     ignore (Fig6a.run ~jobs ~checkpoint:session ~should_stop config ~power);
+     Alcotest.fail "expected the sweep to drain"
+   with Checkpoint.Drained -> ());
+  let session2 = session_ok (Checkpoint.start ~path ~resume:true ~fingerprint:fp) in
+  Alcotest.(check int) "one chunk of jobs sets on disk" jobs
+    (Checkpoint.entries session2 ~section:"set:n2:r0.5");
+  let resumed = List.map point_key (Fig6a.run ~jobs ~checkpoint:session2 config ~power) in
+  Alcotest.(check (list string)) "resumed points bit-identical" plain resumed;
+  let session3 = session_ok (Checkpoint.start ~path ~resume:true ~fingerprint:fp) in
+  Alcotest.(check int) "every set on disk" 4
+    (Checkpoint.entries session3 ~section:"set:n2:r0.5")
+
 let suite =
   [ ("fingerprint canonical", `Quick, test_fingerprint_canonical);
     ("float field exact", `Quick, test_float_field_exact);
@@ -348,4 +387,6 @@ let suite =
     ("resume requires a file", `Quick, test_resume_requires_file);
     ("drain saves and raises", `Quick, test_drain_saves_and_raises);
     ("campaign drain/resume bit-identical", `Quick,
-     test_campaign_drain_resume_bit_identical) ]
+     test_campaign_drain_resume_bit_identical);
+    ("fig6a checkpoint at jobs 2 bit-identical", `Slow,
+     test_fig6a_checkpoint_parallel_bit_identical) ]

@@ -298,6 +298,201 @@ let test_budget_enforcement_prevents_miss () =
   let o = Event_sim.run ~schedule:acs ~policy:Policy.Greedy ~totals () in
   Alcotest.(check int) "worst case meets deadlines" 0 o.Outcome.deadline_misses
 
+(* --- dispatcher oracle ----------------------------------------------------- *)
+
+(* [Event_sim] scans each task from its first unfinished instance and
+   stops at the release bound; [Reference.Event_sim] folds over every
+   instance at every event. They must agree bit for bit on random plans
+   of 2-10 tasks, with and without faults, containment and transition
+   overhead. Cheap worst-case schedules suffice: the dispatch order is
+   what is under test, not the energy. *)
+
+module Fault_injector = Lepts_robust.Fault_injector
+module Containment = Lepts_robust.Containment
+module Trace = Lepts_sim.Trace
+
+let check_bits msg (expect : float) (got : float) =
+  if not (Int64.equal (Int64.bits_of_float expect) (Int64.bits_of_float got)) then
+    Alcotest.failf "%s: %h <> %h" msg expect got
+
+let check_outcome_bits msg (e : Outcome.t) (g : Outcome.t) =
+  check_bits (msg ^ " energy") e.Outcome.energy g.Outcome.energy;
+  Alcotest.(check int) (msg ^ " misses") e.Outcome.deadline_misses g.Outcome.deadline_misses;
+  Alcotest.(check int) (msg ^ " shed") e.Outcome.shed_instances g.Outcome.shed_instances;
+  Array.iteri
+    (fun i per ->
+      Array.iteri
+        (fun j f ->
+          check_bits (Printf.sprintf "%s finish.(%d).(%d)" msg i j) f
+            g.Outcome.finish_times.(i).(j))
+        per)
+    e.Outcome.finish_times;
+  Array.iteri
+    (fun i c -> check_bits (Printf.sprintf "%s consumed.(%d)" msg i) c g.Outcome.consumed.(i))
+    e.Outcome.consumed
+
+let span_key (s : Trace.span) =
+  Printf.sprintf "%d.%d %h-%h @%h" s.Trace.task s.Trace.instance s.Trace.from_time
+    s.Trace.to_time s.Trace.voltage
+
+let check_trace_bits msg (e : Trace.t) (g : Trace.t) =
+  check_bits (msg ^ " horizon") e.Trace.horizon g.Trace.horizon;
+  Alcotest.(check (list string)) (msg ^ " spans")
+    (List.map span_key e.Trace.spans) (List.map span_key g.Trace.spans)
+
+let event_key = function
+  | Fault_injector.Overrun { task; instance; actual; wcec } ->
+    Printf.sprintf "overrun %d.%d %h %h" task instance actual wcec
+  | Fault_injector.Jitter { task; instance; delay } ->
+    Printf.sprintf "jitter %d.%d %h" task instance delay
+  | Fault_injector.Denial { task; instance; sub; time; requested } ->
+    Printf.sprintf "denial %d.%d.%d %h %h" task instance sub time requested
+
+let oracle_plans () =
+  let rng = Lepts_prng.Xoshiro256.create ~seed:2026 in
+  List.concat_map
+    (fun n_tasks ->
+      List.filter_map
+        (fun ratio ->
+          let config =
+            { (Lepts_workloads.Random_gen.default_config ~n_tasks ~ratio) with
+              Lepts_workloads.Random_gen.max_sub_instances = 300 }
+          in
+          match Lepts_workloads.Random_gen.generate config ~power ~rng with
+          | Error _ -> None
+          | Ok ts -> Some (Plan.expand ts))
+        [ 0.1; 0.5 ])
+    [ 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
+
+(* The greedy start (worst-case RM at v_max) and its ALAP push-right,
+   which stretches windows so that lower voltages and preemptions
+   dominate. *)
+let oracle_schedules plan =
+  let e0, q0 = Result.get_ok (Solver.initial_point ~plan ~power) in
+  let t_max = Model.cycle_time power ~v:power.Model.v_max in
+  let alap = Reference.alap_end_times plan ~t_max ~e:e0 ~q:q0 in
+  [ Static_schedule.create ~plan ~power ~end_times:e0 ~quotas:q0;
+    Static_schedule.create ~plan ~power ~end_times:alap ~quotas:q0 ]
+
+let oracle_spec =
+  { Fault_injector.seed = 17; overrun_prob = 0.15; overrun_factor = 1.6;
+    jitter_prob = 0.3; jitter_frac = 0.4; denial_prob = 0.25 }
+
+(* One dispatcher run with its own fault scenario and containment hook
+   (both are stateful, and every run must see the same dispatches):
+   the outcome, the trace if [simulate] records one, the fault events
+   and the containment counters. *)
+let oracle_arm ~plan ~round ~totals ~faulty ~contained simulate =
+  let scenario =
+    if faulty then Some (Fault_injector.perturb oracle_spec ~round plan ~totals)
+    else None
+  in
+  let counters = Containment.fresh_counters () in
+  let control =
+    if contained then Some (Containment.control ~power ~counters ()) else None
+  in
+  let outcome, trace =
+    match scenario with
+    | Some sc ->
+      simulate ~faults:(Some sc.Fault_injector.faults) ~control
+        ~totals:sc.Fault_injector.totals
+    | None -> simulate ~faults:None ~control ~totals
+  in
+  let events =
+    match scenario with
+    | Some sc -> List.map event_key (Fault_injector.trace sc)
+    | None -> []
+  in
+  ( outcome, trace, events,
+    [ counters.Containment.escalated_dispatches;
+      counters.Containment.escalated_instances;
+      counters.Containment.shed_instances ] )
+
+let test_dispatcher_matches_reference () =
+  let policies = Array.of_list Policy.all in
+  let setups =
+    [ ("fault-free", false, false, None);
+      ("faults", true, false, None);
+      ("containment", true, true, None);
+      ("transition", false, false,
+       Some { Event_sim.time_per_volt = 0.05; energy_per_volt = 0.1 }) ]
+  in
+  let checked = ref 0 in
+  List.iteri
+    (fun p plan ->
+      List.iteri
+        (fun s schedule ->
+          let policy = policies.((p + s) mod Array.length policies) in
+          let rng = Lepts_prng.Xoshiro256.create ~seed:(100 + p) in
+          for round = 0 to 2 do
+            let totals = Sampler.instance_totals plan ~rng in
+            List.iter
+              (fun (setup, faulty, contained, transition) ->
+                let msg =
+                  Printf.sprintf "plan %d (%d subs) schedule %d round %d %s" p
+                    (Plan.size plan) s round setup
+                in
+                let arm = oracle_arm ~plan ~round ~totals ~faulty ~contained in
+                let expect, expect_trace, expect_events, expect_counts =
+                  arm (fun ~faults ~control ~totals ->
+                      let o, t =
+                        Reference.Event_sim.run_traced ?transition ?faults ?control
+                          ~schedule ~policy ~totals ()
+                      in
+                      (o, Some t))
+                in
+                let check name (got, got_trace, events, counts) =
+                  let msg = msg ^ " " ^ name in
+                  check_outcome_bits msg expect got;
+                  Option.iter
+                    (check_trace_bits msg (Option.get expect_trace))
+                    got_trace;
+                  Alcotest.(check (list string)) (msg ^ " fault events")
+                    expect_events events;
+                  Alcotest.(check (list int)) (msg ^ " containment") expect_counts
+                    counts
+                in
+                check "run"
+                  (arm (fun ~faults ~control ~totals ->
+                       ( Event_sim.run ?transition ?faults ?control ~schedule ~policy
+                           ~totals (),
+                         None )));
+                check "run_traced"
+                  (arm (fun ~faults ~control ~totals ->
+                       let o, t =
+                         Event_sim.run_traced ?transition ?faults ?control ~schedule
+                           ~policy ~totals ()
+                       in
+                       (o, Some t)));
+                incr checked)
+              setups
+          done)
+        (oracle_schedules plan))
+    (oracle_plans ());
+  Alcotest.(check bool) "oracle exercised" true (!checked > 100)
+
+let test_rejects_bad_release_offsets () =
+  let plan, _, acs = preemptive_pair () in
+  let totals = Sampler.fixed plan ~value:`Wcec in
+  List.iter
+    (fun bad ->
+      let faults =
+        { Event_sim.release_offsets =
+            Array.map (Array.mapi (fun j _ -> if j = 1 then bad else 0.)) totals;
+          enforce_budget = true;
+          deny_transition = (fun ~task:_ ~instance:_ ~sub:_ ~now:_ ~requested:_ -> false) }
+      in
+      match Event_sim.run ~faults ~schedule:acs ~policy:Policy.Greedy ~totals () with
+      | _ -> Alcotest.failf "offset %g accepted" bad
+      | exception Invalid_argument msg ->
+        Alcotest.(check string) (Printf.sprintf "offset %g" bad)
+          (Printf.sprintf
+             "Event_sim.run: release_offsets.(0).(1) = %g must be finite and \
+              non-negative"
+             bad)
+          msg)
+    [ -0.5; Float.nan; Float.infinity; Float.neg_infinity ]
+
 let suite =
   [ ("sampler respects bounds", `Quick, test_sampler_bounds);
     ("sampler fixed values", `Quick, test_sampler_fixed);
@@ -317,4 +512,6 @@ let suite =
     ("runner single-round summary", `Quick, test_runner_single_round_summary);
     ("runner pool stats reported", `Quick, test_runner_stats_reported);
     ("runner invalid rounds", `Quick, test_runner_invalid_rounds);
-    ("budget enforcement regression", `Quick, test_budget_enforcement_prevents_miss) ]
+    ("budget enforcement regression", `Quick, test_budget_enforcement_prevents_miss);
+    ("dispatcher = reference bit for bit", `Quick, test_dispatcher_matches_reference);
+    ("rejects bad release offsets", `Quick, test_rejects_bad_release_offsets) ]
