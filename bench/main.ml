@@ -1,132 +1,142 @@
-(* Benchmark & reproduction harness.
+(* Solver benchmark: what the rest of the repo cannot see. The CLI
+   prints the paper's tables, perfbench times whole workloads through
+   public calls, and `dune runtest` pins outputs bit for bit; this
+   binary measures
 
-   Phase 1 regenerates every table and figure of the paper's evaluation
-   (at a reduced-but-same-shape scale; the `lepts` CLI runs the full
-   protocol) and prints the rows the paper reports.
+   - kernel rows: ns and minor words per op of the objective kernels
+     and of small ACS solves;
+   - the saturated CNC multi-start on the domain pool against the
+     sequential solve;
+   - warm against cold: a CNC ratio continuation and a reduced
+     Fig 6(a) sweep;
+   - solver work: inner iterations of the 660- and 1936-sub ACS
+     solves, gated against counts recorded below;
+   - the per-record cost of solver telemetry.
 
-   Phase 2 runs Bechamel micro-benchmarks, one per experiment
-   (plus ablations of the design choices called out in DESIGN.md), and
-   prints estimated wall-clock time per run. *)
+   Every timing is a median with its quartiles over k repetitions, and
+   every A/B comparison interleaves its two sides in the same run.
 
-open Bechamel
+   Usage: main.exe [--json FILE] [--quick] [--max-telemetry-overhead-ns N]
+                   [--min-vs-sequential X] [--min-warm-speedup X]
+   --quick shortens every section (the CI smoke run); --json writes the
+   summary (schema lepts-bench-solver/7). A violated gate prints a FAIL
+   line and exits 1. *)
+
 module Model = Lepts_power.Model
 module Plan = Lepts_preempt.Plan
 module Solver = Lepts_core.Solver
 module Static_schedule = Lepts_core.Static_schedule
 module Objective = Lepts_core.Objective
+module Workspace = Lepts_core.Workspace
+module Telemetry = Lepts_obs.Telemetry
 module Experiments = Lepts_experiments
-module Pool = Lepts_par.Pool
 
 let power = Model.ideal ~v_min:0.5 ~v_max:4. ()
 
-let section title =
-  Printf.printf "\n=== %s ===\n%!" title
+let cores = Domain.recommended_domain_count ()
 
-(* ---------------------------------------------------------------------- *)
-(* Phase 1: regenerate every table / figure.                              *)
-(* ---------------------------------------------------------------------- *)
+let failures = ref []
 
-let regenerate_motivation () =
-  section "Table 1 / Figs 1-2: motivational example (paper vs measured)";
-  match Experiments.Motivation.run () with
-  | Error e -> Format.printf "error: %a@." Solver.pp_error e
-  | Ok report -> Lepts_util.Table.print (Experiments.Motivation.to_table report)
+(* [check ok fmt ...] records a gate failure unless [ok]. *)
+let check ok fmt =
+  Printf.ksprintf (fun s -> if not ok then failures := s :: !failures) fmt
 
-let regenerate_fig6a () =
-  section "Fig 6(a): random task sets (reduced scale; paper: 100 sets, 1000 rounds)";
-  let config =
-    { Experiments.Fig6a.paper_config with sets_per_point = 3; rounds = 100 }
+(* ----- statistics ------------------------------------------------------- *)
+
+type spread = { median : float; q1 : float; q3 : float }
+
+let spread xs =
+  let p p = Lepts_util.Stats.percentile xs ~p in
+  { median = p 50.; q1 = p 25.; q3 = p 75. }
+
+let speedup num den = spread (Array.map2 (fun n d -> n /. Float.max d 1e-9) num den)
+
+let show ?(unit = "") s = Printf.sprintf "%.3f%s [IQR %.3f]" s.median unit (s.q3 -. s.q1)
+
+(* Wall-clock by default; [~clock:Sys.time] is the process's CPU time. *)
+let time ?(clock = Unix.gettimeofday) f =
+  let t0 = clock () in
+  let r = f () in
+  (clock () -. t0, r)
+
+(* [k] runs of [a] and [b] in pairs, alternating which side runs first
+   so that drift over the run (frequency scaling, a neighbour's load,
+   heap growth) lands on both sides alike. Returns each side's times,
+   pair by pair, and each side's last result. *)
+let pairs ?clock ~k a b =
+  let ta = Array.make k 0. and tb = Array.make k 0. in
+  let ra = ref None and rb = ref None in
+  let run f times last i =
+    let t, r = time ?clock f in
+    times.(i) <- t;
+    last := Some r
   in
-  let points =
-    Experiments.Fig6a.run ~progress:(fun s -> Printf.printf "  %s\n%!" s) config ~power
-  in
-  Lepts_util.Table.print (Experiments.Fig6a.to_table points);
-  print_endline
-    "paper shape: improvement grows with workload variation (ratio 0.1 >> 0.9),\n\
-     peaking around 60% (10 tasks, ratio 0.1); near zero at ratio 0.9."
+  for i = 0 to k - 1 do
+    if i mod 2 = 0 then (run a ta ra i; run b tb rb i) else (run b tb rb i; run a ta ra i)
+  done;
+  (ta, tb, Option.get !ra, Option.get !rb)
 
-let regenerate_fig6b () =
-  section "Fig 6(b): CNC and GAP applications (reduced rounds)";
-  let config = { Experiments.Fig6b.paper_config with rounds = 100 } in
-  let points =
-    Experiments.Fig6b.run ~progress:(fun s -> Printf.printf "  %s\n%!" s) config ~power
-  in
-  Lepts_util.Table.print (Experiments.Fig6b.to_table points);
-  print_endline
-    "paper shape: CNC up to ~41% and GAP up to ~30% at ratio 0.1, decaying as\n\
-     the ratio approaches 1."
+let bits (s : Static_schedule.t) =
+  ( Array.map Int64.bits_of_float s.Static_schedule.end_times,
+    Array.map Int64.bits_of_float s.Static_schedule.quotas )
 
-let regenerate_design_ablations () =
-  section "Ablations: DESIGN.md design choices (CNC, ratio 0.1)";
-  let ts = Lepts_workloads.Cnc.task_set ~power ~ratio:0.1 () in
-  let show title = function
-    | Error e -> Format.printf "%s: error: %a@." title Solver.pp_error e
-    | Ok table ->
-      Printf.printf "%s:\n" title;
-      Lepts_util.Table.print table
-  in
-  show "NLP formulations" (Experiments.Ablations.formulations ~task_set:ts ~power ());
-  show "Objectives"
-    (Experiments.Ablations.objectives ~rounds:200 ~task_set:ts ~power ~seed:3 ());
-  show "Voltage quantization"
-    (Experiments.Ablations.quantization ~rounds:200 ~task_set:ts ~power ~seed:3 ());
-  show "Structures"
-    (Experiments.Ablations.structures ~task_set:ts ~power ());
-  section "Extension: utilization sweep (CNC, ratio 0.1)";
-  Lepts_util.Table.print
-    (Experiments.Utilization_sweep.to_table
-       (Experiments.Utilization_sweep.run ~rounds:200 ~task_set:ts ~power ~seed:3 ()));
-  section "Extension: workload distribution shapes (CNC, ratio 0.1)";
-  (match Experiments.Distribution_sweep.run ~rounds:200 ~task_set:ts ~power ~seed:3 () with
-  | Error e -> Format.printf "error: %a@." Solver.pp_error e
-  | Ok points -> Lepts_util.Table.print (Experiments.Distribution_sweep.to_table points));
-  section "Extension: voltage-transition overhead (CNC, ratio 0.1)";
-  match Experiments.Transition_sweep.run ~rounds:200 ~task_set:ts ~power ~seed:3 () with
-  | Error e -> Format.printf "error: %a@." Solver.pp_error e
-  | Ok points -> Lepts_util.Table.print (Experiments.Transition_sweep.to_table points)
+(* ----- JSON ------------------------------------------------------------- *)
 
-let parallel_speedup () =
-  section "Parallel campaign engine: fig6a reduced sweep at -j 1 vs -j 4";
-  let config =
-    { Experiments.Fig6a.paper_config with
-      task_counts = [ 4; 6 ]; ratios = [ 0.1 ]; sets_per_point = 4; rounds = 100 }
-  in
-  let time jobs =
-    let t0 = Unix.gettimeofday () in
-    let points = Experiments.Fig6a.run ~jobs config ~power in
-    (Unix.gettimeofday () -. t0, points)
-  in
-  let t_seq, seq_points = time 1 in
-  let t_par, par_points = time 4 in
-  let identical =
-    List.for_all2
-      (fun (a : Experiments.Fig6a.point) (b : Experiments.Fig6a.point) ->
-        a = b)
-      seq_points par_points
-  in
-  Printf.printf
-    "  -j 1: %6.2fs   -j 4: %6.2fs   speedup: %.2fx   bit-identical: %b\n"
-    t_seq t_par (t_seq /. Float.max t_par 1e-9) identical;
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf
-    "  (%d core(s) available; speedup saturates at min(jobs, cores), and with\n\
-    \   jobs > cores the domains time-slice one core and every minor-GC\n\
-    \   stop-the-world barrier pays a scheduler round-trip, so expect a\n\
-    \   slowdown there — the numbers above are only meaningful on >= 4 cores)\n"
-    cores
+type json =
+  | Bool of bool
+  | Int of int
+  | Num of float
+  | Str of string
+  | Obj of (string * json) list
+  | List of json list
 
-let regenerate_policy_ablation () =
-  section "Ablation: offline schedule x online policy (CNC, ratio 0.1)";
-  let ts = Lepts_workloads.Cnc.task_set ~power ~ratio:0.1 () in
-  match Experiments.Policies.run ~rounds:200 ~task_set:ts ~power ~seed:7 () with
-  | Error e -> Format.printf "error: %a@." Solver.pp_error e
-  | Ok cells -> Lepts_util.Table.print (Experiments.Policies.to_table cells)
+let json_escape s =
+  let b = Buffer.create (String.length s) in
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
 
-(* ---------------------------------------------------------------------- *)
-(* Phase 2: Bechamel micro-benchmarks.                                    *)
-(* ---------------------------------------------------------------------- *)
+(* Containers holding only scalars print on one line, others one
+   member per line. *)
+let rec emit b indent = function
+  | Bool x -> Buffer.add_string b (string_of_bool x)
+  | Int x -> Buffer.add_string b (string_of_int x)
+  | Num x when Float.is_finite x -> Printf.bprintf b "%.3f" x
+  | Num _ -> Buffer.add_string b "null"
+  | Str s -> Printf.bprintf b "\"%s\"" (json_escape s)
+  | Obj fields -> members b indent '{' '}' (List.map (fun (k, v) -> (Some k, v)) fields)
+  | List items -> members b indent '[' ']' (List.map (fun v -> (None, v)) items)
+
+and members b indent opening closing items =
+  let nested =
+    List.exists (fun (_, v) -> match v with Obj _ | List _ -> true | _ -> false) items
+  in
+  let pad = String.make (indent + 2) ' ' in
+  Buffer.add_char b opening;
+  List.iteri
+    (fun i (key, v) ->
+      if nested then Buffer.add_string b ((if i = 0 then "\n" else ",\n") ^ pad)
+      else if i > 0 then Buffer.add_string b ", ";
+      Option.iter (fun k -> Printf.bprintf b "\"%s\": " (json_escape k)) key;
+      emit b (indent + 2) v)
+    items;
+  if nested then Buffer.add_string b ("\n" ^ String.make indent ' ');
+  Buffer.add_char b closing
+
+let spread_json s = Obj [ ("median", Num s.median); ("q1", Num s.q1); ("q3", Num s.q3) ]
+
+let times_json xs = spread_json (spread xs)
+
+(* ----- fixtures --------------------------------------------------------- *)
 
 let cnc_plan = lazy (Plan.expand (Lepts_workloads.Cnc.task_set ~power ~ratio:0.1 ()))
+
+let motivation_plan = lazy (Plan.expand (Experiments.Motivation.task_set ()))
 
 let cnc_schedules =
   lazy
@@ -140,273 +150,81 @@ let cnc_schedules =
      in
      (wcs, acs))
 
-let random_set n =
+let random_plan ~n ~seed ~max_subs =
   lazy
-    (let rng = Lepts_prng.Xoshiro256.create ~seed:(100 + n) in
-     Result.get_ok
-       (Lepts_workloads.Random_gen.generate
-          (Lepts_workloads.Random_gen.default_config ~n_tasks:n ~ratio:0.1)
-          ~power ~rng))
-
-let rand5 = random_set 5
-
-let bench_tests () =
-  let motivation =
-    Test.make ~name:"motivation (Table 1 / Figs 1-2)"
-      (Staged.stage (fun () -> Result.get_ok (Experiments.Motivation.run ())))
-  in
-  let fig6a_point =
-    Test.make ~name:"fig6a point (n=4, ratio=0.1, 1 set, 50 rounds)"
-      (Staged.stage (fun () ->
-           let rng = Lepts_prng.Xoshiro256.create ~seed:17 in
-           let ts =
-             Result.get_ok
-               (Lepts_workloads.Random_gen.generate
-                  (Lepts_workloads.Random_gen.default_config ~n_tasks:4 ~ratio:0.1)
-                  ~power ~rng)
-           in
-           Result.get_ok
-             (Experiments.Improvement.measure ~rounds:50 ~task_set:ts ~power
-                ~sim_seed:3 ())))
-  in
-  let fig6b_cnc =
-    Test.make ~name:"fig6b CNC point (ratio=0.1, 50 rounds)"
-      (Staged.stage (fun () ->
-           let ts = Lepts_workloads.Cnc.task_set ~power ~ratio:0.1 () in
-           Result.get_ok
-             (Experiments.Improvement.measure ~rounds:50 ~task_set:ts ~power
-                ~sim_seed:5 ())))
-  in
-  let expand =
-    Test.make ~name:"fully preemptive expansion (rand n=5)"
-      (Staged.stage (fun () -> Plan.expand (Lazy.force rand5)))
-  in
-  let solve_wcs =
-    Test.make ~name:"WCS solve (CNC, 32 subs)"
-      (Staged.stage (fun () ->
-           Result.get_ok (Solver.solve_wcs ~plan:(Lazy.force cnc_plan) ~power ())))
-  in
-  let solve_acs =
-    Test.make ~name:"ACS solve (CNC, 32 subs)"
-      (Staged.stage (fun () ->
-           Result.get_ok (Solver.solve_acs ~plan:(Lazy.force cnc_plan) ~power ())))
-  in
-  let gradient_adjoint =
-    Test.make ~name:"objective adjoint gradient (CNC)"
-      (Staged.stage (fun () ->
-           let plan = Lazy.force cnc_plan in
-           let _, acs = Lazy.force cnc_schedules in
-           let totals = Objective.instance_totals Objective.Average plan in
-           Objective.eval_with_gradient ~plan ~power ~totals
-             ~e:acs.Static_schedule.end_times ~w_hat:acs.Static_schedule.quotas))
-  in
-  let gradient_numdiff =
-    Test.make ~name:"objective numerical gradient (CNC)"
-      (Staged.stage (fun () ->
-           let plan = Lazy.force cnc_plan in
-           let _, acs = Lazy.force cnc_schedules in
-           let totals = Objective.instance_totals Objective.Average plan in
-           let m = Plan.size plan in
-           let f x =
-             Objective.eval ~plan ~power ~totals ~e:(Array.sub x 0 m)
-               ~w_hat:(Array.sub x m m)
-           in
-           Lepts_optim.Numdiff.gradient ~f
-             (Array.append acs.Static_schedule.end_times acs.Static_schedule.quotas)))
-  in
-  let event_sim =
-    Test.make ~name:"event-driven simulation (CNC, 1 hyper-period)"
-      (Staged.stage (fun () ->
-           let _, acs = Lazy.force cnc_schedules in
-           let rng = Lepts_prng.Xoshiro256.create ~seed:23 in
-           let totals = Lepts_sim.Sampler.instance_totals (Lazy.force cnc_plan) ~rng in
-           Lepts_sim.Event_sim.run ~schedule:acs ~policy:Lepts_dvs.Policy.Greedy ~totals ()))
-  in
-  let sequence_sim =
-    Test.make ~name:"closed-form executor (CNC, 1 hyper-period)"
-      (Staged.stage (fun () ->
-           let _, acs = Lazy.force cnc_schedules in
-           let totals = Lepts_sim.Sampler.fixed (Lazy.force cnc_plan) ~value:`Acec in
-           Lepts_sim.Sequence.run ~schedule:acs ~totals))
-  in
-  [ motivation; fig6a_point; fig6b_cnc; expand; solve_wcs; solve_acs;
-    gradient_adjoint; gradient_numdiff; event_sim; sequence_sim ]
-
-let run_benchmarks () =
-  section "Bechamel micro-benchmarks (time per run)";
-  (* Force shared fixtures so setup cost cannot contaminate the runs. *)
-  ignore (Lazy.force cnc_plan);
-  ignore (Lazy.force cnc_schedules);
-  ignore (Lazy.force rand5);
-  let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 2.) ~kde:None () in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let analyses = Analyze.all ols Toolkit.Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          let time_ns =
-            match Analyze.OLS.estimates ols_result with
-            | Some (t :: _) -> t
-            | Some [] | None -> Float.nan
-          in
-          Printf.printf "  %-48s %12.3f ms/run\n%!" name (time_ns /. 1e6))
-        analyses)
-    (bench_tests ())
-
-(* ---------------------------------------------------------------------- *)
-(* Phase 3: solver-kernel benchmarks (time + allocation), --json mode.    *)
-(* ---------------------------------------------------------------------- *)
-
-(* The allocating {!Lepts_core.Objective} entry points ([eval] via
-   [trace], [eval_with_gradient] on a throwaway workspace) against the
-   workspace kernels the solver calls: same inputs, ns/op and
-   minor-words/op side by side — plus full multi-start solves at three
-   plan sizes and the sequential-vs-parallel multi-start wall clock. *)
-
-module Workspace = Lepts_core.Workspace
-
-let motivation_plan = lazy (Plan.expand (Experiments.Motivation.task_set ()))
-let rand8 = random_set 8
-let rand8_plan = lazy (Plan.expand (Lazy.force rand8))
-
-(* The huge case: ~2000 sub-instances, a scale the pre-PR-8 solver
-   never touched. [default_config] caps expansion at 1000 sub-instances,
-   so the cap is raised explicitly; seed 104 is the first seed whose
-   draw is RM-schedulable at this size. *)
-let rand16_plan =
-  lazy
-    (let rng = Lepts_prng.Xoshiro256.create ~seed:104 in
+    (let rng = Lepts_prng.Xoshiro256.create ~seed in
      let config =
-       { (Lepts_workloads.Random_gen.default_config ~n_tasks:16 ~ratio:0.1) with
-         Lepts_workloads.Random_gen.max_sub_instances = 2600 }
+       { (Lepts_workloads.Random_gen.default_config ~n_tasks:n ~ratio:0.1) with
+         Lepts_workloads.Random_gen.max_sub_instances = max_subs }
      in
-     Plan.expand
-       (Result.get_ok (Lepts_workloads.Random_gen.generate config ~power ~rng)))
+     Plan.expand (Result.get_ok (Lepts_workloads.Random_gen.generate config ~power ~rng)))
 
-(* ns/op of the "ACS solve (random n=8, 660 subs)" kernel row as
-   recorded in BENCH_solver.json before the structure-exploiting solve
-   path landed. [--min-huge-speedup] gates the current solve time
-   against this constant: CI machines differ from the recording one, so
-   the floor is set conservatively below the locally measured ratio. *)
-let seed_acs_n8_ns = 3.37e9
+(* ----- kernel rows ------------------------------------------------------ *)
 
-type kernel_row = { row_name : string; ns_per_op : float; minor_words_per_op : float }
+(* One row: double a batch until it lasts [batch_s], then time [k]
+   batches of that many calls. Minor words per op are counted over one
+   more batch, exactly: the loop around [f] allocates nothing, so a
+   zero-allocation kernel reads 0 (2 words is the boxed float result
+   the thunks discard). *)
+let kernel_row ~k ~batch_s (name, f) =
+  let batch n () =
+    for _ = 1 to n do
+      f ()
+    done
+  in
+  let rec calibrate n =
+    if fst (time (batch n)) >= batch_s then n else calibrate (2 * n)
+  in
+  let n = calibrate 1 in
+  let ns = Array.init k (fun _ -> fst (time (batch n)) *. 1e9 /. float_of_int n) in
+  let before = Gc.minor_words () in
+  batch n ();
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  Printf.printf "  %-44s %s ns/op, %.1f minor words/op\n%!" name (show (spread ns)) words;
+  Obj
+    [ ("name", Str name); ("ns_per_op", times_json ns); ("ops_per_batch", Int n);
+      ("minor_words_per_op", Num words) ]
 
-(* (name, thunk, allocation repetitions): time comes from a Bechamel
-   OLS fit; allocation per op is measured directly as the
-   [Gc.minor_words] delta over [reps] calls, which is exact even for
-   the sub-microsecond kernels where the OLS allocation estimate is
-   too noisy to resolve zero. *)
-let solver_kernel_cases () =
+(* The allocating [Objective.eval] against the workspace kernels the
+   solver calls, on the same inputs, plus whole multi-start solves on
+   the two smallest plans (the large ones are the solver-work section's). *)
+let kernel_section ~quick =
   let plan = Lazy.force cnc_plan in
   let _, acs = Lazy.force cnc_schedules in
   let totals = Objective.instance_totals Objective.Average plan in
   let e = acs.Static_schedule.end_times and w_hat = acs.Static_schedule.quotas in
   let ws = Workspace.create plan in
-  let m = Plan.size plan in
-  let de = Array.make m 0. and dwq = Array.make m 0. in
-  let solve_of plan_lazy () =
-    ignore (Result.get_ok (Solver.solve_acs ~plan:(Lazy.force plan_lazy) ~power ()))
-  in
-  [ ( "objective eval, alloc (CNC, 32 subs)",
-      (fun () -> ignore (Objective.eval ~plan ~power ~totals ~e ~w_hat)),
-      10_000 );
-    ( "objective eval, workspace (CNC, 32 subs)",
-      (fun () -> ignore (Objective.eval_ws ws ~power ~totals ~e ~w_hat)),
-      10_000 );
-    ( "adjoint gradient, alloc (CNC, 32 subs)",
-      (fun () -> ignore (Objective.eval_with_gradient ~plan ~power ~totals ~e ~w_hat)),
-      10_000 );
-    ( "adjoint gradient, workspace (CNC, 32 subs)",
-      (fun () ->
-        ignore (Objective.eval_with_gradient_ws ws ~power ~totals ~e ~w_hat ~de ~dwq)),
-      10_000 );
-    ( Printf.sprintf "ACS solve (motivation, %d subs)"
-        (Plan.size (Lazy.force motivation_plan)),
-      solve_of motivation_plan, 20 );
-    ("ACS solve (CNC, 32 subs)", solve_of cnc_plan, 2);
-    ( Printf.sprintf "ACS solve (random n=8, %d subs)"
-        (Plan.size (Lazy.force rand8_plan)),
-      solve_of rand8_plan, 1 ) ]
+  let de = Array.make (Plan.size plan) 0. and dwq = Array.make (Plan.size plan) 0. in
+  let solve plan () = ignore (Result.get_ok (Solver.solve_acs ~plan ~power ())) in
+  let motivation = Lazy.force motivation_plan in
+  ( "benchmarks",
+    List
+      (List.map
+         (kernel_row ~k:(if quick then 5 else 21) ~batch_s:(if quick then 0.01 else 0.05))
+         [ ( "objective eval, alloc (CNC, 32 subs)",
+             fun () -> ignore (Objective.eval ~plan ~power ~totals ~e ~w_hat) );
+           ( "objective eval, workspace (CNC, 32 subs)",
+             fun () -> ignore (Objective.eval_ws ws ~power ~totals ~e ~w_hat) );
+           ( "adjoint gradient, workspace (CNC, 32 subs)",
+             fun () ->
+               ignore
+                 (Objective.eval_with_gradient_ws ws ~power ~totals ~e ~w_hat ~de ~dwq) );
+           ( Printf.sprintf "ACS solve (motivation, %d subs)" (Plan.size motivation),
+             solve motivation );
+           ("ACS solve (CNC, 32 subs)", solve plan) ]) )
 
-let minor_words_per_op ~reps f =
-  f ();
-  (* warm-up: fixture laziness, first-call effects *)
-  let before = Gc.minor_words () in
-  for _ = 1 to reps do
-    f ()
-  done;
-  (Gc.minor_words () -. before) /. float_of_int reps
+(* ----- pool against sequential ------------------------------------------ *)
 
-let run_solver_kernel_benchmarks ~quick () =
-  ignore (Lazy.force cnc_plan);
-  ignore (Lazy.force cnc_schedules);
-  ignore (Lazy.force motivation_plan);
-  ignore (Lazy.force rand8_plan);
-  let cfg =
-    if quick then Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~kde:None ()
-    else Benchmark.cfg ~limit:300 ~quota:(Time.second 2.) ~kde:None ()
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  List.map
-    (fun (name, thunk, reps) ->
-      let reps = if quick then max 1 (reps / 10) else reps in
-      let test = Test.make ~name (Staged.stage thunk) in
-      let results = Benchmark.all cfg instances test in
-      let times = Analyze.all ols Toolkit.Instance.monotonic_clock results in
-      let ns =
-        match Hashtbl.find_opt times name with
-        | None -> Float.nan
-        | Some ols_result -> (
-          match Analyze.OLS.estimates ols_result with
-          | Some (v :: _) -> v
-          | Some [] | None -> Float.nan)
-      in
-      { row_name = name; ns_per_op = ns;
-        minor_words_per_op = minor_words_per_op ~reps thunk })
-    (solver_kernel_cases ())
+let par_jobs = 4
 
-(* ----- multi-start parallelism ---------------------------------------- *)
-
-(* Three measurements of the same deterministic multi-start solves, all
-   asserted bit-identical across configurations:
-
-   - [stream]: many short pool-saturating solves back-to-back at
-     jobs = 4 — the serve-wave / campaign shape where the old per-call
-     domain spawn/join dominated. [speedup] compares the spawn-per-call
-     path ({!Pool.run_ephemeral}) against the persistent pool at the
-     SAME job count, so it isolates the fixed bug and is meaningful on
-     any machine; [vs_sequential] additionally needs >= jobs cores to
-     exceed 1 and is only asserted in CI (multi-core runners).
-   - [saturated]: one large CNC solve with the same 10-candidate start
-     list. Solve-dominated, so spawn overhead is invisible here — kept
-     to show exactly that.
-   - [legacy]: the original 3-start CNC case, for continuity with
-     older JSON snapshots. *)
-
-let blend a b alpha =
-  Array.mapi (fun i x -> (alpha *. x) +. ((1. -. alpha) *. b.(i))) a
+let blend a b alpha = Array.mapi (fun i x -> (alpha *. x) +. ((1. -. alpha) *. b.(i))) a
 
 (* Ten start candidates for a jobs = 4 pool: greedy + ALAP (implicit)
    plus the plan's WCS and ACS optima and six convex blends of the two.
    Both endpoints are repaired schedules, so every per-instance quota
    sum sits at its WCEC and each blend is a valid warm start. *)
-let saturating_warm_starts plan =
-  let wcs, _ = Result.get_ok (Solver.solve_wcs ~plan ~power ()) in
-  let acs, _ =
-    Result.get_ok
-      (Solver.solve_acs
-         ~warm_starts:[ (wcs.Static_schedule.end_times, wcs.Static_schedule.quotas) ]
-         ~plan ~power ())
-  in
+let saturating_warm_starts () =
+  let wcs, acs = Lazy.force cnc_schedules in
   let pair (s : Static_schedule.t) =
     (s.Static_schedule.end_times, s.Static_schedule.quotas)
   in
@@ -418,156 +236,90 @@ let saturating_warm_starts plan =
            blend wcs.Static_schedule.quotas acs.Static_schedule.quotas alpha ))
        [ 1; 2; 3; 4; 5; 6 ]
 
-type par_row = {
-  par_plan : string;
-  par_jobs : int;
-  par_solves : int;
-  seq_s : float;
-  spawn_s : float;
-  pool_s : float;
-  par_objective : float;
-  par_identical : bool;
-}
-
-let par_speedup r = r.spawn_s /. Float.max r.pool_s 1e-9
-let par_vs_sequential r = r.seq_s /. Float.max r.pool_s 1e-9
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (Unix.gettimeofday () -. t0, r)
-
-let best_of reps f =
-  let best_t = ref infinity and last = ref None in
-  for _ = 1 to reps do
-    let t, r = time f in
-    if t < !best_t then best_t := t;
-    last := Some r
-  done;
-  (!best_t, Option.get !last)
-
-let schedule_bits (s : Static_schedule.t) =
-  ( Array.map Int64.bits_of_float s.Static_schedule.end_times,
-    Array.map Int64.bits_of_float s.Static_schedule.quotas )
-
-(* Runs [solves] consecutive multi-start solves in each of three modes —
-   sequential, spawn-per-call at [jobs], persistent pool at [jobs] —
-   best-of-[reps] each, and checks the final schedules bit-identical. *)
-let parallel_measurement ~name ~plan ~solves ~reps () =
-  let warm = saturating_warm_starts plan in
-  let run jobs =
-    let last = ref None in
-    for _ = 1 to solves do
-      last := Some (Result.get_ok (Solver.solve_acs ~jobs ~warm_starts:warm ~plan ~power ()))
-    done;
-    Option.get !last
-  in
-  let seq_s, (seq_schedule, seq_stats) = best_of reps (fun () -> run 1) in
-  Pool.set_reuse false;
-  let spawn_s, _ =
-    Fun.protect ~finally:(fun () -> Pool.set_reuse true)
-      (fun () -> best_of reps (fun () -> run 4))
-  in
-  let pool_s, (pool_schedule, _) = best_of reps (fun () -> run 4) in
-  { par_plan = name; par_jobs = 4; par_solves = solves; seq_s; spawn_s; pool_s;
-    par_objective = seq_stats.Solver.objective;
-    par_identical = schedule_bits seq_schedule = schedule_bits pool_schedule }
-
-let stream_measurement ~quick () =
-  let solves = if quick then 30 else 100 in
-  let plan = Lazy.force motivation_plan in
-  parallel_measurement
-    ~name:
-      (Printf.sprintf "motivation (%d subs), 10 starts x %d solves"
-         (Plan.size plan) solves)
-    ~plan ~solves ~reps:(if quick then 2 else 3) ()
-
-let saturated_measurement ~quick () =
-  parallel_measurement ~name:"CNC (32 subs), 10 starts"
-    ~plan:(Lazy.force cnc_plan) ~solves:1 ~reps:(if quick then 1 else 2) ()
-
-(* The original 3-start measurement (greedy + ALAP + WCS warm start),
-   sequential vs persistent pool. *)
-let legacy_measurement () =
+(* One solve-dominated multi-start, sequential against the shared pool
+   at [par_jobs]: the ratio measures parallel descent work, not
+   dispatch, and exceeds 1 only with at least [par_jobs] cores. *)
+let parallel_section ~quick ~min_vs_sequential =
   let plan = Lazy.force cnc_plan in
-  let wcs, _ = Lazy.force cnc_schedules in
-  let warm = [ (wcs.Static_schedule.end_times, wcs.Static_schedule.quotas) ] in
-  let solve jobs =
-    time (fun () ->
-        Result.get_ok (Solver.solve_acs ~jobs ~warm_starts:warm ~plan ~power ()))
+  let warm_starts = saturating_warm_starts () in
+  let solve jobs () =
+    Result.get_ok (Solver.solve_acs ~jobs ~warm_starts ~plan ~power ())
   in
-  let t_seq, (seq_schedule, seq_stats) = solve 1 in
-  let t_par, (par_schedule, _) = solve 4 in
-  ( t_seq, t_par, seq_stats.Solver.objective,
-    schedule_bits seq_schedule = schedule_bits par_schedule )
+  let seq_s, pool_s, (seq, stats), (pool, _) =
+    pairs ~k:(if quick then 3 else 9) (solve 1) (solve par_jobs)
+  in
+  let identical = bits seq = bits pool and speedup = speedup seq_s pool_s in
+  Printf.printf "  CNC multi-start, 10 starts: seq %s, pool -j %d %s, seq/pool %s\n%!"
+    (show ~unit:"s" (spread seq_s)) par_jobs
+    (show ~unit:"s" (spread pool_s)) (show ~unit:"x" speedup);
+  check identical "the parallel multi-start is not bit-identical";
+  Option.iter
+    (fun floor ->
+      check (speedup.median >= floor)
+        "pool-vs-sequential speedup %.2fx below the %.2fx floor (%d cores)" speedup.median
+        floor cores)
+    min_vs_sequential;
+  ( "parallel_solve_saturated",
+    Obj
+      [ ("plan", Str "CNC (32 subs), 10 starts"); ("jobs", Int par_jobs);
+        ("pairs", Int (Array.length seq_s)); ("seq_s", times_json seq_s);
+        ("pool_s", times_json pool_s); ("vs_sequential", spread_json speedup);
+        ("objective", Num stats.Solver.objective); ("bit_identical", Bool identical) ] )
 
-(* ----- warm-start continuation ---------------------------------------- *)
+(* ----- warm against cold ------------------------------------------------ *)
 
-type warm_row = {
-  warm_plan : string;
-  cold_s : float;
-  warm_s : float;
-  close_per_point : bool;
-      (** every warm point within 5% of its cold counterpart — the same
-          bound the test suite pins. Warm's hard guarantee is
-          never-worse than its {e seed} (the previous point's solution),
-          not than the cold multi-start of the same point, so a warm
-          point can lose a basin race cold wins; 5% bounds the loss. *)
-  total_never_worse : bool;  (** summed over the sweep, warm <= cold *)
-  first_identical : bool;  (** first point is always cold in both *)
-}
+let warm_json ~plan ~cold_s ~warm_s extra =
+  Obj
+    ([ ("plan", Str plan); ("pairs", Int (Array.length cold_s));
+       ("cold_s", times_json cold_s); ("warm_s", times_json warm_s);
+       ("speedup", spread_json (speedup cold_s warm_s)) ]
+    @ extra)
 
-let warm_speedup r = r.cold_s /. Float.max r.warm_s 1e-9
-
-(* Cold vs warm CNC ratio sweep: point [i] continued from point [i-1]
-   via {!Solver.resolve_incremental}. Per-point warm stays within 5% of
-   cold, the sweep total must not regress, and the always-cold first
-   point must agree bit for bit. *)
-let continuation_measurement ~quick () =
+(* Cold against warm CNC ratio sweep: point [i] continued from point
+   [i-1] via {!Solver.resolve_incremental}. Warm's hard guarantee is
+   never-worse than its seed (the previous point's solution), not than
+   the cold multi-start of the same point, so a warm point can lose a
+   basin race cold wins; the gate bounds that loss at 5%, the bound the
+   test suite pins, and requires the sweep total never to regress. *)
+let continuation_row ~quick ~min_warm_speedup =
   let ratios =
-    if quick then [ 0.1; 0.5; 0.9 ]
-    else [ 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9 ]
+    if quick then [ 0.1; 0.5; 0.9 ] else List.init 9 (fun i -> float (i + 1) /. 10.)
   in
   let build ~ratio = Lepts_workloads.Cnc.task_set ~power ~ratio () in
-  let cold =
-    Result.get_ok (Experiments.Continuation.run ~warm:false ~ratios ~build ~power ())
+  let run warm () =
+    let r = Result.get_ok (Experiments.Continuation.run ~warm ~ratios ~build ~power ()) in
+    List.map (fun p -> p.Experiments.Continuation.predicted_energy) r.points
   in
-  let warm =
-    Result.get_ok (Experiments.Continuation.run ~warm:true ~ratios ~build ~power ())
+  let cold_s, warm_s, cold, warm =
+    pairs ~k:(if quick then 5 else 9) (run false) (run true)
   in
-  let energy (p : Experiments.Continuation.point) =
-    p.Experiments.Continuation.predicted_energy
+  let speedup = speedup cold_s warm_s and total = List.fold_left ( +. ) 0. in
+  let close = List.for_all2 (fun c w -> w <= (c *. 1.05) +. 1e-9) cold warm in
+  let never_worse = total warm <= total cold +. 1e-9 in
+  let first_identical =
+    Int64.bits_of_float (List.hd cold) = Int64.bits_of_float (List.hd warm)
   in
-  let total l =
-    List.fold_left (fun acc p -> acc +. energy p) 0.
-      l.Experiments.Continuation.points
-  in
-  let first l = energy (List.hd l.Experiments.Continuation.points) in
-  { warm_plan =
-      Printf.sprintf "CNC ratio sweep, %d points" (List.length ratios);
-    cold_s = cold.Experiments.Continuation.total_s;
-    warm_s = warm.Experiments.Continuation.total_s;
-    close_per_point =
-      List.for_all2
-        (fun c w -> energy w <= (energy c *. 1.05) +. 1e-9)
-        cold.Experiments.Continuation.points warm.Experiments.Continuation.points;
-    total_never_worse = total warm <= total cold +. 1e-9;
-    first_identical =
-      Int64.bits_of_float (first cold) = Int64.bits_of_float (first warm) }
+  let plan = Printf.sprintf "CNC ratio sweep, %d points" (List.length ratios) in
+  Printf.printf "  warm continuation (%s): cold %s, warm %s, cold/warm %s\n%!" plan
+    (show ~unit:"s" (spread cold_s)) (show ~unit:"s" (spread warm_s))
+    (show ~unit:"x" speedup);
+  check close "a warm continuation point ended >5%% worse than its cold counterpart";
+  check never_worse "the warm continuation sweep's total energy regressed vs cold";
+  check first_identical
+    "cold-vs-warm continuation sweeps differ on the always-cold first point";
+  Option.iter
+    (fun floor ->
+      check (speedup.median >= floor)
+        "warm continuation speedup %.2fx below the %.2fx floor" speedup.median floor)
+    min_warm_speedup;
+  warm_json ~plan ~cold_s ~warm_s
+    [ ("close_per_point", Bool close); ("total_never_worse", Bool never_worse);
+      ("first_point_bit_identical", Bool first_identical) ]
 
-type fig6a_warm = {
-  f6_plan : string;
-  f6_cold_s : float;
-  f6_warm_s : float;
-  f6_cold_misses : int;
-  f6_warm_misses : int;  (** both must be 0: warm-started schedules
-                             still meet every deadline *)
-}
-
-(* Cold vs warm reduced Fig-6a sweep: with [--warm-start] each set's ACS
-   solve is one continuation descent from its WCS solution instead of
-   the full multi-start. Misses must stay zero either way. *)
-let fig6a_warm_measurement ~quick () =
+(* Cold against warm reduced Fig 6(a) sweep: with [~warm_start] each
+   set's ACS solve is one continuation descent from its WCS solution
+   instead of the full multi-start. Misses must stay zero either way. *)
+let fig6a_row ~quick =
   let config =
     { Experiments.Fig6a.paper_config with
       task_counts = (if quick then [ 4 ] else [ 4; 6 ]);
@@ -575,566 +327,161 @@ let fig6a_warm_measurement ~quick () =
       sets_per_point = (if quick then 2 else 3);
       rounds = (if quick then 30 else 50) }
   in
-  let t_cold, cold = time (fun () -> Experiments.Fig6a.run config ~power) in
-  let t_warm, warm =
-    time (fun () -> Experiments.Fig6a.run ~warm_start:true config ~power)
+  let run warm_start () = Experiments.Fig6a.run ~warm_start config ~power in
+  let cold_s, warm_s, cold, warm =
+    pairs ~k:(if quick then 1 else 3) (run false) (run true)
   in
-  let misses points =
-    List.fold_left
-      (fun acc (p : Experiments.Fig6a.point) ->
-        acc + p.Experiments.Fig6a.total_misses)
-      0 points
+  let misses =
+    List.fold_left (fun acc (p : Experiments.Fig6a.point) -> acc + p.total_misses) 0
   in
-  { f6_plan =
-      Printf.sprintf "fig6a reduced sweep (%d points)" (List.length cold);
-    f6_cold_s = t_cold; f6_warm_s = t_warm;
-    f6_cold_misses = misses cold; f6_warm_misses = misses warm }
+  let plan = Printf.sprintf "fig6a reduced sweep (%d points)" (List.length cold) in
+  Printf.printf "  warm %s: cold %s, warm %s, cold/warm %s, misses %d/%d\n%!" plan
+    (show ~unit:"s" (spread cold_s)) (show ~unit:"s" (spread warm_s))
+    (show ~unit:"x" (speedup cold_s warm_s)) (misses cold) (misses warm);
+  check (misses cold = 0 && misses warm = 0)
+    "fig6a sweep produced deadline misses (%d cold, %d warm)" (misses cold) (misses warm);
+  warm_json ~plan ~cold_s ~warm_s
+    [ ("cold_misses", Int (misses cold)); ("warm_misses", Int (misses warm)) ]
 
-(* ----- huge solves ------------------------------------------------------ *)
+(* ----- solver work ------------------------------------------------------ *)
 
-type huge_row = {
-  huge_name : string;
-  huge_subs : int;
-  huge_solve_s : float;
-  huge_objective : float;
-}
+(* The two largest plans, 660 subs under the default expansion cap and
+   1936 with it raised (seed 104 is the first seed whose 16-task draw
+   is RM-schedulable at that size), each with the inner iterations its
+   ACS solve performs, summed over every start. The solver is
+   deterministic, so the counts are the same on every machine, and the
+   gate allows [work_slack] of them. A deliberate change to the
+   solver's iteration counts updates these constants and says why in
+   CHANGES.md. *)
+let work_cases =
+  [ (random_plan ~n:8 ~seed:108 ~max_subs:1000, 3780);
+    (random_plan ~n:16 ~seed:104 ~max_subs:2600, 4020) ]
 
-let huge_speedup_vs_seed r = seed_acs_n8_ns /. Float.max (r.huge_solve_s *. 1e9) 1e-9
+let work_slack = 1.10
 
-(* Full ACS multi-start solves at the two largest plan sizes; the n=8
-   time also feeds [--min-huge-speedup]. Bit-identity of these solves
-   with the dense reference is a test-suite check (test_structure.ml),
-   not a bench one. *)
-let huge_measurement ~quick () =
-  let reps = if quick then 1 else 2 in
-  let measure plan_lazy =
-    let plan = Lazy.force plan_lazy in
-    let solve_s, (_, stats) =
-      best_of reps (fun () -> Result.get_ok (Solver.solve_acs ~plan ~power ()))
-    in
-    { huge_name = Printf.sprintf "ACS solve (%d subs)" (Plan.size plan);
-      huge_subs = Plan.size plan; huge_solve_s = solve_s;
-      huge_objective = stats.Solver.objective }
+let work_case ~k (plan, recorded) =
+  let plan = Lazy.force plan in
+  let subs = Plan.size plan in
+  let solve () =
+    let sink = Telemetry.solve_sink ~label:"bench" () in
+    let _, stats = Result.get_ok (Solver.solve_acs ~telemetry:sink ~plan ~power ()) in
+    (stats, sink.Telemetry.starts)
   in
-  (measure rand8_plan, measure rand16_plan)
+  let runs = Array.init k (fun _ -> time solve) in
+  let solve_s = Array.map fst runs and stats, starts = snd runs.(0) in
+  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 starts in
+  let inner = sum (fun s -> s.Telemetry.inner_iterations) in
+  let limit = int_of_float (float_of_int recorded *. work_slack) in
+  Printf.printf
+    "  ACS solve (%d subs): %d inner iterations over %d starts (recorded %d, limit \
+     %d), %s\n%!"
+    subs inner (Array.length starts) recorded limit (show ~unit:"s" (spread solve_s));
+  check (inner <= limit)
+    "ACS solve (%d subs): %d inner iterations exceed %d (%.0f%% of the recorded %d)" subs
+    inner limit (work_slack *. 100.) recorded;
+  Obj
+    [ ("plan", Str (Printf.sprintf "ACS solve (%d subs)" subs)); ("subs", Int subs);
+      ("starts", Int (Array.length starts)); ("inner_iterations", Int inner);
+      ("recorded_inner_iterations", Int recorded);
+      ("outer_rounds", Int (sum (fun s -> s.Telemetry.outer_rounds)));
+      ("solve_s", times_json solve_s); ("objective", Num stats.Solver.objective) ]
 
-(* ----- adaptive estimator smoke sweep ---------------------------------- *)
+let work_section ~quick =
+  ( "solver_work",
+    Obj
+      [ ("limit_pct_of_recorded", Num (work_slack *. 100.));
+        ("cases", List (List.map (work_case ~k:(if quick then 1 else 3)) work_cases)) ] )
 
-type adaptive_row = {
-  ad_label : string;
-  ad_static_mean : float;
-  ad_adaptive_mean : float;
-  ad_improvement_pct : float;
-  ad_resolves : int;
-  ad_drift_events : int;
-  ad_identical : bool;  (** -j 1 vs -j 4, summaries and estimates bit for bit *)
-}
+(* ----- telemetry overhead ----------------------------------------------- *)
 
-(* Static-ACS vs adaptive-ACS under a drifting workload (overruns push
-   the observed mean above the offline ACEC; the bimodal arm sits far
-   below it) — the smoke version of `lepts faults --adaptive`. The
-   energy delta is recorded in BENCH_solver.json without a gating floor
-   yet; the -j bit-identity, like every other parallel path's, is
-   asserted. *)
-let adaptive_measurement ~quick () =
+(* The same CNC ACS solve without and with a convergence sink. The
+   sink counts every record pushed to it (one per inner iteration of
+   every start), ring wrap or not, so a pair's per-record cost is its
+   time difference over that count. One solve varies by more than the
+   whole capture costs, so the gate reads the median over many pairs,
+   timed in CPU time: the solve runs on one domain, and time spent
+   waiting for a core on a shared machine would land on one side of a
+   pair. *)
+let telemetry_section ~quick ~max_telemetry_overhead_ns =
   let plan = Lazy.force cnc_plan in
-  let schedule, _ = Result.get_ok (Solver.solve_acs ~plan ~power ()) in
-  let spec =
-    { Lepts_robust.Fault_injector.seed = 2005; overrun_prob = 0.1;
-      overrun_factor = 1.5; jitter_prob = 0.05; jitter_frac = 0.1;
-      denial_prob = 0.05 }
+  let off () = Result.get_ok (Solver.solve_acs ~plan ~power ()) in
+  let on () =
+    let sink = Telemetry.solve_sink ~label:"bench" () in
+    (Result.get_ok (Solver.solve_acs ~telemetry:sink ~plan ~power ()), sink)
   in
-  let rounds = if quick then 120 else 300 in
-  let config =
-    { Lepts_robust.Adaptive.estimator = Lepts_sim.Estimator.default_config;
-      resolve_every = 10 }
-  in
-  let sweep jobs =
-    Lepts_robust.Adaptive.sweep ~rounds ~jobs ~config ~spec ~schedule
-      ~policy:Lepts_dvs.Policy.Greedy ~seed:2007 ()
-  in
-  let summary_bits (s : Lepts_sim.Runner.summary) =
-    List.map Int64.bits_of_float
-      [ s.Lepts_sim.Runner.mean_energy; s.Lepts_sim.Runner.p95_energy;
-        s.Lepts_sim.Runner.p99_energy; s.Lepts_sim.Runner.max_energy ]
-  in
-  List.map2
-    (fun (p : Lepts_robust.Adaptive.point) (q : Lepts_robust.Adaptive.point) ->
-      { ad_label = p.Lepts_robust.Adaptive.label;
-        ad_static_mean =
-          p.Lepts_robust.Adaptive.static_summary.Lepts_sim.Runner.mean_energy;
-        ad_adaptive_mean =
-          p.Lepts_robust.Adaptive.adaptive_summary.Lepts_sim.Runner.mean_energy;
-        ad_improvement_pct = p.Lepts_robust.Adaptive.improvement_pct;
-        ad_resolves =
-          p.Lepts_robust.Adaptive.counters.Lepts_robust.Adaptive.resolves;
-        ad_drift_events =
-          p.Lepts_robust.Adaptive.counters.Lepts_robust.Adaptive.drift_events;
-        ad_identical =
-          summary_bits p.Lepts_robust.Adaptive.static_summary
-            = summary_bits q.Lepts_robust.Adaptive.static_summary
-          && summary_bits p.Lepts_robust.Adaptive.adaptive_summary
-             = summary_bits q.Lepts_robust.Adaptive.adaptive_summary
-          && Array.map Int64.bits_of_float p.Lepts_robust.Adaptive.estimates
-             = Array.map Int64.bits_of_float q.Lepts_robust.Adaptive.estimates
-          && p.Lepts_robust.Adaptive.counters = q.Lepts_robust.Adaptive.counters })
-    (sweep 1) (sweep 4)
-
-type serve_row = {
-  sv_requests : int;  (** NDJSON lines per run *)
-  sv_cold_s : float;  (** best-of wall clock, fresh cache *)
-  sv_warm_s : float;  (** best-of wall clock, cache warmed by one run *)
-  sv_coalesced : int;  (** duplicates served by an in-flight solve (cold) *)
-  sv_identical : bool;  (** -j 1 vs -j 4 cold reports, byte for byte *)
-}
-
-let serve_cold_rps r = float_of_int r.sv_requests /. Float.max r.sv_cold_s 1e-9
-let serve_warm_rps r = float_of_int r.sv_requests /. Float.max r.sv_warm_s 1e-9
-
-(* Serve-engine throughput: one fixed NDJSON batch through the full
-   admission → route → coalesce → solve → fold pipeline, cold
-   (fresh cache each rep) and warm (cache populated by one priming
-   run, so every request replays a stored schedule). The batch mixes
-   duplicate content (coalescing), a ratio ladder on a shared family
-   (warm chaining) and distinct seeds (real solves). [warm_rps] is the
-   daemon's steady-state ceiling and carries the CI floor; the cold
-   -j 1 and -j 4 reports are byte-diffed — the determinism contract
-   the socket-soak job relies on. *)
-let serve_measurement ~quick () =
-  let module Service = Lepts_serve.Service in
-  let module Cache = Lepts_serve.Cache in
-  let n = if quick then 24 else 96 in
-  (* Each wave of 8 carries one 3-request ratio ladder on a shared
-     family (chained, each solve warm-starting the next), one
-     content-identical pair (coalesced onto a single solve) and three
-     solo solves; seeds shift per wave so the cold run keeps solving
-     past the first wave. *)
-  let lines =
-    List.init n (fun i ->
-        let wave_i = i / 8 and k = i mod 8 in
-        let tasks, seed, ratio =
-          if k < 3 then (3, 11 + wave_i, [| 0.1; 0.3; 0.5 |].(k))
-          else if k < 5 then (2, 41 + wave_i, 0.2)
-          else (2, (100 * (k - 4)) + wave_i, 0.4)
-        in
-        Printf.sprintf
-          {|{"id":"bench-%d","tasks":%d,"ratio":%g,"seed":%d,"rounds":0}|}
-          i tasks ratio seed)
-  in
-  let fresh () = Cache.create ~fingerprint:"bench" () in
-  let run ~jobs ~cache () =
-    let config =
-      { Service.default_config with Service.jobs; wave = 8; high_water = n }
-    in
-    Service.run ~config ~power ~cache ~lines ()
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let reps = if quick then 2 else 4 in
-  let cold_s = ref infinity in
-  let cold_report = ref None in
-  for _ = 1 to reps do
-    let dt, r = time (fun () -> run ~jobs:4 ~cache:(fresh ()) ()) in
-    if dt < !cold_s then cold_s := dt;
-    cold_report := Some r
-  done;
-  let warm_cache = fresh () in
-  ignore (run ~jobs:4 ~cache:warm_cache ());
-  let warm_s = ref infinity in
-  for _ = 1 to reps do
-    let dt, _ = time (fun () -> run ~jobs:4 ~cache:warm_cache ()) in
-    if dt < !warm_s then warm_s := dt
-  done;
-  let render report =
-    let path = Filename.temp_file "lepts-bench-serve" ".ndjson" in
-    let oc = open_out path in
-    Service.print_report ~oc report;
-    close_out oc;
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    Sys.remove path;
-    s
-  in
-  let r1 = run ~jobs:1 ~cache:(fresh ()) () in
-  let r4 = run ~jobs:4 ~cache:(fresh ()) () in
-  { sv_requests = n; sv_cold_s = !cold_s; sv_warm_s = !warm_s;
-    sv_coalesced =
-      (match !cold_report with
-      | Some r -> r.Service.coalesced
-      | None -> 0);
-    sv_identical = render r1 = render r4 }
-
-(* Telemetry overhead: the same deterministic ACS solve with and
-   without a convergence sink, best-of-[reps] wall clock each way. The
-   per-iteration cost is the wall-clock delta divided by the number of
-   records actually pushed (every inner iteration of every start), and
-   the two solves are compared bit-for-bit — the capture must be free
-   of observable effect, and CI additionally bounds its cost via
-   [--max-telemetry-overhead-ns]. *)
-let telemetry_overhead_measurement ~quick () =
-  let plan = Lazy.force cnc_plan in
-  let reps = if quick then 3 else 8 in
-  let time ~mk =
-    let best = ref infinity in
-    let result = ref None in
-    for _ = 1 to reps do
-      let telemetry = mk () in
-      let t0 = Unix.gettimeofday () in
-      let r = Result.get_ok (Solver.solve_acs ?telemetry ~plan ~power ()) in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt;
-      result := Some (r, telemetry)
-    done;
-    (!best, Option.get !result)
-  in
-  let off_s, ((off_sched, off_stats), _) = time ~mk:(fun () -> None) in
-  let on_s, ((on_sched, on_stats), sink) =
-    time ~mk:(fun () ->
-        (* Default ring capacity: [pushed] counts every record whether
-           or not the ring wrapped, so the denominator stays exact. *)
-        Some (Lepts_obs.Telemetry.solve_sink ~label:"bench" ()))
-  in
-  let bits = Array.map Int64.bits_of_float in
-  let bit_identical =
-    Int64.bits_of_float off_stats.Solver.objective
-    = Int64.bits_of_float on_stats.Solver.objective
-    && bits off_sched.Static_schedule.end_times
-       = bits on_sched.Static_schedule.end_times
-    && bits off_sched.Static_schedule.quotas = bits on_sched.Static_schedule.quotas
+  let off_s, on_s, (off_sched, off_stats), ((on_sched, on_stats), sink) =
+    pairs ~clock:Sys.time ~k:(if quick then 41 else 81) off on
   in
   let records =
-    match sink with
-    | None -> 0
-    | Some s ->
-      Array.fold_left
-        (fun acc (st : Lepts_obs.Telemetry.start) ->
-          acc + Lepts_obs.Telemetry.pushed st.Lepts_obs.Telemetry.s_ring)
-        0 s.Lepts_obs.Telemetry.starts
+    Array.fold_left
+      (fun acc (s : Telemetry.start) -> acc + Telemetry.pushed s.Telemetry.s_ring)
+      0 sink.Telemetry.starts
   in
-  let overhead_ns =
-    (on_s -. off_s) *. 1e9 /. float_of_int (max 1 records)
+  let per_record off on = (on -. off) *. 1e9 /. float_of_int records in
+  let overhead = spread (Array.map2 per_record off_s on_s) in
+  let identical =
+    Int64.bits_of_float off_stats.Solver.objective
+    = Int64.bits_of_float on_stats.Solver.objective
+    && bits off_sched = bits on_sched
   in
-  (off_s, on_s, records, overhead_ns, bit_identical)
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float x = if Float.is_finite x then Printf.sprintf "%.3f" x else "null"
-
-let emit_par_row oc key r =
-  let out fmt = Printf.fprintf oc fmt in
-  out "  \"%s\": {\n" key;
-  out "    \"plan\": \"%s\",\n" (json_escape r.par_plan);
-  out "    \"jobs\": %d,\n" r.par_jobs;
-  out "    \"solves\": %d,\n" r.par_solves;
-  out "    \"seq_s\": %s,\n" (json_float r.seq_s);
-  out "    \"spawn_s\": %s,\n" (json_float r.spawn_s);
-  out "    \"pool_s\": %s,\n" (json_float r.pool_s);
-  out "    \"speedup\": %s,\n" (json_float (par_speedup r));
-  out "    \"vs_sequential\": %s,\n" (json_float (par_vs_sequential r));
-  out "    \"objective\": %s,\n" (json_float r.par_objective);
-  out "    \"bit_identical\": %b\n" r.par_identical;
-  out "  },\n"
-
-let emit_huge_row oc ~last r =
-  let out fmt = Printf.fprintf oc fmt in
-  out "    {\"plan\": \"%s\", \"subs\": %d, \"solve_s\": %s, "
-    (json_escape r.huge_name) r.huge_subs (json_float r.huge_solve_s);
-  out "\"speedup_vs_seed\": %s, \"objective\": %s}%s\n"
-    (json_float (huge_speedup_vs_seed r)) (json_float r.huge_objective)
-    (if last then "" else ",")
-
-let emit_solver_json ~path ~quick rows ~stream ~saturated
-    ~legacy:(t_seq, t_par, objective, identical) ~continuation ~fig6a
-    ~huge:(huge_n8, huge_n16) ~adaptive ~serve
-    (tel_off_s, tel_on_s, tel_records, tel_overhead_ns, tel_identical) =
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"schema\": \"lepts-bench-solver/6\",\n";
-  out "  \"quick\": %b,\n" quick;
-  out "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
-  out "  \"benchmarks\": [\n";
-  List.iteri
-    (fun i r ->
-      out "    {\"name\": \"%s\", \"ns_per_op\": %s, \"minor_words_per_op\": %s}%s\n"
-        (json_escape r.row_name) (json_float r.ns_per_op)
-        (json_float r.minor_words_per_op)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  out "  ],\n";
-  (* [speedup] is spawn-per-call vs persistent pool at the same job
-     count (the bug this JSON tracks — machine-independent);
-     [vs_sequential] needs >= jobs cores to exceed 1. *)
-  emit_par_row oc "parallel_solve" stream;
-  emit_par_row oc "parallel_solve_saturated" saturated;
-  out "  \"parallel_solve_legacy\": {\n";
-  out "    \"plan\": \"CNC (32 subs), 3 starts\",\n";
-  out "    \"jobs\": 4,\n";
-  out "    \"seq_s\": %s,\n" (json_float t_seq);
-  out "    \"par_s\": %s,\n" (json_float t_par);
-  out "    \"speedup\": %s,\n" (json_float (t_seq /. Float.max t_par 1e-9));
-  out "    \"objective\": %s,\n" (json_float objective);
-  out "    \"bit_identical\": %b\n" identical;
-  out "  },\n";
-  out "  \"warm_start\": {\n";
-  out "    \"continuation\": {\n";
-  out "      \"plan\": \"%s\",\n" (json_escape continuation.warm_plan);
-  out "      \"cold_s\": %s,\n" (json_float continuation.cold_s);
-  out "      \"warm_s\": %s,\n" (json_float continuation.warm_s);
-  out "      \"speedup\": %s,\n" (json_float (warm_speedup continuation));
-  out "      \"close_per_point\": %b,\n" continuation.close_per_point;
-  out "      \"total_never_worse\": %b,\n" continuation.total_never_worse;
-  out "      \"first_point_bit_identical\": %b\n" continuation.first_identical;
-  out "    },\n";
-  out "    \"fig6a\": {\n";
-  out "      \"plan\": \"%s\",\n" (json_escape fig6a.f6_plan);
-  out "      \"cold_s\": %s,\n" (json_float fig6a.f6_cold_s);
-  out "      \"warm_s\": %s,\n" (json_float fig6a.f6_warm_s);
-  out "      \"speedup\": %s,\n"
-    (json_float (fig6a.f6_cold_s /. Float.max fig6a.f6_warm_s 1e-9));
-  out "      \"cold_misses\": %d,\n" fig6a.f6_cold_misses;
-  out "      \"warm_misses\": %d\n" fig6a.f6_warm_misses;
-  out "    }\n";
-  out "  },\n";
-  (* [speedup_vs_seed] divides the recorded pre-PR-8 n=8 solve time by
-     the measured solve wall clock, so it understates the true gain
-     on machines slower than the recording one. *)
-  out "  \"huge_solve\": {\n";
-  out "    \"seed_acs_n8_ns\": %s,\n" (json_float seed_acs_n8_ns);
-  out "    \"cases\": [\n";
-  emit_huge_row oc ~last:false huge_n8;
-  emit_huge_row oc ~last:true huge_n16;
-  out "    ]\n";
-  out "  },\n";
-  (* Energy delta recorded, not gated: improvement depends on how far
-     the drifting workload sits from the offline ACEC, so no floor yet.
-     [bit_identical] compares the -j 1 and -j 4 sweeps and IS gated. *)
-  out "  \"adaptive\": {\n";
-  out "    \"plan\": \"CNC (32 subs), static vs adaptive ACS\",\n";
-  out "    \"arms\": [\n";
-  List.iteri
-    (fun i r ->
-      out "      {\"label\": \"%s\", \"static_mean_energy\": %s, "
-        (json_escape r.ad_label) (json_float r.ad_static_mean);
-      out "\"adaptive_mean_energy\": %s, \"improvement_pct\": %s, "
-        (json_float r.ad_adaptive_mean) (json_float r.ad_improvement_pct);
-      out "\"resolves\": %d, \"drift_events\": %d, \"bit_identical\": %b}%s\n"
-        r.ad_resolves r.ad_drift_events r.ad_identical
-        (if i = List.length adaptive - 1 then "" else ","))
-    adaptive;
-  out "    ]\n";
-  out "  },\n";
-  (* [warm_rps] is the steady-state daemon ceiling (every request a
-     cache hit) and carries the [--min-serve-throughput] floor;
-     [bit_identical] byte-diffs the cold -j 1 and -j 4 reports. *)
-  out "  \"serve_throughput\": {\n";
-  out "    \"plan\": \"%d NDJSON requests (tasks 2-3), -j 4, waves of 8\",\n"
-    serve.sv_requests;
-  out "    \"requests\": %d,\n" serve.sv_requests;
-  out "    \"cold_s\": %s,\n" (json_float serve.sv_cold_s);
-  out "    \"warm_s\": %s,\n" (json_float serve.sv_warm_s);
-  out "    \"cold_rps\": %s,\n" (json_float (serve_cold_rps serve));
-  out "    \"warm_rps\": %s,\n" (json_float (serve_warm_rps serve));
-  out "    \"coalesced\": %d,\n" serve.sv_coalesced;
-  out "    \"bit_identical\": %b\n" serve.sv_identical;
-  out "  },\n";
-  out "  \"telemetry\": {\n";
-  out "    \"plan\": \"CNC (32 subs), ACS solve\",\n";
-  out "    \"off_s\": %s,\n" (json_float tel_off_s);
-  out "    \"on_s\": %s,\n" (json_float tel_on_s);
-  out "    \"records\": %d,\n" tel_records;
-  out "    \"overhead_ns_per_inner_iteration\": %s,\n" (json_float tel_overhead_ns);
-  out "    \"bit_identical\": %b\n" tel_identical;
-  out "  }\n";
-  out "}\n";
-  close_out oc
-
-let print_solver_kernel_rows rows =
-  section "Solver kernels (time and minor allocation per run)";
-  List.iter
-    (fun r ->
-      Printf.printf "  %-44s %12.1f ns/run %12.1f minor words/run\n%!" r.row_name
-        r.ns_per_op r.minor_words_per_op)
-    rows
-
-let print_par_row label r =
   Printf.printf
-    "  %s: seq %.3fs, spawn -j %d %.3fs, pool -j %d %.3fs — spawn/pool %.2fx, \
-     seq/pool %.2fx, identical: %b\n%!"
-    label r.seq_s r.par_jobs r.spawn_s r.par_jobs r.pool_s (par_speedup r)
-    (par_vs_sequential r) r.par_identical
+    "  telemetry (CNC ACS solve, %d pairs, CPU time): %s ns per record (%d records)\n%!"
+    (Array.length off_s) (show overhead) records;
+  check identical "solver results differ with telemetry enabled";
+  Option.iter
+    (fun budget ->
+      check (overhead.median <= budget)
+        "telemetry overhead %.1f ns/record exceeds the %.1f ns budget" overhead.median
+        budget)
+    max_telemetry_overhead_ns;
+  ( "telemetry",
+    Obj
+      [ ("plan", Str "CNC (32 subs), ACS solve"); ("pairs", Int (Array.length off_s));
+        ("records", Int records); ("off_cpu_s", times_json off_s);
+        ("on_cpu_s", times_json on_s);
+        ("overhead_ns_per_record", spread_json overhead);
+        ("bit_identical", Bool identical) ] )
 
-let print_huge_row r =
-  Printf.printf "  huge %s: %.3fs — %.1fx vs recorded seed\n%!" r.huge_name
-    r.huge_solve_s (huge_speedup_vs_seed r)
+(* ----- entry point ------------------------------------------------------ *)
 
-let run_solver_json ~path ~quick ~max_telemetry_overhead_ns ~min_parallel_speedup
-    ~min_vs_sequential ~min_warm_speedup ~min_huge_speedup
-    ~min_serve_throughput () =
-  let rows = run_solver_kernel_benchmarks ~quick () in
-  print_solver_kernel_rows rows;
-  let stream = stream_measurement ~quick () in
-  print_par_row stream.par_plan stream;
-  let saturated = saturated_measurement ~quick () in
-  print_par_row saturated.par_plan saturated;
-  let legacy = legacy_measurement () in
-  let t_seq, t_par, _, legacy_identical = legacy in
-  Printf.printf
-    "  CNC 3 starts (legacy): -j 1 %.2fs, -j 4 %.2fs (%.2fx), identical: %b\n%!"
-    t_seq t_par (t_seq /. Float.max t_par 1e-9) legacy_identical;
-  let continuation = continuation_measurement ~quick () in
-  Printf.printf
-    "  warm continuation (%s): cold %.2fs, warm %.2fs (%.2fx), close per point: \
-     %b, total never worse: %b\n%!"
-    continuation.warm_plan continuation.cold_s continuation.warm_s
-    (warm_speedup continuation) continuation.close_per_point
-    continuation.total_never_worse;
-  let fig6a = fig6a_warm_measurement ~quick () in
-  Printf.printf
-    "  warm fig6a (%s): cold %.2fs, warm %.2fs (%.2fx), misses %d/%d\n%!"
-    fig6a.f6_plan fig6a.f6_cold_s fig6a.f6_warm_s
-    (fig6a.f6_cold_s /. Float.max fig6a.f6_warm_s 1e-9)
-    fig6a.f6_cold_misses fig6a.f6_warm_misses;
-  let ((huge_n8, huge_n16) as huge) = huge_measurement ~quick () in
-  print_huge_row huge_n8;
-  print_huge_row huge_n16;
-  let adaptive = adaptive_measurement ~quick () in
-  List.iter
-    (fun r ->
-      Printf.printf
-        "  adaptive %s: static %.4f, adaptive %.4f (%+.1f%%), %d resolves, \
-         %d drift events, identical: %b\n%!"
-        r.ad_label r.ad_static_mean r.ad_adaptive_mean r.ad_improvement_pct
-        r.ad_resolves r.ad_drift_events r.ad_identical)
-    adaptive;
-  let serve = serve_measurement ~quick () in
-  Printf.printf
-    "  serve: %d requests — cold %.3fs (%.1f req/s), warm %.3fs (%.1f req/s), \
-     coalesced %d, identical: %b\n%!"
-    serve.sv_requests serve.sv_cold_s (serve_cold_rps serve) serve.sv_warm_s
-    (serve_warm_rps serve) serve.sv_coalesced serve.sv_identical;
-  let tel = telemetry_overhead_measurement ~quick () in
-  let tel_off, tel_on, tel_records, tel_overhead, tel_identical = tel in
-  Printf.printf
-    "  telemetry: off %.3fs, on %.3fs — %.1f ns per inner iteration (%d records), \
-     identical: %b\n%!"
-    tel_off tel_on tel_overhead tel_records tel_identical;
-  emit_solver_json ~path ~quick rows ~stream ~saturated ~legacy ~continuation
-    ~fig6a ~huge ~adaptive ~serve tel;
-  Printf.printf "wrote %s\n%!" path;
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  if not tel_identical then
-    fail "solver results differ with telemetry enabled";
-  if not (stream.par_identical && saturated.par_identical && legacy_identical)
-  then fail "parallel multi-start results are not bit-identical";
-  if not (List.for_all (fun r -> r.ad_identical) adaptive) then
-    fail "adaptive estimator sweep differs between -j 1 and -j 4";
-  if not continuation.close_per_point then
-    fail "a warm continuation point ended >5%% worse than its cold counterpart";
-  if not continuation.total_never_worse then
-    fail "the warm continuation sweep's total energy regressed vs cold";
-  if not continuation.first_identical then
-    fail "cold-vs-warm continuation sweeps differ on the always-cold first point";
-  if fig6a.f6_cold_misses <> 0 || fig6a.f6_warm_misses <> 0 then
-    fail "fig6a sweep produced deadline misses (%d cold, %d warm)"
-      fig6a.f6_cold_misses fig6a.f6_warm_misses;
-  (match max_telemetry_overhead_ns with
-  | Some budget when tel_overhead > budget ->
-    fail "telemetry overhead %.1f ns/inner-iteration exceeds the %.1f ns budget"
-      tel_overhead budget
-  | _ -> ());
-  (match min_parallel_speedup with
-  | Some floor when par_speedup stream < floor ->
-    fail "spawn-vs-pool speedup %.2fx below the %.2fx floor"
-      (par_speedup stream) floor
-  | _ -> ());
-  (* Asserted on the saturated CNC solve (solve-dominated, so the
-     number reflects actual parallel descent work, not dispatch). *)
-  (match min_vs_sequential with
-  | Some floor when par_vs_sequential saturated < floor ->
-    fail "pool-vs-sequential speedup %.2fx below the %.2fx floor (%d cores)"
-      (par_vs_sequential saturated) floor
-      (Domain.recommended_domain_count ())
-  | _ -> ());
-  (match min_warm_speedup with
-  | Some floor when warm_speedup continuation < floor ->
-    fail "warm continuation speedup %.2fx below the %.2fx floor"
-      (warm_speedup continuation) floor
-  | _ -> ());
-  (match min_huge_speedup with
-  | Some floor when huge_speedup_vs_seed huge_n8 < floor ->
-    fail "huge-solve speedup %.2fx vs the recorded seed below the %.2fx floor"
-      (huge_speedup_vs_seed huge_n8) floor
-  | _ -> ());
-  if not serve.sv_identical then
-    fail "serve reports differ between -j 1 and -j 4";
-  (* Gated on the warm (all-cache-hit) rate: it measures the serve
-     engine itself — admission, routing, cache replay, folding — not
-     NLP solve time, so it is comparatively machine-stable. *)
-  (match min_serve_throughput with
-  | Some floor when serve_warm_rps serve < floor ->
-    fail "warm serve throughput %.1f req/s below the %.1f req/s floor"
-      (serve_warm_rps serve) floor
-  | _ -> ());
+let () =
+  let args = Array.to_list Sys.argv in
+  let rec value flag = function
+    | f :: v :: _ when f = flag -> Some v
+    | _ :: rest -> value flag rest
+    | [] -> None
+  in
+  let float_flag flag = Option.map float_of_string (value flag args) in
+  let quick = List.mem "--quick" args in
+  Printf.printf "=== Solver benchmark (%d core(s)%s) ===\n%!" cores
+    (if quick then ", quick" else "");
+  let kernels = kernel_section ~quick in
+  let parallel =
+    parallel_section ~quick ~min_vs_sequential:(float_flag "--min-vs-sequential")
+  in
+  let continuation =
+    continuation_row ~quick ~min_warm_speedup:(float_flag "--min-warm-speedup")
+  in
+  let fig6a = fig6a_row ~quick in
+  let work = work_section ~quick in
+  let telemetry =
+    telemetry_section ~quick
+      ~max_telemetry_overhead_ns:(float_flag "--max-telemetry-overhead-ns")
+  in
+  Option.iter
+    (fun path ->
+      let b = Buffer.create 4096 in
+      emit b 0
+        (Obj
+           [ ("schema", Str "lepts-bench-solver/7"); ("quick", Bool quick);
+             ("cores", Int cores); kernels; parallel;
+             ("warm_start", Obj [ ("continuation", continuation); ("fig6a", fig6a) ]);
+             work; telemetry ]);
+      Buffer.add_char b '\n';
+      Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc b);
+      Printf.printf "wrote %s\n%!" path)
+    (value "--json" args);
   if !failures <> [] then begin
     List.iter (fun s -> Printf.eprintf "FAIL: %s\n%!" s) (List.rev !failures);
     exit 1
   end
-
-let () =
-  (* `--json PATH [--quick] [--max-telemetry-overhead-ns N]
-     [--min-parallel-speedup X] [--min-vs-sequential X]
-     [--min-warm-speedup X] [--min-huge-speedup X]
-     [--min-serve-throughput X]` runs only the
-     solver-kernel group and writes the machine-readable summary (the
-     CI smoke step), failing when a floor is violated; no arguments
-     runs the full reproduction + benchmark pipeline.
-     [--min-vs-sequential] should only be set on machines with >= 4
-     cores — spawn-vs-pool, the warm floor and the huge-solve floor are
-     meaningful anywhere ([--min-huge-speedup] compares against the
-     recorded pre-PR-8 seed time, so set it well below the expected
-     gain to absorb machine differences). *)
-  let args = Array.to_list Sys.argv in
-  let quick = List.mem "--quick" args in
-  let rec find_opt_value flag = function
-    | f :: v :: _ when f = flag -> Some v
-    | _ :: rest -> find_opt_value flag rest
-    | [] -> None
-  in
-  let float_flag flag = Option.map float_of_string (find_opt_value flag args) in
-  let json_path args = find_opt_value "--json" args in
-  let max_telemetry_overhead_ns = float_flag "--max-telemetry-overhead-ns" in
-  match json_path args with
-  | Some path ->
-    run_solver_json ~path ~quick ~max_telemetry_overhead_ns
-      ~min_parallel_speedup:(float_flag "--min-parallel-speedup")
-      ~min_vs_sequential:(float_flag "--min-vs-sequential")
-      ~min_warm_speedup:(float_flag "--min-warm-speedup")
-      ~min_huge_speedup:(float_flag "--min-huge-speedup")
-      ~min_serve_throughput:(float_flag "--min-serve-throughput") ()
-  | None ->
-    regenerate_motivation ();
-    regenerate_fig6a ();
-    regenerate_fig6b ();
-    regenerate_policy_ablation ();
-    regenerate_design_ablations ();
-    parallel_speedup ();
-    run_benchmarks ();
-    print_solver_kernel_rows (run_solver_kernel_benchmarks ~quick:false ());
-    print_endline "\nbench: done"

@@ -269,9 +269,3 @@ let eval_with_gradient_ws (ws : Workspace.t) ~power ~totals ~e ~w_hat ~de ~dwq =
     done
   done;
   !energy
-
-let eval_with_gradient ~plan ~power ~totals ~e ~w_hat =
-  let ws = Workspace.create plan in
-  let de = Array.make ws.Workspace.m 0. and dwq = Array.make ws.Workspace.m 0. in
-  let energy = eval_with_gradient_ws ws ~power ~totals ~e ~w_hat ~de ~dwq in
-  (energy, de, dwq)

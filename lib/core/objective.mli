@@ -98,13 +98,3 @@ val eval_with_gradient_ws :
     numerical differentiation. Requires the ideal delay model; raises
     [Invalid_argument] for the alpha model (use numerical
     differentiation there — see {!Solver}). *)
-
-val eval_with_gradient :
-  plan:Lepts_preempt.Plan.t ->
-  power:Lepts_power.Model.t ->
-  totals:float array array ->
-  e:float array ->
-  w_hat:float array ->
-  float * float array * float array
-(** [(energy, de, dw_hat)]: {!eval_with_gradient_ws} on a throwaway
-    workspace, for one-off callers. *)

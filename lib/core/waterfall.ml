@@ -37,15 +37,6 @@ let distribute_into ~quotas ~n ~totals ~j ~into =
     into.(k) <- w
   done
 
-let partial_index ~quotas ~total =
-  let dist = distribute ~quotas ~total in
-  let rec find k =
-    if k >= Array.length dist then None
-    else if dist.(k) > 0. && dist.(k) < quotas.(k) then Some k
-    else find (k + 1)
-  in
-  find 0
-
 (* Derivative structure: sub-instances before the partial one satisfy
    w_k = q_k (dw_k/dq_k = 1); the partial one satisfies
    w_p = total - sum_{l<p} q_l (dw_p/dq_l = -1 for l < p); later ones

@@ -32,10 +32,6 @@ val distribute_into :
     the call (no cross-module float unboxing without flambda).
     Bit-identical to [distribute] on the prefix. *)
 
-val partial_index : quotas:float array -> total:float -> int option
-(** Index of the unique sub-instance that is only partially filled
-    ([0 < w_k < q_k]), if any. *)
-
 val backward :
   quotas:float array -> total:float -> adjoint:float array -> float array
 (** [backward ~quotas ~total ~adjoint] is the vector-Jacobian product

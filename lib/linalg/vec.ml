@@ -1,8 +1,6 @@
 type t = float array
 
-let create n x = Array.make n x
 let zeros n = Array.make n 0.
-let of_list = Array.of_list
 let copy = Array.copy
 let dim = Array.length
 
@@ -39,12 +37,6 @@ let sub_into a b ~into =
     into.(i) <- a.(i) -. b.(i)
   done
 
-let axpy_ip a x ~into =
-  check_dims "axpy_ip" x into;
-  for i = 0 to Array.length x - 1 do
-    into.(i) <- into.(i) +. (a *. x.(i))
-  done
-
 let dot a b =
   check_dims "dot" a b;
   let acc = ref 0. in
@@ -76,10 +68,6 @@ let for_all2 f a b =
   check_dims "for_all2" a b;
   let rec go i = i >= Array.length a || (f a.(i) b.(i) && go (i + 1)) in
   go 0
-
-let max_elt a =
-  if Array.length a = 0 then invalid_arg "Vec.max_elt: empty vector";
-  Array.fold_left Float.max a.(0) a
 
 let concat parts = Array.concat parts
 

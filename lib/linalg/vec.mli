@@ -6,9 +6,7 @@
 
 type t = float array
 
-val create : int -> float -> t
 val zeros : int -> t
-val of_list : float list -> t
 val copy : t -> t
 val dim : t -> int
 
@@ -17,9 +15,6 @@ val sub : t -> t -> t
 val scale : float -> t -> t
 val axpy : float -> t -> t -> t
 (** [axpy a x y] is [a*x + y]. *)
-
-val axpy_ip : float -> t -> into:t -> unit
-(** [axpy_ip a x ~into:y] updates [y <- y + a*x]. *)
 
 val axpy_into : float -> t -> t -> into:t -> unit
 (** [axpy_into a x y ~into] writes [a*x + y] into [into] without
@@ -43,6 +38,5 @@ val dist2 : t -> t -> float
 val map : (float -> float) -> t -> t
 val map2 : (float -> float -> float) -> t -> t -> t
 val for_all2 : (float -> float -> bool) -> t -> t -> bool
-val max_elt : t -> float
 val concat : t list -> t
 val pp : Format.formatter -> t -> unit

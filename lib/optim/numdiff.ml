@@ -12,12 +12,3 @@ let gradient ?(h = 1e-6) ~f x =
       let fm = Guard.finite ~where:(Printf.sprintf "f(x - h e_%d)" i) (f x) in
       x.(i) <- xi;
       (fp -. fm) /. (2. *. step))
-
-let directional ?(h = 1e-6) ~f x ~dir =
-  let norm = Vec.norm2 dir in
-  if norm = 0. then 0.
-  else
-    let step = h /. norm in
-    let fp = Guard.finite ~where:"f(x + h d)" (f (Vec.axpy step dir x)) in
-    let fm = Guard.finite ~where:"f(x - h d)" (f (Vec.axpy (-.step) dir x)) in
-    (fp -. fm) /. (2. *. step)

@@ -9,13 +9,3 @@ val gradient :
     differences of step [h] (default [1e-6] scaled by coordinate
     magnitude). [x] is not modified. Raises {!Guard.Non_finite} when an
     evaluation of [f] returns NaN or infinity. *)
-
-val directional :
-  ?h:float ->
-  f:(Lepts_linalg.Vec.t -> float) ->
-  Lepts_linalg.Vec.t ->
-  dir:Lepts_linalg.Vec.t ->
-  float
-(** Central-difference approximation of the directional derivative of
-    [f] at [x] along [dir]. Raises {!Guard.Non_finite} when an
-    evaluation of [f] returns NaN or infinity. *)

@@ -230,68 +230,8 @@ let shared ~jobs =
     end;
     p
 
-(* Pre-pool behaviour, kept as a measurable baseline: spawn [jobs - 1]
-   fresh domains, drain the same chunked queue, join. This is the
-   spawn/join-per-call overhead the persistent pool removes — the bench
-   quantifies the win by running the same workload both ways. *)
-let run_ephemeral ~jobs ~n ~f =
-  if jobs < 1 then invalid_arg "Pool.run: jobs must be positive";
-  if n < 0 then invalid_arg "Pool.run: n must be non-negative";
-  let jobs = min jobs (max 1 n) in
-  if jobs = 1 then run_sequential ~n ~f
-  else begin
-    let results = Array.make n None in
-    let chunk = max 1 (n / (jobs * 8)) in
-    let next = Atomic.make 0 in
-    let error = Atomic.make None in
-    let items = Array.make jobs 0 in
-    let busy = Array.make jobs 0. in
-    let worker d () =
-      let rec loop () =
-        let lo = Atomic.fetch_and_add next chunk in
-        if lo < n && Atomic.get error = None then begin
-          let hi = min n (lo + chunk) in
-          let c0 = now () in
-          (try
-             for i = lo to hi - 1 do
-               results.(i) <- Some (f i)
-             done;
-             items.(d) <- items.(d) + (hi - lo)
-           with e -> ignore (Atomic.compare_and_set error None (Some e)));
-          busy.(d) <- busy.(d) +. (now () -. c0);
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let t0 = now () in
-    let domains = Array.init (jobs - 1) (fun d -> Domain.spawn (worker (d + 1))) in
-    worker 0 ();
-    Array.iter Domain.join domains;
-    let elapsed = now () -. t0 in
-    (match Atomic.get error with Some e -> raise e | None -> ());
-    let out =
-      Array.map (function Some v -> v | None -> assert false (* every index claimed *))
-        results
-    in
-    ( out,
-      { jobs; items = n; elapsed_s = elapsed; per_domain_items = items;
-        per_domain_busy_s = busy } )
-  end
-
-(* Benchmark hook: [set_reuse false] reroutes [run] onto the
-   spawn-per-call path so the same higher-level workload (e.g. a
-   multi-start solve) can be timed with and without pool reuse. *)
-let reuse = Atomic.make true
-
-let set_reuse b = Atomic.set reuse b
-
 let run ~jobs ~n ~f =
   if jobs < 1 then invalid_arg "Pool.run: jobs must be positive";
   if n < 0 then invalid_arg "Pool.run: n must be non-negative";
-  if not (Atomic.get reuse) then run_ephemeral ~jobs ~n ~f
-  else begin
-    let jobs = min jobs (max 1 n) in
-    if jobs = 1 || in_worker () then run_sequential ~n ~f
-    else submit (shared ~jobs) ~n ~f
-  end
+  let jobs = min jobs (max 1 n) in
+  if jobs = 1 || in_worker () then run_sequential ~n ~f else submit (shared ~jobs) ~n ~f

@@ -77,21 +77,10 @@ val run : jobs:int -> n:int -> f:(int -> 'a) -> 'a array * stats
     {!shared} pool of [min jobs (max 1 n)] workers. Requires
     [jobs >= 1] and [n >= 0] (raises [Invalid_argument] otherwise).
     [jobs = 1] runs sequentially on the calling domain, in index
-    order, touching no pool. An exception raised by [f] is re-raised
-    on the caller after all workers have drained. *)
-
-val run_ephemeral : jobs:int -> n:int -> f:(int -> 'a) -> 'a array * stats
-(** The pre-pool behaviour: spawn [jobs - 1] fresh domains for this
-    one call and join them before returning. Same results and the same
-    validation as {!run}; kept as the measurable baseline for the
-    spawn-per-call overhead the persistent pool removes (see the bench
-    [parallel_solve] section). *)
-
-val set_reuse : bool -> unit
-(** Benchmark/test hook, default [true]: [set_reuse false] makes
-    {!run} take the {!run_ephemeral} path so higher-level workloads
-    can be timed with and without pool reuse. Not for production
-    use. *)
+    order, touching no pool. Calls with the same clamped worker count
+    reuse the same domains: however many such batches run, [f] sees at
+    most that many distinct domains. An exception raised by [f] is
+    re-raised on the caller after all workers have drained. *)
 
 (** {2 Reporting} *)
 

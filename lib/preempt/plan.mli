@@ -31,10 +31,10 @@ val expand_nonpreemptive : Lepts_task.Task_set.t -> t
     whole motivational example): every instance is a single
     sub-instance whose boundary is its deadline, and the total order is
     the execution order of the jobs — by release time, then earliest
-    deadline, then priority. The same NLP, online policies and the
-    order-faithful {!Lepts_sim.Sequence} executor apply unchanged; the
-    event-driven simulator must not be used on such plans (it models a
-    preemptive dispatcher). *)
+    deadline, then priority. The same NLP and online policies apply
+    unchanged; the event-driven simulator must not be used on such
+    plans (it models a preemptive dispatcher), so the test suite runs
+    them through its order-faithful executor ([Reference.Sequence]). *)
 
 val sub_instance_count : Lepts_task.Task_set.t -> int
 (** Number of sub-instances {!expand} would create, without building

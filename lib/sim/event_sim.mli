@@ -17,10 +17,11 @@
     deadline guarantee (the test suite demonstrates this).
 
     Under budget enforcement the event-driven execution coincides with
-    the closed-form {!Sequence} executor whenever both are given the
-    same per-instance workloads — a property the tests check — but this
-    module makes no such assumption and remains correct for policies
-    other than greedy reclamation.
+    the closed-form order-faithful executor (the test suite's
+    [Reference.Sequence]) whenever both are given the same per-instance
+    workloads — a property the tests check — but this module makes no
+    such assumption and remains correct for policies other than greedy
+    reclamation.
 
     {2 Fault model}
 

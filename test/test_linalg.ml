@@ -13,18 +13,12 @@ let test_vec_basics () =
   check_float "norm_inf" 4. (Vec.norm_inf [| 3.; -4. |]);
   check_float "dist2" 5. (Vec.dist2 [| 0.; 0. |] [| 3.; 4. |])
 
-let test_vec_axpy_ip () =
-  let y = [| 3.; 4. |] in
-  Vec.axpy_ip 2. [| 1.; 2. |] ~into:y;
-  Alcotest.check vec "in place" [| 5.; 8. |] y
-
 let test_vec_mismatch () =
   Alcotest.check_raises "dot mismatch"
     (Invalid_argument "Vec.dot: dimension mismatch (2 vs 3)") (fun () ->
       ignore (Vec.dot [| 1.; 2. |] [| 1.; 2.; 3. |]))
 
 let test_vec_helpers () =
-  check_float "max_elt" 7. (Vec.max_elt [| 2.; 7.; 1. |]);
   Alcotest.check vec "concat" [| 1.; 2.; 3. |] (Vec.concat [ [| 1. |]; [| 2.; 3. |] ]);
   Alcotest.check vec "map" [| 1.; 4. |] (Vec.map (fun x -> x *. x) [| 1.; 2. |]);
   Alcotest.check vec "map2" [| 3.; 8. |]
@@ -32,6 +26,5 @@ let test_vec_helpers () =
 
 let suite =
   [ ("vec basics", `Quick, test_vec_basics);
-    ("vec axpy in place", `Quick, test_vec_axpy_ip);
     ("vec dimension mismatch", `Quick, test_vec_mismatch);
     ("vec helpers", `Quick, test_vec_helpers) ]

@@ -94,7 +94,7 @@ let test_multi_period_solve_and_execute () =
   List.iter
     (fun value ->
       let totals = Lepts_sim.Sampler.fixed plan ~value in
-      let o = Lepts_sim.Sequence.run ~schedule:acs ~totals in
+      let o = Reference.Sequence.run ~schedule:acs ~totals in
       Alcotest.(check int) "meets deadlines" 0 o.Lepts_sim.Outcome.deadline_misses)
     [ `Bcec; `Acec; `Wcec ]
 

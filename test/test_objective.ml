@@ -16,6 +16,15 @@ let motivation_plan () =
 
 let quotas3 = [| 20.; 20.; 20. |]
 
+(* The production adjoint on a fresh workspace: [(energy, de, dw_hat)]. *)
+let adjoint ~plan ~power ~totals ~e ~w_hat =
+  let m = Plan.size plan in
+  let de = Array.make m 0. and dwq = Array.make m 0. in
+  let energy =
+    Objective.eval_with_gradient_ws (Workspace.create plan) ~power ~totals ~e ~w_hat ~de ~dwq
+  in
+  (energy, de, dwq)
+
 let test_wcs_schedule_average_energy () =
   (* WCS end-times 6.67/13.33/20 under greedy reclamation on the
      average workload: energies computed by hand in the paper's
@@ -108,7 +117,7 @@ let test_gradient_matches_numdiff_interior () =
     Objective.eval ~plan ~power ~totals ~e:(Array.sub x 0 m) ~w_hat:(Array.sub x m m)
   in
   let x = Array.append e quotas3 in
-  let _, de, dq = Objective.eval_with_gradient ~plan ~power ~totals ~e ~w_hat:quotas3 in
+  let _, de, dq = adjoint ~plan ~power ~totals ~e ~w_hat:quotas3 in
   let num = Lepts_optim.Numdiff.gradient ~h:1e-7 ~f x in
   let ana = Array.append de dq in
   Array.iteri
@@ -146,7 +155,7 @@ let test_gradient_random_feasible_points () =
         Objective.eval ~plan ~power ~totals ~e:(Array.sub x 0 m) ~w_hat:(Array.sub x m m)
       in
       let x = Array.append e q0 in
-      let fx, de, dq = Objective.eval_with_gradient ~plan ~power ~totals ~e ~w_hat:q0 in
+      let fx, de, dq = adjoint ~plan ~power ~totals ~e ~w_hat:q0 in
       Alcotest.(check (float 1e-9)) "value agrees" (f x) fx;
       let num = Lepts_optim.Numdiff.gradient ~h:1e-7 ~f x in
       let ana = Array.append de dq in
@@ -175,8 +184,7 @@ let test_alpha_model_eval () =
     (Invalid_argument "Objective.eval_with_gradient: analytic adjoint requires ideal delay")
     (fun () ->
       ignore
-        (Objective.eval_with_gradient ~plan ~power:alpha ~totals ~e:[| 10.; 15.; 20. |]
-           ~w_hat:quotas3))
+        (adjoint ~plan ~power:alpha ~totals ~e:[| 10.; 15.; 20. |] ~w_hat:quotas3))
 
 let test_length_mismatch () =
   let plan = motivation_plan () in

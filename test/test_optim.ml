@@ -38,12 +38,6 @@ let test_numdiff_does_not_mutate () =
   ignore (Numdiff.gradient ~f:sphere x);
   Alcotest.(check bool) "input intact" true (x = copy)
 
-let test_directional () =
-  let x = [| 1.; 1. |] in
-  let d = Numdiff.directional ~f:sphere x ~dir:[| 1.; 0. |] in
-  check_float 1e-5 "directional" 2. d;
-  check_float 0. "zero direction" 0. (Numdiff.directional ~f:sphere x ~dir:[| 0.; 0. |])
-
 (* --- Non-finite guards --------------------------------------------------- *)
 
 let raises_non_finite f =
@@ -304,7 +298,6 @@ let suite =
   [ ("numdiff quadratic", `Quick, test_numdiff_quadratic);
     ("numdiff rosenbrock", `Quick, test_numdiff_rosenbrock);
     ("numdiff purity", `Quick, test_numdiff_does_not_mutate);
-    ("directional derivative", `Quick, test_directional);
     ("numdiff nan guard", `Quick, test_numdiff_guards_nan);
     ("pg nan objective guard", `Quick, test_pg_guards_nan_at_start);
     ("pg nan gradient guard", `Quick, test_pg_guards_nan_gradient);

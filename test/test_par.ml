@@ -137,12 +137,23 @@ let test_nested_run_falls_back () =
   in
   Alcotest.(check (array int)) "nested run matches" expected got
 
-let test_run_matches_ephemeral () =
-  (* The persistent-pool run and the spawn-per-call path must agree. *)
-  let f i = (i * 31) + (i mod 7) in
-  let pooled, _ = Pool.run ~jobs:3 ~n:300 ~f in
-  let spawned, _ = Pool.run_ephemeral ~jobs:3 ~n:300 ~f in
-  Alcotest.(check (array int)) "same results" spawned pooled
+let test_run_spawns_domains_once () =
+  (* Twenty batches on the shared pool see the same [jobs] domains: the
+     workers are spawned once, not per call. Each item sleeps so that
+     every worker claims some. *)
+  let ids = Hashtbl.create 8 in
+  for _ = 1 to 20 do
+    let got, _ =
+      Pool.run ~jobs:3 ~n:30 ~f:(fun _ ->
+          Unix.sleepf 0.0005;
+          (Domain.self () :> int))
+    in
+    Array.iter (fun id -> Hashtbl.replace ids id ()) got
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d distinct domains <= 3" (Hashtbl.length ids))
+    true
+    (Hashtbl.length ids <= 3)
 
 let suite =
   [ ("parallel matches sequential", `Quick, test_matches_sequential);
@@ -157,4 +168,4 @@ let suite =
     ("pool shutdown semantics", `Quick, test_pool_shutdown_semantics);
     ("busy counts work not waiting", `Quick, test_busy_counts_work_not_waiting);
     ("nested run falls back", `Quick, test_nested_run_falls_back);
-    ("run matches ephemeral", `Quick, test_run_matches_ephemeral) ]
+    ("run spawns domains once", `Quick, test_run_spawns_domains_once) ]

@@ -6,7 +6,7 @@ module Model = Lepts_power.Model
 module Policy = Lepts_dvs.Policy
 module Sampler = Lepts_sim.Sampler
 module Event_sim = Lepts_sim.Event_sim
-module Sequence = Lepts_sim.Sequence
+module Sequence = Reference.Sequence
 module Outcome = Lepts_sim.Outcome
 module Runner = Lepts_sim.Runner
 

@@ -33,14 +33,6 @@ let test_invalid () =
   Alcotest.check_raises "negative quota" (Invalid_argument "Waterfall: negative quota")
     (fun () -> ignore (Waterfall.distribute ~quotas:[| -1. |] ~total:1.))
 
-let test_partial_index () =
-  Alcotest.(check (option int)) "middle" (Some 1)
-    (Waterfall.partial_index ~quotas:[| 10.; 10.; 10. |] ~total:15.);
-  Alcotest.(check (option int)) "none when exact" None
-    (Waterfall.partial_index ~quotas:[| 10.; 10. |] ~total:10.);
-  Alcotest.(check (option int)) "none when empty" None
-    (Waterfall.partial_index ~quotas:[| 10. |] ~total:0.)
-
 (* Invariants under random inputs. *)
 let qcheck_tests =
   let gen =
@@ -130,6 +122,5 @@ let suite =
     ("overflow capped", `Quick, test_total_exceeds_sum);
     ("zero quotas skipped", `Quick, test_zero_quotas_passthrough);
     ("empty quotas", `Quick, test_empty);
-    ("invalid inputs", `Quick, test_invalid);
-    ("partial index", `Quick, test_partial_index) ]
+    ("invalid inputs", `Quick, test_invalid) ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_tests
