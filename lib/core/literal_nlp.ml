@@ -33,13 +33,17 @@ let make_constraints (plan : Plan.t) ~power =
 
 (* Clamp the end-times into their windows and project each instance's
    quota block onto its [sum = WCEC] simplex, through the workspace's
-   flat block index. *)
+   flat block index (the quotas are the second half of [x]). *)
 let make_projection (ws : Workspace.t) =
   let plan = ws.Workspace.plan in
   let m = ws.Workspace.m in
   let ts = plan.Plan.task_set in
   let off = ws.Workspace.blk_off and idx = ws.Workspace.blk_idx in
-  let buf = ws.Workspace.blk_buf and scratch = ws.Workspace.blk_scratch in
+  let scratch = ws.Workspace.blk_scratch in
+  let totals =
+    Array.init ws.Workspace.n_blocks (fun b ->
+        (Task_set.task ts ws.Workspace.blk_task.(b)).Task.wcec)
+  in
   fun x ->
     let out = Vec.copy x in
     Array.iter
@@ -48,18 +52,7 @@ let make_projection (ws : Workspace.t) =
           Lepts_util.Num_ext.clamp ~lo:sub.Sub.release ~hi:sub.Sub.boundary
             x.(sub.Sub.index))
       plan.Plan.order;
-    for b = 0 to ws.Workspace.n_blocks - 1 do
-      let lo = off.(b) in
-      let n = off.(b + 1) - lo in
-      for pos = 0 to n - 1 do
-        buf.(pos) <- x.(m + idx.(lo + pos))
-      done;
-      Projection.simplex_fast_ip
-        ~total:(Task_set.task ts ws.Workspace.blk_task.(b)).Task.wcec ~scratch ~n buf;
-      for pos = 0 to n - 1 do
-        out.(m + idx.(lo + pos)) <- buf.(pos)
-      done
-    done;
+    Projection.simplex_blocks_ip ~off ~idx ~totals ~base:m ~scratch out;
     out
 
 let solve ~mode ~(plan : Plan.t) ~power () =

@@ -101,9 +101,8 @@ let check_lengths ws ~e ~w_hat =
 
 (* Same-module float copies of [Float.max] (same formula as the
    stdlib, so same results including NaN and signed zeros) and
-   [Num_ext.clamp]: without flambda the cross-module calls box their
-   float arguments and results, and these were the last allocations
-   left on the kernel hot path. *)
+   [Num_ext.clamp]: without flambda a cross-module call boxes its float
+   arguments and result, so the kernels call none per element. *)
 let[@inline] fmax (x : float) (y : float) =
   if y > x || (x <> x && not (y <> y)) then y else x
 
@@ -111,28 +110,13 @@ let[@inline] clampf ~(lo : float) ~(hi : float) (x : float) =
   if x < lo then lo else if x > hi then hi else x
 
 (* sanitize + split_workloads over ws buffers: fills [ws.w_hat] and
-   [ws.w]. Plain nested loops — closures would allocate. *)
+   [ws.w], the waterfall in one plan-wide call over the block index. *)
 let split_ws (ws : Workspace.t) ~totals ~w_hat =
   for k = 0 to ws.m - 1 do
     ws.w_hat.(k) <- fmax 0. w_hat.(k)
   done;
-  let subs = ws.plan.Plan.instance_subs in
-  for i = 0 to Array.length subs - 1 do
-    let per = subs.(i) in
-    let per_total = totals.(i) in
-    for j = 0 to Array.length per - 1 do
-      let idxs = per.(j) in
-      let n = Array.length idxs in
-      for pos = 0 to n - 1 do
-        ws.wf_q.(pos) <- ws.w_hat.(idxs.(pos))
-      done;
-      Waterfall.distribute_into ~quotas:ws.wf_q ~n ~totals:per_total ~j
-        ~into:ws.wf_out;
-      for pos = 0 to n - 1 do
-        ws.w.(idxs.(pos)) <- ws.wf_out.(pos)
-      done
-    done
-  done
+  Waterfall.distribute_blocks ~off:ws.blk_off ~idx:ws.blk_idx ~totals ~quotas:ws.w_hat
+    ~into:ws.w
 
 let eval_ws (ws : Workspace.t) ~power ~totals ~e ~w_hat =
   check_lengths ws ~e ~w_hat;
@@ -175,18 +159,20 @@ let eval_ws (ws : Workspace.t) ~power ~totals ~e ~w_hat =
     done);
   !energy
 
-let eval_with_gradient_ws (ws : Workspace.t) ~power ~totals ~e ~w_hat ~de ~dwq =
+let no_adjoint () =
+  invalid_arg "Objective.eval_with_gradient: analytic adjoint requires ideal delay"
+
+let eval_with_gradient_at_split_ws (ws : Workspace.t) ~power ~totals ~e ~de ~dwq =
   let c0 =
     match power.Model.delay with
     | Model.Ideal { c0 } -> c0
-    | Model.Alpha _ ->
-      invalid_arg "Objective.eval_with_gradient: analytic adjoint requires ideal delay"
+    | Model.Alpha _ -> no_adjoint ()
   in
-  check_lengths ws ~e ~w_hat;
   let m = ws.Workspace.m in
+  if Array.length e <> m then
+    invalid_arg "Objective: vector length does not match plan size";
   if Array.length de <> m || Array.length dwq <> m then
     invalid_arg "Objective.eval_with_gradient_ws: gradient buffer length mismatch";
-  split_ws ws ~totals ~w_hat;
   let plan = ws.Workspace.plan in
   let w = ws.Workspace.w and w_hat = ws.Workspace.w_hat in
   (* Forward sweep, recording branches in the struct-of-arrays step
@@ -249,23 +235,13 @@ let eval_with_gradient_ws (ws : Workspace.t) ~power ~totals ~e ~w_hat ~de ~dwq =
     ws.dw.(k) <- ws.dw.(k) +. beta;
     phi := if ws.st_sff.(t) then !sigma else 0.
   done;
-  (* Waterfall vector-Jacobian products per instance. *)
-  let subs = plan.Plan.instance_subs in
-  for i = 0 to Array.length subs - 1 do
-    let per = subs.(i) in
-    let per_total = totals.(i) in
-    for j = 0 to Array.length per - 1 do
-      let idxs = per.(j) in
-      let n = Array.length idxs in
-      for pos = 0 to n - 1 do
-        ws.wf_q.(pos) <- w_hat.(idxs.(pos));
-        ws.wf_a.(pos) <- ws.dw.(idxs.(pos))
-      done;
-      Waterfall.backward_into ~quotas:ws.wf_q ~adjoint:ws.wf_a ~n
-        ~totals:per_total ~j ~into:ws.wf_out;
-      for pos = 0 to n - 1 do
-        dwq.(idxs.(pos)) <- dwq.(idxs.(pos)) +. ws.wf_out.(pos)
-      done
-    done
-  done;
+  (* Waterfall vector-Jacobian products, added into [dwq]. *)
+  Waterfall.backward_add_blocks ~off:ws.blk_off ~idx:ws.blk_idx ~totals ~quotas:w_hat
+    ~adjoint:ws.dw ~into:dwq;
   !energy
+
+let eval_with_gradient_ws (ws : Workspace.t) ~power ~totals ~e ~w_hat ~de ~dwq =
+  (match power.Model.delay with Model.Ideal _ -> () | Model.Alpha _ -> no_adjoint ());
+  check_lengths ws ~e ~w_hat;
+  split_ws ws ~totals ~w_hat;
+  eval_with_gradient_at_split_ws ws ~power ~totals ~e ~de ~dwq

@@ -98,3 +98,19 @@ val eval_with_gradient_ws :
     numerical differentiation. Requires the ideal delay model; raises
     [Invalid_argument] for the alpha model (use numerical
     differentiation there — see {!Solver}). *)
+
+val eval_with_gradient_at_split_ws :
+  Workspace.t ->
+  power:Lepts_power.Model.t ->
+  totals:float array array ->
+  e:float array ->
+  de:float array ->
+  dwq:float array ->
+  float
+(** {!eval_with_gradient_ws} without its waterfall split: the split is
+    the one already in the workspace, made by the last {!eval_ws} or
+    {!eval_with_gradient_ws} call. Bit-identical to
+    {!eval_with_gradient_ws} when that call used the same [totals] and
+    [w_hat] (and nothing else has split on the workspace since); the
+    caller is responsible for that — the solver reuses the split its
+    objective call just made at the same point and scenario. *)

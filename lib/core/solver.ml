@@ -208,46 +208,33 @@ let backward_scaled (ws : Workspace.t) ~hi ~de ~dg ~into_du ~into_ds =
     psi := if start_ff.(k) then dstart else 0.
   done
 
+(* Same-module float copy of [Num_ext.clamp], for the same reason as
+   [fmax]: the slack loop runs it m times per projection. *)
+let[@inline] clampf ~(lo : float) ~(hi : float) (x : float) =
+  if x < lo then lo else if x > hi then hi else x
+
 (* Block projection of packed [z]: each instance's quota block onto
    its [sum = scale * WCEC] simplex, slacks clamped into [0, hyper].
    The solver projects scaled coordinates ([scale = t_max]); warm
    continuation seeds project quota units ([scale = 1.], and
-   [1. *. wcec] is exact). {!Projection.simplex_fast_ip} runs from the
-   workspace's flat block index with two shared max-length buffers;
-   singleton blocks (most blocks, on realistic plans) are inlined as
-   the one-element threshold unfolded. *)
+   [1. *. wcec] is exact). {!Projection.simplex_blocks_ip} walks the
+   workspace's flat block index in one call. *)
 let make_projection (ws : Workspace.t) ~scale ~hyper =
   let m = ws.Workspace.m in
   let ts = ws.Workspace.plan.Plan.task_set in
-  let n_blocks = ws.Workspace.n_blocks in
   let off = ws.Workspace.blk_off and idx = ws.Workspace.blk_idx in
-  let buf = ws.Workspace.blk_buf and scratch = ws.Workspace.blk_scratch in
+  let scratch = ws.Workspace.blk_scratch in
   let totals =
-    Array.init n_blocks (fun b ->
+    Array.init ws.Workspace.n_blocks (fun b ->
         scale *. (Task_set.task ts ws.Workspace.blk_task.(b)).Task.wcec)
   in
+  (* The clamp's [lo <= hi] precondition, checked once: [hyper] is
+     fixed for the projection's lifetime. *)
+  assert (0. <= hyper);
   fun (z : Vec.t) ->
-    for b = 0 to n_blocks - 1 do
-      let lo = off.(b) in
-      let n = off.(b + 1) - lo in
-      let total = totals.(b) in
-      if n = 1 then begin
-        let k = idx.(lo) in
-        let v = z.(k) in
-        z.(k) <- fmax 0. (v -. (v -. total))
-      end
-      else begin
-        for pos = 0 to n - 1 do
-          buf.(pos) <- z.(idx.(lo + pos))
-        done;
-        Projection.simplex_fast_ip ~total ~scratch ~n buf;
-        for pos = 0 to n - 1 do
-          z.(idx.(lo + pos)) <- buf.(pos)
-        done
-      end
-    done;
+    Projection.simplex_blocks_ip ~off ~idx ~totals ~base:0 ~scratch z;
     for k = m to (2 * m) - 1 do
-      z.(k) <- Lepts_util.Num_ext.clamp ~lo:0. ~hi:hyper z.(k)
+      z.(k) <- clampf ~lo:0. ~hi:hyper z.(k)
     done
 
 (* Final feasibility repair: walk the total order once, capping each
@@ -341,37 +328,64 @@ let solve_from ?deadline ?telemetry ~max_outer ~totals_list ~(ws : Workspace.t) 
     let m = ws.Workspace.m in
     let t_max = t_at_vmax power in
     let hyper = Plan.hyper_period plan in
-    let scenario_count = float_of_int (List.length totals_list) in
-    (* The accumulation closures below are built once per solve and
+    let scenarios = Array.of_list totals_list in
+    let n_scenarios = Array.length scenarios in
+    let scenario_count = float_of_int n_scenarios in
+    (* The scenario whose waterfall split of [ws.q] the workspace holds,
+       or -1. Every objective call below splits and records its
+       scenario; every forward sweep that rewrites [ws.q] clears it.
+       {!Pg} evaluates the gradient at the point of the objective call
+       just before it, so with one scenario the gradient reuses that
+       call's split. With several, each scenario's split overwrites the
+       last, and the gradient splits again per scenario. The record is
+       local to this descent: whatever split on [ws] before it (such as
+       {!continue_from}'s baseline energy) cannot be mistaken for one
+       of its own. *)
+    let split_of = ref (-1) in
+    (* The accumulation functions below are built once per solve and
        capture only the workspace, so the hot path — [lag] and
        [lag_grad_into], called once per inner iteration — allocates
-       nothing. Scenarios accumulate left to right, as in
-       {!mean_energy}. *)
-    let acc = Array.make 1 0. in
-    let add_energy totals =
-      acc.(0) <- acc.(0) +. Objective.eval_ws ws ~power ~totals ~e:ws.Workspace.e
-                              ~w_hat:ws.Workspace.q
-    in
-    (* Mean runtime energy at the forward state currently in [ws]. *)
+       only the boxed floats its calls return. Scenarios accumulate left
+       to right, as in {!mean_energy}. *)
     let mean_energy_ws () =
-      acc.(0) <- 0.;
-      List.iter add_energy totals_list;
-      acc.(0) /. scenario_count
+      let sum = ref 0. in
+      for i = 0 to n_scenarios - 1 do
+        sum :=
+          !sum
+          +. Objective.eval_ws ws ~power ~totals:scenarios.(i) ~e:ws.Workspace.e
+               ~w_hat:ws.Workspace.q;
+        split_of := i
+      done;
+      !sum /. scenario_count
     in
-    let add_gradient totals =
-      let (_ : float) =
-        Objective.eval_with_gradient_ws ws ~power ~totals ~e:ws.Workspace.e
-          ~w_hat:ws.Workspace.q ~de:ws.Workspace.de_i ~dwq:ws.Workspace.dq_i
-      in
-      for k = 0 to m - 1 do
-        ws.Workspace.de.(k) <- ws.Workspace.de.(k) +. (ws.Workspace.de_i.(k) /. scenario_count);
-        ws.Workspace.dq.(k) <- ws.Workspace.dq.(k) +. (ws.Workspace.dq_i.(k) /. scenario_count)
+    let add_gradients () =
+      let de = ws.Workspace.de and dq = ws.Workspace.dq in
+      let de_i = ws.Workspace.de_i and dq_i = ws.Workspace.dq_i in
+      for i = 0 to n_scenarios - 1 do
+        let totals = scenarios.(i) in
+        let (_ : float) =
+          if !split_of = i then
+            Objective.eval_with_gradient_at_split_ws ws ~power ~totals ~e:ws.Workspace.e
+              ~de:de_i ~dwq:dq_i
+          else
+            Objective.eval_with_gradient_ws ws ~power ~totals ~e:ws.Workspace.e
+              ~w_hat:ws.Workspace.q ~de:de_i ~dwq:dq_i
+        in
+        split_of := i;
+        for k = 0 to m - 1 do
+          de.(k) <- de.(k) +. (de_i.(k) /. scenario_count);
+          dq.(k) <- dq.(k) +. (dq_i.(k) /. scenario_count)
+        done
       done
     in
     (* Forward sweep through the dirty-prefix bookkeeping; returns the
        first recomputed index (consumed by the penalty prefix cache
        below). *)
-    let forward z = forward_scaled_incr ws ~t_max z in
+    let forward z =
+      let d = forward_scaled_incr ws ~t_max z in
+      if d < m then split_of := -1;
+      d
+    in
     let energy_of z =
       let (_ : int) = forward z in
       mean_energy_ws ()
@@ -463,7 +477,7 @@ let solve_from ?deadline ?telemetry ~max_outer ~totals_list ~(ws : Workspace.t) 
           ds.(k) <- 0.
         done;
         (* Mean of the per-scenario objective adjoints. *)
-        List.iter add_gradient totals_list;
+        add_gradients ();
         (* The objective differentiates in quota units; the chain rule
            into u divides by t_max (u = t_max * q). The accumulator is
            a [+.] chain from [+0.] so it is never [-0.], and neither

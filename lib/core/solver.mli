@@ -27,11 +27,16 @@
     runtime energy.
 
     Each computation of the descent has one structure-exploiting
-    kernel: a flat per-instance block projection, incremental
-    dirty-prefix forward sweeps, cached penalty prefix sums and
-    active-segment pruning of the penalty, multiplier and adjoint
-    loops (DESIGN.md §12). The test suite checks them bit for bit
-    against a dense reference solve. *)
+    kernel: a whole-vector block projection over the workspace's flat
+    per-instance index, plan-wide waterfall split and adjoint,
+    incremental dirty-prefix forward sweeps, cached penalty prefix
+    sums and active-segment pruning of the penalty, multiplier and
+    adjoint loops (DESIGN.md §12). The gradient reuses the waterfall
+    split its objective call made at the same point and scenario. No
+    kernel allocates or calls another function per element, so an
+    inner iteration allocates only the few boxed floats and closures
+    of the descent's own bookkeeping (DESIGN.md §8). The test suite
+    checks the kernels bit for bit against a dense reference solve. *)
 
 type error =
   | Unschedulable  (** the task set misses a deadline even at v_max *)

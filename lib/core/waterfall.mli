@@ -18,37 +18,48 @@ val distribute : quotas:float array -> total:float -> float array
     workload beyond [sum quotas] is silently dropped (callers enforce
     [total <= sum quotas] — the WCEC bound — separately). *)
 
-val distribute_into :
-  quotas:float array ->
-  n:int ->
-  totals:float array ->
-  j:int ->
-  into:float array ->
-  unit
-(** Prefix variant of {!distribute} over preallocated buffers with
-    [total = totals.(j)]: reads [quotas.(0..n-1)] and writes the split
-    into [into.(0..n-1)] without allocating. The total arrives as an
-    array element rather than a float argument so it is never boxed at
-    the call (no cross-module float unboxing without flambda).
-    Bit-identical to [distribute] on the prefix. *)
-
 val backward :
   quotas:float array -> total:float -> adjoint:float array -> float array
 (** [backward ~quotas ~total ~adjoint] is the vector-Jacobian product
     [J^T adjoint] where [J = d(distribute)/d(quotas)], using the
     one-sided derivative that treats boundary sub-instances as fully
-    filled. Used by the ACS objective gradient. *)
+    filled. The reference adjoint of the test suite calls it per
+    instance; the solver's gradient runs {!backward_add_blocks}. *)
 
-val backward_into :
+(** {1 Plan-wide kernels}
+
+    The solver's allocation-free forms of {!distribute} and
+    {!backward}, over every instance of a plan in one call. The
+    instances are given as a flat block index: block [b] covers the
+    coordinates [idx.(p)] for [off.(b) <= p < off.(b+1)], in fill
+    order, and its total is the [b]-th entry of [totals] in row-major
+    order ([totals.(task).(instance)], the order of the workspace's
+    [blk_off]/[blk_idx]). Each block's arithmetic is
+    {!distribute}'s or {!backward}'s, operation for operation, so the
+    results are bit-identical to calling those per instance (asserted
+    by the test suite). Both raise [Invalid_argument] on a negative
+    total or quota, an index that does not have one block per total,
+    or a buffer shorter than the index. *)
+
+val distribute_blocks :
+  off:int array ->
+  idx:int array ->
+  totals:float array array ->
   quotas:float array ->
-  adjoint:float array ->
-  n:int ->
-  totals:float array ->
-  j:int ->
   into:float array ->
   unit
-(** Prefix variant of {!backward} over preallocated buffers with
-    [total = totals.(j)]: reads the first [n] quotas/adjoints and
-    overwrites [into.(0..n-1)] with the vector-Jacobian product,
-    without allocating ([totals]/[j] for the same boxing reason as
-    {!distribute_into}). *)
+(** [distribute_blocks ~off ~idx ~totals ~quotas ~into] writes the
+    split of every block's total over its quotas into [into] at the
+    same coordinates. *)
+
+val backward_add_blocks :
+  off:int array ->
+  idx:int array ->
+  totals:float array array ->
+  quotas:float array ->
+  adjoint:float array ->
+  into:float array ->
+  unit
+(** [backward_add_blocks ~off ~idx ~totals ~quotas ~adjoint ~into]
+    {e adds} every block's vector-Jacobian product {!backward} to
+    [into] at the block's coordinates. *)

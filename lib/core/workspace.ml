@@ -17,10 +17,6 @@ type t = {
   st_guarded : bool array;
   st_sff : bool array;
   mutable st_len : int;
-  (* waterfall gather/scatter scratch *)
-  wf_q : float array;
-  wf_a : float array;
-  wf_out : float array;
   (* solver frontier recursion and gradient accumulators *)
   q : float array;
   e : float array;
@@ -39,7 +35,6 @@ type t = {
   blk_off : int array;
   blk_idx : int array;
   blk_task : int array;
-  blk_buf : float array;
   blk_scratch : float array;
   y_prev : float array;
   pen_prefix : float array;
@@ -100,9 +95,6 @@ let create (plan : Plan.t) =
     st_guarded = Array.make m false;
     st_sff = Array.make m false;
     st_len = 0;
-    wf_q = Array.make seg 0.;
-    wf_a = Array.make seg 0.;
-    wf_out = Array.make seg 0.;
     q = Array.make m 0.;
     e = Array.make m 0.;
     start = Array.make m 0.;
@@ -116,7 +108,6 @@ let create (plan : Plan.t) =
     dq = Array.make m 0.;
     ds = Array.make m 0.;
     n_blocks; blk_off; blk_idx; blk_task;
-    blk_buf = Array.make seg 0.;
     blk_scratch = Array.make seg 0.;
     y_prev = Array.make (2 * m) nan;
     pen_prefix = Array.make (m + 1) 0.;

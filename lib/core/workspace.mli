@@ -31,10 +31,6 @@ type t = {
   st_guarded : bool array;
   st_sff : bool array;
   mutable st_len : int;
-  (* waterfall gather/scatter scratch, length = longest instance *)
-  wf_q : float array;
-  wf_a : float array;
-  wf_out : float array;
   (* solver frontier recursion and gradient accumulators *)
   q : float array;
   e : float array;
@@ -58,8 +54,8 @@ type t = {
       (** length [m]; quota coordinate indices in block order — the
           flat form of [plan.instance_subs] *)
   blk_task : int array;  (** length [n_blocks]; owning task per block *)
-  blk_buf : float array;  (** gather buffer, length = longest block *)
-  blk_scratch : float array;  (** projection scratch, same length *)
+  blk_scratch : float array;
+      (** projection sort scratch, length = longest block *)
   y_prev : float array;
       (** length [2m]; the point the last forward sweep ran at, used to
           find the first dirty index of an incremental re-sweep.

@@ -30,8 +30,8 @@ let refine_with_literal ~mode ~plan ~power (best : Lepts_core.Static_schedule.t)
       then candidate
       else best
 
-let measure ?(rounds = 1000) ?(jobs = 1) ?(solver_jobs = 1) ?(strong_baseline = false)
-    ?(warm_start = false) ?telemetry ?(telemetry_tag = "") ?checkpoint ?should_stop
+let measure ?(rounds = 1000) ?(jobs = 1) ?(solver_jobs = 1) ?(warm_start = false)
+    ?telemetry ?(telemetry_tag = "") ?checkpoint ?should_stop
     ~task_set ~power ~sim_seed () =
   if rounds <= 0 then invalid_arg "Improvement.measure: rounds must be positive";
   (* One convergence sink per NLP this measurement runs, labelled by
@@ -68,28 +68,6 @@ let measure ?(rounds = 1000) ?(jobs = 1) ?(solver_jobs = 1) ?(strong_baseline = 
     | Ok (acs, _) ->
       let acs =
         refine_with_literal ~mode:Lepts_core.Objective.Average ~plan ~power acs
-      in
-      (* [strong_baseline] cross-pollinates: the ACS point also seeds
-         the worst-case solve, so among near-optimal worst-case
-         schedules the baseline picks one whose runtime behaviour is
-         good. The paper's baseline is worst-case-only (its average
-         behaviour is incidental), which is the default here; the
-         strong variant isolates the pure distribution-awareness gain
-         and is used by the ablations. WCS is selected purely by
-         worst-case energy either way. *)
-      let wcs =
-        if not strong_baseline then wcs
-        else
-          match
-            Solver.solve_wcs ~jobs:solver_jobs
-              ~warm_starts:
-                [ (wcs.Static_schedule.end_times, wcs.Static_schedule.quotas);
-                  (acs.Static_schedule.end_times, acs.Static_schedule.quotas) ]
-              ~plan ~power ()
-          with
-          | Ok (improved, _) ->
-            refine_with_literal ~mode:Lepts_core.Objective.Worst ~plan ~power improved
-          | Error _ -> wcs
       in
       (* Both simulations flow through the checkpointable driver: with
          a session, completed rounds land on disk per chunk (sections

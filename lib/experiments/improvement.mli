@@ -19,7 +19,6 @@ val measure :
   ?rounds:int ->
   ?jobs:int ->
   ?solver_jobs:int ->
-  ?strong_baseline:bool ->
   ?warm_start:bool ->
   ?telemetry:Lepts_obs.Telemetry.collector ->
   ?telemetry_tag:string ->
@@ -38,13 +37,6 @@ val measure :
     parallelises the multi-start NLP solves
     ({!Lepts_core.Solver.solve}). The result is bit-identical for every
     value of either (see {!Lepts_sim.Runner.simulate}).
-
-    [strong_baseline] (default false) additionally warm-starts the WCS
-    solve from the ACS solution (selected purely by worst-case energy).
-    The default matches the paper's baseline — a worst-case-only solve
-    whose average-case behaviour is incidental; the strong variant
-    removes that arbitrariness and measures only the gain from knowing
-    the workload distribution (see EXPERIMENTS.md).
 
     [warm_start] (default false) replaces the three-start ACS
     multi-start with one {!Lepts_core.Solver.solve_warm} continuation

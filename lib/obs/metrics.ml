@@ -98,7 +98,6 @@ let incr ?(by = 1) c =
 
 let counter_value c = Atomic.get c.c_cell
 let set g v = Atomic.set g.g_cell v
-let gauge_value g = Atomic.get g.g_cell
 
 let observe h v =
   let n = Array.length h.h_upper in

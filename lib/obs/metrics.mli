@@ -66,8 +66,6 @@ val counter_value : counter -> int
 
 val set : gauge -> float -> unit
 
-val gauge_value : gauge -> float
-
 val observe : histogram -> float -> unit
 (** Atomically increments the first bucket whose upper bound is
     [>= value] (or the overflow bucket), the total count, and the

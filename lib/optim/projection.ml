@@ -1,21 +1,26 @@
-(* Sort-based simplex projection: sort the values in descending order,
-   find the threshold tau such that sum max(0, x_i - tau) = total, then
-   shift and clip. The threshold runs over an explicit prefix length,
-   so callers with a shared max-length buffer (the solver's flat block
-   index) reuse one allocation for every block. *)
-let tau_of_sorted_n ~total (sorted : float array) n =
-  let cumulative = ref 0. and tau = ref (sorted.(0) -. total) in
-  for i = 0 to n - 1 do
-    cumulative := !cumulative +. sorted.(i);
-    let candidate = (!cumulative -. total) /. float_of_int (i + 1) in
-    if sorted.(i) > candidate then tau := candidate
-  done;
-  !tau
+(* Restore the min-heap property of [a.[0, size)] below [root]. A
+   top-level function, so the heapsort allocates no closure. *)
+let sift (a : float array) root size =
+  let r = ref root and live = ref true in
+  while !live do
+    let l = (2 * !r) + 1 in
+    if l >= size then live := false
+    else begin
+      let c = if l + 1 < size && a.(l + 1) < a.(l) then l + 1 else l in
+      if a.(c) < a.(!r) then begin
+        let tmp = a.(c) in
+        a.(c) <- a.(!r);
+        a.(!r) <- tmp;
+        r := c
+      end
+      else live := false
+    end
+  done
 
 (* Descending sort: insertion with raw (unboxed) comparisons for short
    slices, in-place min-heapsort above. Both produce the descending
-   value sequence of a [Float.compare] sort, so the cumulative sums in
-   [tau_of_sorted_n] — and hence tau and the projected vector — are
+   value sequence of a [Float.compare] sort, so the cumulative sums of
+   the threshold search — and hence tau and the projected vector — are
    bit-identical to the dense reference in the test suite. The only
    ordering difference from [Float.compare]'s total order is the
    placement of [-0.] among zeros, which cannot change any cumulative
@@ -36,31 +41,14 @@ let sort_desc_fast_ip (a : float array) n =
   else begin
     (* Min-heap at the front; extracting the minimum to the shrinking
        tail leaves the array in descending order. *)
-    let sift root size =
-      let r = ref root and live = ref true in
-      while !live do
-        let l = (2 * !r) + 1 in
-        if l >= size then live := false
-        else begin
-          let c = if l + 1 < size && a.(l + 1) < a.(l) then l + 1 else l in
-          if a.(c) < a.(!r) then begin
-            let tmp = a.(c) in
-            a.(c) <- a.(!r);
-            a.(!r) <- tmp;
-            r := c
-          end
-          else live := false
-        end
-      done
-    in
     for i = (n / 2) - 1 downto 0 do
-      sift i n
+      sift a i n
     done;
     for last = n - 1 downto 1 do
       let tmp = a.(0) in
       a.(0) <- a.(last);
       a.(last) <- tmp;
-      sift 0 last
+      sift a 0 last
     done
   end
 
@@ -69,22 +57,53 @@ let sort_desc_fast_ip (a : float array) n =
 let[@inline] fmax (x : float) (y : float) =
   if y > x || (x <> x && not (y <> y)) then y else x
 
-let simplex_fast_ip ~total ~scratch ~n (x : float array) =
-  if total < 0. then invalid_arg "Projection.simplex_fast_ip: negative total";
-  if n <= 0 then invalid_arg "Projection.simplex_fast_ip: empty prefix";
-  if Array.length x < n || Array.length scratch < n then
-    invalid_arg "Projection.simplex_fast_ip: buffer shorter than n";
-  if n = 1 then
-    (* The sorted path's tau degenerates to [x0 - total] (the candidate
-       and the initialiser coincide), so the result is this exact
-       expression — not [total], which differs when the subtraction
-       rounds. *)
-    x.(0) <- fmax 0. (x.(0) -. (x.(0) -. total))
-  else begin
-    Array.blit x 0 scratch 0 n;
-    sort_desc_fast_ip scratch n;
-    let tau = tau_of_sorted_n ~total scratch n in
-    for i = 0 to n - 1 do
-      x.(i) <- fmax 0. (x.(i) -. tau)
-    done
-  end
+(* One pass over the whole vector: every block of the flat index is
+   projected in place, singletons as the one-element threshold
+   unfolded, longer blocks through [scratch] (gather, sort, threshold,
+   then shift and clip straight back into [x]). No call crosses a
+   module boundary and no float is boxed. *)
+let simplex_blocks_ip ~off ~idx ~totals ~base ~scratch (x : float array) =
+  let n_blocks = Array.length off - 1 in
+  if n_blocks < 0 then invalid_arg "Projection.simplex_blocks_ip: empty offset array";
+  if Array.length totals < n_blocks then
+    invalid_arg "Projection.simplex_blocks_ip: fewer totals than blocks";
+  if base < 0 || Array.length idx < off.(n_blocks)
+     || Array.length x < base + off.(n_blocks)
+  then invalid_arg "Projection.simplex_blocks_ip: index exceeds buffer";
+  for b = 0 to n_blocks - 1 do
+    let lo = off.(b) in
+    let n = off.(b + 1) - lo in
+    let total = totals.(b) in
+    if total < 0. then invalid_arg "Projection.simplex_blocks_ip: negative total";
+    if n <= 0 then invalid_arg "Projection.simplex_blocks_ip: empty block";
+    if n = 1 then begin
+      (* The sorted path's tau degenerates to [x0 - total] (the
+         candidate and the initialiser coincide), so the result is this
+         exact expression — not [total], which differs when the
+         subtraction rounds. *)
+      let k = base + idx.(lo) in
+      let v = x.(k) in
+      x.(k) <- fmax 0. (v -. (v -. total))
+    end
+    else begin
+      if Array.length scratch < n then
+        invalid_arg "Projection.simplex_blocks_ip: scratch shorter than a block";
+      for pos = 0 to n - 1 do
+        scratch.(pos) <- x.(base + idx.(lo + pos))
+      done;
+      sort_desc_fast_ip scratch n;
+      (* The threshold tau with sum max(0, x_i - tau) = total, over
+         the descending prefix sums. *)
+      let cumulative = ref 0. and tau = ref (scratch.(0) -. total) in
+      for i = 0 to n - 1 do
+        cumulative := !cumulative +. scratch.(i);
+        let candidate = (!cumulative -. total) /. float_of_int (i + 1) in
+        if scratch.(i) > candidate then tau := candidate
+      done;
+      let tau = !tau in
+      for pos = lo to lo + n - 1 do
+        let k = base + idx.(pos) in
+        x.(k) <- fmax 0. (x.(k) -. tau)
+      done
+    end
+  done

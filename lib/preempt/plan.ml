@@ -165,7 +165,6 @@ let expand_nonpreemptive ts =
 
 let hyper_period t = float_of_int (Task_set.hyper_period t.task_set)
 let size t = Array.length t.order
-let parent_task t (s : Sub_instance.t) = Task_set.task t.task_set s.task
 
 let pp_timeline ppf t =
   Format.fprintf ppf "hyper-period %g, %d sub-instances@." (hyper_period t) (size t);

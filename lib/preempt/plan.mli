@@ -44,8 +44,6 @@ val sub_instance_count : Lepts_task.Task_set.t -> int
 val hyper_period : t -> float
 val size : t -> int
 
-val parent_task : t -> Sub_instance.t -> Lepts_task.Task.t
-
 val pp_timeline : Format.formatter -> t -> unit
 (** Multi-line rendering of the expansion, one line per sub-instance —
     the shape of the paper's Fig. 4. *)

@@ -64,16 +64,6 @@ type event =
   | Jitter of { task : int; instance : int; delay : float }
   | Denial of { task : int; instance : int; sub : int; time : float; requested : float }
 
-let pp_event ppf = function
-  | Overrun { task; instance; actual; wcec } ->
-    Format.fprintf ppf "overrun T%d.%d: %g > wcec %g" (task + 1) (instance + 1)
-      actual wcec
-  | Jitter { task; instance; delay } ->
-    Format.fprintf ppf "jitter T%d.%d: +%g" (task + 1) (instance + 1) delay
-  | Denial { task; instance; sub; time; requested } ->
-    Format.fprintf ppf "denial T%d.%d sub %d at t=%g (wanted %.3g V)" (task + 1)
-      (instance + 1) sub time requested
-
 type scenario = {
   totals : float array array;
   faults : Event_sim.faults;

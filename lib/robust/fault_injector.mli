@@ -88,4 +88,3 @@ val validate : spec -> unit
     in [[0, 1)]. Every check rejects NaN. *)
 
 val pp_spec : Format.formatter -> spec -> unit
-val pp_event : Format.formatter -> event -> unit

@@ -43,13 +43,6 @@ let validate p =
   if p.slow_ms < 0 then reject "slow-ms" (string_of_int p.slow_ms) ">= 0";
   if p.stall_ms < 0 then reject "stall-ms" (string_of_int p.stall_ms) ">= 0"
 
-let pp_profile ppf p =
-  Format.fprintf ppf
-    "seed=%d crash=%g slow=%g@@%dms drop=%g corrupt=%b cut=%g stall=%g@@%dms \
-     flip=%g"
-    p.seed p.crash_prob p.slow_prob p.slow_ms p.drop_prob p.corrupt_snapshot
-    p.cut_prob p.stall_prob p.stall_ms p.flip_prob
-
 (* Profile strings: comma-separated [key=value] pairs, e.g.
    ["crash=0.2,slow=0.1,slow-ms=2,drop=0.1,corrupt=1,seed=7"]. *)
 let of_string s =

@@ -55,9 +55,6 @@ val of_string : string -> (profile, string) result
     (0 or 1), [cut], [stall], [stall-ms], [flip]. The error message
     names the offending pair. *)
 
-val pp_profile : Format.formatter -> profile -> unit
-(** Render a profile in the [key=value] syntax {!of_string} parses. *)
-
 type t
 (** A live harness: the profile plus atomic injection counters
     (worker-domain crashes and slowdowns commute across domains). *)

@@ -12,7 +12,9 @@ let lcm a b =
 
 let lcm_list = List.fold_left lcm 1
 
-let clamp ~lo ~hi x =
+(* Annotated [float]: an unannotated body compiles to polymorphic
+   compare calls on boxed floats. *)
+let clamp ~(lo : float) ~(hi : float) (x : float) =
   assert (lo <= hi);
   if x < lo then lo else if x > hi then hi else x
 

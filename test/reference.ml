@@ -5,13 +5,17 @@
    in a structure-exploiting or allocation-free kernel:
 
    - [simplex] / [simplex_ip]: sort-based simplex projection ordered by
-     [Float.compare] (production: [Projection.simplex_fast_ip]);
-   - [eval_with_gradient]: the list-based objective adjoint
-     (production: [Objective.eval_with_gradient_ws]);
-   - [solve] / [solve_warm]: the dense solve, with a nested
-     per-instance projection, full forward and adjoint sweeps on every
-     evaluation, and dense penalty and multiplier loops (production:
-     [Solver.solve] / [Solver.solve_warm]);
+     [Float.compare] (production: [Projection.simplex_blocks_ip]);
+   - [eval_with_gradient]: the list-based objective adjoint, which
+     splits and differentiates the waterfall per instance through the
+     allocating [Waterfall.distribute] / [Waterfall.backward]
+     (production: [Objective.eval_with_gradient_ws] over the plan-wide
+     [Waterfall.distribute_blocks] / [backward_add_blocks]);
+   - [solve] / [solve_warm] / [solve_stochastic]: the dense solve,
+     with a nested per-instance projection, full forward and adjoint
+     sweeps and a fresh waterfall split on every evaluation, and dense
+     penalty and multiplier loops (production: [Solver.solve] /
+     [Solver.solve_warm] / [Solver.solve_stochastic]);
    - [Event_sim.run_traced]: the flat dispatcher, which scans every
      instance of the hyper-period twice per event (production:
      [Lepts_sim.Event_sim.run] / [run_traced], which scan per task from
@@ -391,14 +395,14 @@ let solve_from ~max_outer ~totals_list ~(plan : Plan.t) ~power ~y0 =
           inner_iterations = !inner_total } )
 
 (* Sequential multi-start over the greedy start, its ALAP push-right
-   and the warm starts; the first strictly best result wins. *)
-let solve ?(max_outer = 30) ?(warm_starts = []) ~mode ~(plan : Plan.t) ~power () =
+   and the warm starts, on the mean energy over [totals_list]; the
+   first strictly best result wins. *)
+let solve_multi_start ~max_outer ~warm_starts ~totals_list ~(plan : Plan.t) ~power =
   match Solver.initial_point ~plan ~power with
   | Error _ as err -> err
   | Ok (e0, q0) ->
     let m = Array.length plan.Plan.order in
     let t_max = t_at_vmax power in
-    let totals_list = [ Objective.instance_totals mode plan ] in
     let point_of_eq (e, q) = Array.append q (slacks_for plan ~t_max ~e ~q) in
     let candidates =
       Array.append q0 (Array.make m 0.)
@@ -415,6 +419,32 @@ let solve ?(max_outer = 30) ?(warm_starts = []) ~mode ~(plan : Plan.t) ~power ()
         None candidates
     in
     Option.to_result ~none:(Solver.Solver_stalled "no start point") best
+
+let solve ?(max_outer = 30) ?(warm_starts = []) ~mode ~(plan : Plan.t) ~power () =
+  solve_multi_start ~max_outer ~warm_starts
+    ~totals_list:[ Objective.instance_totals mode plan ]
+    ~plan ~power
+
+(* The probability-weighted solve: [scenarios] truncated-normal draws
+   of every instance's workload, in [Solver.solve_stochastic]'s order
+   from the same seeded generator, each split and differentiated on
+   its own at every evaluation. *)
+let solve_stochastic ?(max_outer = 30) ?(warm_starts = []) ~scenarios ~seed
+    ~(plan : Plan.t) ~power () =
+  let rng = Lepts_prng.Xoshiro256.create ~seed in
+  let sample () =
+    Array.mapi
+      (fun i per_instance ->
+        let task = Task_set.task plan.Plan.task_set i in
+        Array.map
+          (fun _ ->
+            Lepts_prng.Dist.truncated_normal rng ~mu:task.Task.acec
+              ~sigma:(Task.sigma task) ~lo:task.Task.bcec ~hi:task.Task.wcec)
+          per_instance)
+      plan.Plan.instance_subs
+  in
+  let totals_list = List.init scenarios (fun _ -> sample ()) in
+  solve_multi_start ~max_outer ~warm_starts ~totals_list ~plan ~power
 
 let quota_sums_match ~(plan : Plan.t) (prev : Static_schedule.t) =
   let ts = plan.Plan.task_set in

@@ -77,11 +77,16 @@ let test_guard_passes_finite () =
 
 (* --- Projections -------------------------------------------------------- *)
 
-(* The production simplex kernel as a function. *)
-let simplex ~total x =
+(* The production block projection over a one-block index, in place. *)
+let simplex_ip ~total x =
   let n = Array.length x in
+  Projection.simplex_blocks_ip ~off:[| 0; n |] ~idx:(Array.init n Fun.id)
+    ~totals:[| total |] ~base:0 ~scratch:(Array.make n 0.) x
+
+(* The same, as a function. *)
+let simplex ~total x =
   let y = Array.copy x in
-  Projection.simplex_fast_ip ~total ~scratch:(Array.make n 0.) ~n y;
+  simplex_ip ~total y;
   y
 
 let simplex_sum x = Array.fold_left ( +. ) 0. x
@@ -277,10 +282,7 @@ let test_minimize_ws_bitwise () =
     Projected_gradient.minimize ~max_iter:500 ~f ~grad ~project ~x0 ()
   in
   let grad_into x ~into = Array.blit (grad x) 0 into 0 (Array.length x) in
-  let project_ip x =
-    let n = Array.length x in
-    Projection.simplex_fast_ip ~total:1. ~scratch:(Array.make n 0.) ~n x
-  in
+  let project_ip x = simplex_ip ~total:1. x in
   let r_ws =
     Projected_gradient.minimize_ws ~max_iter:500 ~f ~grad_into ~project_ip ~x0 ()
   in

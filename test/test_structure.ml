@@ -43,18 +43,88 @@ let test_fast_projection_bit_identical () =
         (fun (x, total) ->
           let reference = Array.copy x in
           Reference.simplex_ip ~total ~scratch:(Array.make n 0.) reference;
-          let fast = Array.copy x in
-          (* Deliberately oversized buffers: the fast kernel projects a
-             prefix of a shared max-length allocation. *)
+          (* A one-block index over a prefix of deliberately oversized
+             buffers: the kernel must touch only the indexed
+             coordinates. *)
           let fast_buf = Array.make (n + 3) nan in
-          Array.blit fast 0 fast_buf 0 n;
-          Projection.simplex_fast_ip ~total ~scratch:(Array.make (n + 3) nan)
-            ~n fast_buf;
+          Array.blit x 0 fast_buf 0 n;
+          Projection.simplex_blocks_ip ~off:[| 0; n |] ~idx:(Array.init n Fun.id)
+            ~totals:[| total |] ~base:0 ~scratch:(Array.make (n + 3) nan) fast_buf;
           check_bits_arr
             (Printf.sprintf "fast projection n=%d total=%g" n total)
-            reference (Array.sub fast_buf 0 n))
+            reference (Array.sub fast_buf 0 n);
+          Alcotest.(check bool) "tail untouched" true
+            (Array.for_all Float.is_nan (Array.sub fast_buf n 3)))
         (projection_inputs rng n))
     sizes
+
+(* Random block layouts over a shuffled index behind a base offset, as
+   the solver (base 0) and the literal NLP (base m) use it: singletons,
+   short and long blocks (one past the heapsort threshold), ties and
+   zero totals. Every block must equal the dense reference on its own
+   coordinates, and the coordinates before [base] must stay put. *)
+let test_block_projection_bit_identical () =
+  let rng = Rng.create ~seed:43 in
+  List.iter
+    (fun (lengths, base) ->
+      let lengths = Array.of_list lengths in
+      let n_blocks = Array.length lengths in
+      let m = Array.fold_left ( + ) 0 lengths in
+      let off = Array.make (n_blocks + 1) 0 in
+      Array.iteri (fun b n -> off.(b + 1) <- off.(b) + n) lengths;
+      (* Fisher-Yates shuffle of the coordinates. *)
+      let idx = Array.init m Fun.id in
+      for i = m - 1 downto 1 do
+        let j = Rng.int rng ~bound:(i + 1) in
+        let t = idx.(i) in
+        idx.(i) <- idx.(j);
+        idx.(j) <- t
+      done;
+      let x =
+        Array.init (base + m) (fun _ ->
+            if Rng.int rng ~bound:3 = 0 then float_of_int (Rng.int rng ~bound:4) /. 2.
+            else Rng.uniform rng ~lo:(-2.) ~hi:5.)
+      in
+      let totals =
+        Array.init n_blocks (fun b ->
+            if b mod 4 = 3 then 0. else Rng.uniform rng ~lo:0. ~hi:6.)
+      in
+      let got = Array.copy x in
+      let longest = Array.fold_left max 1 lengths in
+      Projection.simplex_blocks_ip ~off ~idx ~totals ~base
+        ~scratch:(Array.make longest nan) got;
+      check_bits_arr "prefix before base" (Array.sub x 0 base) (Array.sub got 0 base);
+      for b = 0 to n_blocks - 1 do
+        let coords = Array.init lengths.(b) (fun p -> base + idx.(off.(b) + p)) in
+        let expect =
+          Reference.simplex ~total:totals.(b) (Array.map (fun k -> x.(k)) coords)
+        in
+        check_bits_arr
+          (Printf.sprintf "block %d (n=%d, total=%g)" b lengths.(b) totals.(b))
+          expect
+          (Array.map (fun k -> got.(k)) coords)
+      done)
+    [ ([ 1; 1; 1; 1 ], 0);
+      ([ 3; 1; 2; 1; 5; 1; 1; 4 ], 0);
+      ([ 1; 7; 300; 1; 2; 257; 1 ], 0);
+      ([ 2; 1; 1; 9; 3 ], 11);
+      ([ 1; 260; 4; 1 ], 5) ];
+  let check_invalid name ~off ~idx ~totals ~base ~scratch x =
+    Alcotest.check_raises name (Invalid_argument name) (fun () ->
+        Projection.simplex_blocks_ip ~off ~idx ~totals ~base ~scratch x)
+  in
+  check_invalid "Projection.simplex_blocks_ip: negative total" ~off:[| 0; 2 |]
+    ~idx:[| 0; 1 |] ~totals:[| -1. |] ~base:0 ~scratch:[| 0.; 0. |] [| 1.; 2. |];
+  check_invalid "Projection.simplex_blocks_ip: empty block" ~off:[| 0; 0; 2 |]
+    ~idx:[| 0; 1 |] ~totals:[| 1.; 1. |] ~base:0 ~scratch:[| 0.; 0. |] [| 1.; 2. |];
+  check_invalid "Projection.simplex_blocks_ip: scratch shorter than a block"
+    ~off:[| 0; 2 |] ~idx:[| 0; 1 |] ~totals:[| 1. |] ~base:0 ~scratch:[| 0. |]
+    [| 1.; 2. |];
+  check_invalid "Projection.simplex_blocks_ip: index exceeds buffer" ~off:[| 0; 2 |]
+    ~idx:[| 0; 1 |] ~totals:[| 1. |] ~base:1 ~scratch:[| 0.; 0. |] [| 1.; 2. |];
+  check_invalid "Projection.simplex_blocks_ip: fewer totals than blocks"
+    ~off:[| 0; 1; 2 |] ~idx:[| 0; 1 |] ~totals:[| 1. |] ~base:0 ~scratch:[| 0. |]
+    [| 1.; 2. |]
 
 (* --- workspace block index ---------------------------------------------- *)
 
@@ -158,6 +228,50 @@ let test_warm_fast_matches_warm_exact () =
   Alcotest.(check int) "warm outer rounds" exact_stats.Solver.outer_iterations
     fast_stats.Solver.outer_iterations
 
+(* The multi-scenario objective: every scenario's waterfall split and
+   adjoint must be its own, so the solver may reuse a split only for
+   the scenario that made it. Pinned against the dense reference, which
+   splits afresh at every evaluation, on the same sampled scenarios, on
+   a preemptive plan and on CNC, cold and with a warm start. *)
+let test_stochastic_solve_bit_identical () =
+  let preemptive =
+    Plan.expand
+      (Lepts_task.Task_set.scale_wcec_to_utilization
+         (Lepts_task.Task_set.create
+            [ Lepts_task.Task.with_ratio ~name:"a" ~period:4 ~wcec:4. ~ratio:0.1;
+              Lepts_task.Task.with_ratio ~name:"b" ~period:6 ~wcec:5. ~ratio:0.1;
+              Lepts_task.Task.with_ratio ~name:"c" ~period:12 ~wcec:8. ~ratio:0.1 ])
+         ~power ~target:0.7)
+  in
+  let cnc = Plan.expand (Lepts_workloads.Cnc.task_set ~power ~ratio:0.3 ()) in
+  List.iter
+    (fun (plan, scenarios, seed, warm) ->
+      let warm_starts =
+        if not warm then []
+        else
+          let wcs, _ = Result.get_ok (Solver.solve_wcs ~plan ~power ()) in
+          [ (wcs.Static_schedule.end_times, wcs.Static_schedule.quotas) ]
+      in
+      let exact, exact_stats =
+        Result.get_ok
+          (Reference.solve_stochastic ~warm_starts ~scenarios ~seed ~plan ~power ())
+      in
+      let fast, fast_stats =
+        Result.get_ok
+          (Solver.solve_stochastic ~warm_starts ~scenarios ~seed ~plan ~power ())
+      in
+      let tag = Printf.sprintf "%d subs, %d scenarios" (Plan.size plan) scenarios in
+      check_bits_arr (tag ^ " end-times") exact.Static_schedule.end_times
+        fast.Static_schedule.end_times;
+      check_bits_arr (tag ^ " quotas") exact.Static_schedule.quotas
+        fast.Static_schedule.quotas;
+      check_bits_arr (tag ^ " objective") [| exact_stats.Solver.objective |]
+        [| fast_stats.Solver.objective |];
+      Alcotest.(check int) (tag ^ " inner iterations") exact_stats.Solver.inner_iterations
+        fast_stats.Solver.inner_iterations)
+    [ (preemptive, 4, 9, false); (preemptive, 3, 2, true); (cnc, 2, 5, false);
+      (cnc, 1, 7, false) ]
+
 let test_budgeted_fast_solve_returns () =
   (* The coarsened wall-budget polling (one clock read per 32 inner
      iterations) must still latch: an already-expired budget returns the
@@ -203,9 +317,11 @@ let test_should_stop_false_is_inert () =
 
 let suite =
   [ ("fast projection bit-identical", `Quick, test_fast_projection_bit_identical);
+    ("block projection bit-identical", `Quick, test_block_projection_bit_identical);
     ("block index matches plan", `Quick, test_block_index_matches_plan);
     ("fast solve bit-identical to exact", `Slow, test_fast_solve_bit_identical);
     ("warm fast matches warm exact", `Quick, test_warm_fast_matches_warm_exact);
+    ("stochastic solve bit-identical", `Slow, test_stochastic_solve_bit_identical);
     ("budgeted fast solve returns", `Quick, test_budgeted_fast_solve_returns);
     ("should_stop halts descent", `Quick, test_should_stop_halts_descent);
     ("absent should_stop signal is inert", `Quick, test_should_stop_false_is_inert) ]

@@ -33,6 +33,111 @@ let test_invalid () =
   Alcotest.check_raises "negative quota" (Invalid_argument "Waterfall: negative quota")
     (fun () -> ignore (Waterfall.distribute ~quotas:[| -1. |] ~total:1.))
 
+(* The plan-wide kernels against the per-instance oracles, bit for bit,
+   on random block layouts over a shuffled index: partial, exactly
+   filled and overflowing totals, zero totals and zero quotas, ties.
+   The adjoint kernel adds into a prefilled buffer (signed zeros
+   included), so the expectation is that buffer plus [backward]. *)
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let test_blocks_match_per_instance () =
+  let rng = Lepts_prng.Xoshiro256.create ~seed:77 in
+  let uniform lo hi = Lepts_prng.Xoshiro256.uniform rng ~lo ~hi in
+  let int bound = Lepts_prng.Xoshiro256.int rng ~bound in
+  for _ = 1 to 200 do
+    (* [totals.(i)] is task i's row of instances; one block each. *)
+    let rows =
+      Array.init (1 + int 4) (fun _ -> Array.init (1 + int 3) (fun _ -> 1 + int 5))
+    in
+    let lengths = Array.concat (Array.to_list rows) in
+    let n_blocks = Array.length lengths in
+    let m = Array.fold_left ( + ) 0 lengths in
+    let off = Array.make (n_blocks + 1) 0 in
+    Array.iteri (fun b n -> off.(b + 1) <- off.(b) + n) lengths;
+    let idx = Array.init m Fun.id in
+    for i = m - 1 downto 1 do
+      let j = int (i + 1) in
+      let t = idx.(i) in
+      idx.(i) <- idx.(j);
+      idx.(j) <- t
+    done;
+    let quotas =
+      Array.init m (fun _ ->
+          match int 4 with 0 -> 0. | 1 -> float_of_int (int 3) | _ -> uniform 0. 5.)
+    in
+    let block_quotas b = Array.init lengths.(b) (fun p -> quotas.(idx.(off.(b) + p))) in
+    let b = ref 0 in
+    let totals =
+      Array.map
+        (fun row ->
+          Array.map
+            (fun _ ->
+              let sum = Array.fold_left ( +. ) 0. (block_quotas !b) in
+              incr b;
+              match int 5 with
+              | 0 -> 0.
+              | 1 -> sum
+              | 2 -> sum +. 1.
+              | _ -> uniform 0. sum)
+            row)
+        rows
+    in
+    let total_of b =
+      let r = ref b and i = ref 0 in
+      while !r >= Array.length totals.(!i) do
+        r := !r - Array.length totals.(!i);
+        incr i
+      done;
+      totals.(!i).(!r)
+    in
+    let adjoint = Array.init m (fun _ -> uniform (-3.) 3.) in
+    let split = Array.make m nan in
+    Waterfall.distribute_blocks ~off ~idx ~totals ~quotas ~into:split;
+    let prefill =
+      Array.init m (fun k ->
+          match k mod 3 with 0 -> -0. | 1 -> 0. | _ -> uniform (-1.) 1.)
+    in
+    let back = Array.copy prefill in
+    Waterfall.backward_add_blocks ~off ~idx ~totals ~quotas ~adjoint ~into:back;
+    for b = 0 to n_blocks - 1 do
+      let q = block_quotas b and total = total_of b in
+      let a = Array.init lengths.(b) (fun p -> adjoint.(idx.(off.(b) + p))) in
+      let expect_split = Waterfall.distribute ~quotas:q ~total in
+      let expect_back = Waterfall.backward ~quotas:q ~total ~adjoint:a in
+      Array.iteri
+        (fun p w ->
+          let k = idx.(off.(b) + p) in
+          if not (bits_equal w split.(k)) then
+            Alcotest.failf "block %d split.(%d): %h <> %h" b p w split.(k);
+          let expect = prefill.(k) +. expect_back.(p) in
+          if not (bits_equal expect back.(k)) then
+            Alcotest.failf "block %d adjoint.(%d): %h <> %h" b p expect back.(k))
+        expect_split
+    done
+  done
+
+let test_blocks_invalid () =
+  let off = [| 0; 2 |] and idx = [| 1; 0 |] and into = Array.make 2 0. in
+  let raises name f = Alcotest.check_raises name (Invalid_argument name) f in
+  raises "Waterfall: negative total" (fun () ->
+      Waterfall.distribute_blocks ~off ~idx ~totals:[| [| -1. |] |] ~quotas:[| 1.; 1. |]
+        ~into);
+  raises "Waterfall: negative quota" (fun () ->
+      Waterfall.distribute_blocks ~off ~idx ~totals:[| [| 1. |] |] ~quotas:[| 1.; -1. |]
+        ~into);
+  raises "Waterfall: negative total" (fun () ->
+      Waterfall.backward_add_blocks ~off ~idx ~totals:[| [| -1. |] |]
+        ~quotas:[| 1.; 1. |] ~adjoint:[| 1.; 1. |] ~into);
+  raises "Waterfall: negative quota" (fun () ->
+      Waterfall.backward_add_blocks ~off ~idx ~totals:[| [| 1. |] |]
+        ~quotas:[| 1.; -1. |] ~adjoint:[| 1.; 1. |] ~into);
+  raises "Waterfall: block index does not match the totals" (fun () ->
+      Waterfall.distribute_blocks ~off ~idx ~totals:[| [| 1.; 1. |] |]
+        ~quotas:[| 1.; 1. |] ~into);
+  raises "Waterfall: block index exceeds buffer" (fun () ->
+      Waterfall.backward_add_blocks ~off ~idx ~totals:[| [| 1. |] |] ~quotas:[| 1. |]
+        ~adjoint:[| 1.; 1. |] ~into)
+
 (* Invariants under random inputs. *)
 let qcheck_tests =
   let gen =
@@ -122,5 +227,7 @@ let suite =
     ("overflow capped", `Quick, test_total_exceeds_sum);
     ("zero quotas skipped", `Quick, test_zero_quotas_passthrough);
     ("empty quotas", `Quick, test_empty);
-    ("invalid inputs", `Quick, test_invalid) ]
+    ("invalid inputs", `Quick, test_invalid);
+    ("plan-wide kernels match per-instance", `Quick, test_blocks_match_per_instance);
+    ("plan-wide kernels reject invalid inputs", `Quick, test_blocks_invalid) ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_tests
