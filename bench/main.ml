@@ -375,9 +375,9 @@ type work_case = {
 
 let work_cases =
   [ { plan = random_plan ~n:8 ~seed:108 ~max_subs:1000; inner = 3780;
-      words = 357_077 };
+      words = 197_427 };
     { plan = random_plan ~n:16 ~seed:104 ~max_subs:2600; inner = 4020;
-      words = 620_993 } ]
+      words = 227_555 } ]
 
 let work_slack = 1.10
 

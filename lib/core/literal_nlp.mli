@@ -10,8 +10,10 @@
     - chain fit: [t_max * w-hat_k <= e_k - e_(k-1)],
 
     a box [r_k <= e_k <= b_k] and one [sum = WCEC] simplex per instance
-    (the paper's eqns 8–11), solved with the generic augmented
-    Lagrangian in {!Lepts_optim}. On small instances both formulations
+    (the paper's eqns 8–11), solved by this module's own
+    augmented-Lagrangian loop over
+    {!Lepts_optim.Projected_gradient.minimize_ws}, which projects onto
+    the box and the simplexes. On small instances both formulations
     must agree; the test suite and an ablation bench check that. The
     slack formulation is the production path because the literal one
     scales poorly (its feasibility-restoration steps fight the chain

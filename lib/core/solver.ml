@@ -3,7 +3,6 @@ module Sub = Lepts_preempt.Sub_instance
 module Model = Lepts_power.Model
 module Task = Lepts_task.Task
 module Task_set = Lepts_task.Task_set
-module Vec = Lepts_linalg.Vec
 module Projection = Lepts_optim.Projection
 module Pg = Lepts_optim.Projected_gradient
 module Numdiff = Lepts_optim.Numdiff
@@ -122,7 +121,7 @@ let[@inline] fmax (x : float) (y : float) =
 (* Recompute the frontier recursion over [lo, m) given the frontier
    value entering index [lo]: fills [ws.q] (unscaled quotas), [ws.e],
    [ws.start], [ws.start_ff], [ws.room] and [ws.g] on that range. *)
-let forward_scaled_range (ws : Workspace.t) ~t_max (z : Vec.t) lo frontier0 =
+let forward_scaled_range (ws : Workspace.t) ~t_max (z : float array) lo frontier0 =
   let m = ws.Workspace.m in
   let plan = ws.Workspace.plan in
   let q = ws.Workspace.q in
@@ -158,7 +157,7 @@ let forward_scaled_range (ws : Workspace.t) ~t_max (z : Vec.t) lo frontier0 =
    Bit-identical to a full sweep because the recomputed suffix
    performs exactly the operations the full sweep would, on state the
    full sweep would have produced. *)
-let forward_scaled_incr (ws : Workspace.t) ~t_max (z : Vec.t) =
+let forward_scaled_incr (ws : Workspace.t) ~t_max (z : float array) =
   let m = ws.Workspace.m in
   let yp = ws.Workspace.y_prev in
   if not ws.Workspace.fwd_valid then begin
@@ -231,7 +230,7 @@ let make_projection (ws : Workspace.t) ~scale ~hyper =
   (* The clamp's [lo <= hi] precondition, checked once: [hyper] is
      fixed for the projection's lifetime. *)
   assert (0. <= hyper);
-  fun (z : Vec.t) ->
+  fun (z : float array) ->
     Projection.simplex_blocks_ip ~off ~idx ~totals ~base:0 ~scratch z;
     for k = m to (2 * m) - 1 do
       z.(k) <- clampf ~lo:0. ~hi:hyper z.(k)

@@ -17,6 +17,6 @@ val finite : where:string -> float -> float
 (** [finite ~where x] is [x] if it is finite; raises {!Non_finite}
     mentioning [where] otherwise. *)
 
-val finite_vec : where:string -> Lepts_linalg.Vec.t -> Lepts_linalg.Vec.t
+val finite_vec : where:string -> float array -> float array
 (** [finite_vec ~where v] is [v] if every component is finite; raises
     {!Non_finite} naming the first offending index otherwise. *)

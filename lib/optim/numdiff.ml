@@ -1,8 +1,6 @@
-module Vec = Lepts_linalg.Vec
-
 let gradient ?(h = 1e-6) ~f x =
-  let x = Vec.copy x in
-  let n = Vec.dim x in
+  let x = Array.copy x in
+  let n = Array.length x in
   Array.init n (fun i ->
       let step = h *. Float.max 1. (Float.abs x.(i)) in
       let xi = x.(i) in

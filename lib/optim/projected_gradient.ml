@@ -1,27 +1,47 @@
-module Vec = Lepts_linalg.Vec
-
 type report = {
-  x : Vec.t;
+  x : float array;
   value : float;
   step_norm : float;
   iterations : int;
   converged : bool;
 }
 
-(* Same-module float copies of [Float.max]/[Float.min] (same formulas
-   as the stdlib, so same results): without flambda the cross-module
-   calls box floats on every loop iteration. *)
+(* Same-module float max/min: without flambda the cross-module
+   [Float.max]/[Float.min] calls box floats on every loop iteration.
+   They can differ from the stdlib's only on signed zeros and NaN,
+   which cannot change a result here: the operands are finite, and a
+   zero's sign is lost in the comparisons that read them. *)
 let[@inline] fmax (x : float) (y : float) =
   if y > x || (x <> x && not (y <> y)) then y else x
 
 let[@inline] fmin (x : float) (y : float) =
   if y < x || (x <> x && not (y <> y)) then y else x
 
-(* Fused one-pass kernels. Accumulation order is identical to the
-   [Vec.sub_into] + [Vec.norm2] / [Vec.dot] sequences they replace
-   (ascending index, one accumulator per product), so iterates stay
-   bit-identical; fusing removes two full vector passes per attempt. *)
-let sub_norm_slope (xt : Vec.t) (x : Vec.t) (g : Vec.t) ~(into : Vec.t) =
+(* Vector loops; the norms accumulate in ascending index order. *)
+let axpy_into a (x : float array) (y : float array) ~(into : float array) =
+  for i = 0 to Array.length x - 1 do
+    into.(i) <- (a *. x.(i)) +. y.(i)
+  done
+
+let[@inline] norm2 (a : float array) =
+  let acc = ref 0. in
+  for i = 0 to Array.length a - 1 do
+    acc := !acc +. (a.(i) *. a.(i))
+  done;
+  sqrt !acc
+
+let norm_inf (a : float array) =
+  let acc = ref 0. in
+  for i = 0 to Array.length a - 1 do
+    acc := Float.max !acc (Float.abs a.(i))
+  done;
+  !acc
+
+(* Fused one-pass kernels: the projected difference with its norm and
+   slope, and the Barzilai–Borwein inner products, one accumulator per
+   product in ascending index order. *)
+let sub_norm_slope (xt : float array) (x : float array) (g : float array)
+    ~(into : float array) =
   let n = Array.length into in
   let ss = ref 0. and sg = ref 0. in
   for i = 0 to n - 1 do
@@ -32,7 +52,8 @@ let sub_norm_slope (xt : Vec.t) (x : Vec.t) (g : Vec.t) ~(into : Vec.t) =
   done;
   (sqrt !ss, !sg)
 
-let bb_terms (gn : Vec.t) (g : Vec.t) (d : Vec.t) ~(into_y : Vec.t) =
+let bb_terms (gn : float array) (g : float array) (d : float array)
+    ~(into_y : float array) =
   let n = Array.length into_y in
   let sy = ref 0. and ss = ref 0. in
   for i = 0 to n - 1 do
@@ -43,23 +64,24 @@ let bb_terms (gn : Vec.t) (g : Vec.t) (d : Vec.t) ~(into_y : Vec.t) =
   done;
   (!sy, !ss)
 
-(* Workspace core: all per-iteration vectors (trial point, search
-   direction, gradients, BB difference) live in buffers allocated once
-   here, so a full minimize run performs no per-iteration array
-   allocation as long as [f], [grad_into] and [project_ip] are
-   allocation-free themselves. The arithmetic is exactly the allocating
-   version's, componentwise, so results are bit-identical. *)
-let minimize_ws ?telemetry ?should_stop ?(max_iter = 2000) ?(tol = 1e-9)
-    ?(history = 10) ~f ~grad_into ~project_ip ~x0 () =
-  let n = Vec.dim x0 in
-  let x = ref (Vec.copy x0) in
+(* Objective values the non-monotone Armijo test looks back over. *)
+let history = 10
+
+(* All per-iteration vectors (trial point, search direction, gradients,
+   BB difference) live in buffers allocated once here, so a run
+   performs no per-iteration array allocation as long as [f],
+   [grad_into] and [project_ip] are allocation-free themselves. *)
+let minimize_ws ?telemetry ?should_stop ?(max_iter = 2000) ?(tol = 1e-9) ~f ~grad_into
+    ~project_ip ~x0 () =
+  let n = Array.length x0 in
+  let x = ref (Array.copy x0) in
   project_ip !x;
   let fx = ref (Guard.finite ~where:"objective at x0" (f !x)) in
-  let g = ref (Vec.zeros n) in
+  let g = ref (Array.make n 0.) in
   grad_into !x ~into:!g;
   ignore (Guard.finite_vec ~where:"gradient at x0" !g);
-  let xt = ref (Vec.zeros n) and gn = ref (Vec.zeros n) in
-  let d = Vec.zeros n and y = Vec.zeros n in
+  let xt = ref (Array.make n 0.) and gn = ref (Array.make n 0.) in
+  let d = Array.make n 0. and y = Array.make n 0. in
   let recent = Array.make history !fx in
   let recent_idx = ref 0 in
   let push_value v =
@@ -73,7 +95,7 @@ let minimize_ws ?telemetry ?should_stop ?(max_iter = 2000) ?(tol = 1e-9)
     done;
     !acc
   in
-  let step = ref (1. /. Float.max 1. (Vec.norm_inf !g)) in
+  let step = ref (1. /. Float.max 1. (norm_inf !g)) in
   let iterations = ref 0 in
   let converged = ref false in
   let last_step_norm = ref infinity in
@@ -83,42 +105,41 @@ let minimize_ws ?telemetry ?should_stop ?(max_iter = 2000) ?(tol = 1e-9)
   let stop_requested =
     match should_stop with None -> fun () -> false | Some f -> f
   in
+  (* Backtrack the trial step until the non-monotone Armijo test
+     passes; the projected difference is the true search direction.
+     [xt] and [d] are overwritten on every try. *)
+  let rec attempt trial tries =
+    if tries > 60 then `Stalled tries
+    else begin
+      axpy_into (-.trial) !g !x ~into:!xt;
+      project_ip !xt;
+      let dnorm, slope = sub_norm_slope !xt !x !g ~into:d in
+      if dnorm = 0. then `Zero_step tries
+      else
+        let fx_trial = f !xt in
+        if Float.is_finite fx_trial && fx_trial <= reference () +. (1e-4 *. slope)
+        then `Accepted (fx_trial, dnorm, trial, tries)
+        else attempt (trial /. 2.) (tries + 1)
+    end
+  in
+  (* Observational only: telemetry pushes store already-computed
+     scalars, so the float operations — and hence the iterates — are
+     bit-identical with telemetry on or off. *)
+  let observe ~objective ~step ~step_norm ~backtracks ~projections =
+    match telemetry with
+    | None -> ()
+    | Some ring ->
+      Lepts_obs.Telemetry.push ring ~iteration:!iterations ~objective ~step ~step_norm
+        ~backtracks ~projections
+  in
   while (not !converged) && !iterations < max_iter && not (stop_requested ()) do
     incr iterations;
-    (* Backtrack the trial step until the non-monotone Armijo test
-       passes; the projected difference is the true search direction.
-       [xt] and [d] are overwritten on every try. *)
-    let rec attempt trial tries =
-      if tries > 60 then `Stalled tries
-      else begin
-        Vec.axpy_into (-.trial) !g !x ~into:!xt;
-        project_ip !xt;
-        let dnorm, slope = sub_norm_slope !xt !x !g ~into:d in
-        if dnorm = 0. then `Zero_step tries
-        else
-          let fx_trial = f !xt in
-          if Float.is_finite fx_trial
-             && fx_trial <= reference () +. (1e-4 *. slope)
-          then `Accepted (fx_trial, dnorm, trial, tries)
-          else attempt (trial /. 2.) (tries + 1)
-      end
-    in
-    (* Observational only: telemetry pushes store already-computed
-       scalars, so the float operations — and hence the iterates — are
-       bit-identical with telemetry on or off. *)
-    let observe ~objective ~step ~step_norm ~backtracks ~projections =
-      match telemetry with
-      | None -> ()
-      | Some ring ->
-        Lepts_obs.Telemetry.push ring ~iteration:!iterations ~objective ~step
-          ~step_norm ~backtracks ~projections
-    in
     match attempt !step 0 with
     | `Stalled tries ->
       (* no progress possible at this scale *)
       converged := true;
-      observe ~objective:!fx ~step:!step ~step_norm:!last_step_norm
-        ~backtracks:tries ~projections:tries
+      observe ~objective:!fx ~step:!step ~step_norm:!last_step_norm ~backtracks:tries
+        ~projections:tries
     | `Zero_step tries ->
       last_step_norm := 0.;
       converged := true;
@@ -140,19 +161,10 @@ let minimize_ws ?telemetry ?should_stop ?(max_iter = 2000) ?(tol = 1e-9)
       fx := fx_next;
       push_value fx_next;
       last_step_norm := dnorm;
-      let scale = fmax 1. (Vec.norm2 !x) in
+      let scale = fmax 1. (norm2 !x) in
       if !last_step_norm <= tol *. scale then converged := true;
-      observe ~objective:fx_next ~step:trial ~step_norm:dnorm
-        ~backtracks:tries ~projections:(tries + 1)
+      observe ~objective:fx_next ~step:trial ~step_norm:dnorm ~backtracks:tries
+        ~projections:(tries + 1)
   done;
-  { x = Vec.copy !x; value = !fx; step_norm = !last_step_norm;
+  { x = Array.copy !x; value = !fx; step_norm = !last_step_norm;
     iterations = !iterations; converged = !converged }
-
-let minimize ?max_iter ?tol ?history ~f ~grad ~project ~x0 () =
-  let n = Vec.dim x0 in
-  let grad_into x ~into = Array.blit (grad x) 0 into 0 n in
-  let project_ip x =
-    let r = project x in
-    if r != x then Array.blit r 0 x 0 n
-  in
-  minimize_ws ?max_iter ?tol ?history ~f ~grad_into ~project_ip ~x0 ()

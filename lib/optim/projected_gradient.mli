@@ -2,63 +2,52 @@
     and a non-monotone Armijo safeguard.
 
     Minimises a (piecewise-) smooth function over a closed convex set
-    given by its Euclidean projection operator. This is the inner
-    solver of {!Augmented_lagrangian}: the scheduling feasible sets
+    given by its in-place Euclidean projection. This is the inner
+    solver of both augmented-Lagrangian loops, [Lepts_core.Solver]'s
+    and [Lepts_core.Literal_nlp]'s: the scheduling feasible sets
     (boxes and per-instance workload simplexes) project cheaply. *)
 
 type report = {
-  x : Lepts_linalg.Vec.t;
+  x : float array;
   value : float;
   step_norm : float;  (** norm of the last projected-gradient step *)
   iterations : int;
   converged : bool;
 }
 
-val minimize :
-  ?max_iter:int ->
-  ?tol:float ->
-  ?history:int ->
-  f:(Lepts_linalg.Vec.t -> float) ->
-  grad:(Lepts_linalg.Vec.t -> Lepts_linalg.Vec.t) ->
-  project:(Lepts_linalg.Vec.t -> Lepts_linalg.Vec.t) ->
-  x0:Lepts_linalg.Vec.t ->
-  unit ->
-  report
-(** [minimize ~f ~grad ~project ~x0 ()] iterates
-    [x <- project (x - step * grad x)] with BB step lengths, accepting a
-    step when it improves on the maximum of the last [history] (default
-    10) objective values (Grippo–Lampariello–Lucidi non-monotone rule).
-    Converged when the projected step drops below [tol] (default
-    [1e-9]) relative to the iterate norm. [x0] is projected first, so
-    it need not be feasible.
-
-    Raises {!Guard.Non_finite} when the objective at the (projected)
-    start point or any accepted gradient contains NaN or infinity —
-    iterating on non-finite values would otherwise silently return a
-    garbage minimiser. Non-finite {e trial} objective values during
-    backtracking remain non-fatal: the step is simply rejected. *)
-
 val minimize_ws :
   ?telemetry:Lepts_obs.Telemetry.ring ->
   ?should_stop:(unit -> bool) ->
   ?max_iter:int ->
   ?tol:float ->
-  ?history:int ->
-  f:(Lepts_linalg.Vec.t -> float) ->
-  grad_into:(Lepts_linalg.Vec.t -> into:Lepts_linalg.Vec.t -> unit) ->
-  project_ip:(Lepts_linalg.Vec.t -> unit) ->
-  x0:Lepts_linalg.Vec.t ->
+  f:(float array -> float) ->
+  grad_into:(float array -> into:float array -> unit) ->
+  project_ip:(float array -> unit) ->
+  x0:float array ->
   unit ->
   report
-(** Workspace variant of {!minimize}: the gradient is written into a
-    caller-visible buffer by [grad_into] and the projection mutates its
-    argument in place, so the descent loop performs no per-iteration
-    array allocation when [f], [grad_into] and [project_ip] are
-    themselves allocation-free. Iterates, accepted steps and the
-    returned report are bit-identical to {!minimize} with the
-    equivalent functional operators ({!minimize} is implemented as a
-    wrapper over this). The vector passed to [f]/[grad_into] is an
-    internal buffer: read it, never retain it.
+(** [minimize_ws ~f ~grad_into ~project_ip ~x0 ()] iterates
+    [x <- project (x - step * grad x)] with BB step lengths, accepting a
+    step when it improves on the maximum of the last 10 objective
+    values (Grippo–Lampariello–Lucidi non-monotone rule), halving a
+    rejected step at most 60 times. It stops after [max_iter] (default
+    2000) iterations, or with [converged] set on a projected step that
+    is zero or below [tol] (default [1e-9]) relative to the iterate
+    norm, or when no halving is accepted. [x0] is projected first, so
+    it need not be feasible.
+
+    [grad_into x ~into] writes the gradient at [x] into [into], and
+    [project_ip] projects its argument in place, so the descent loop
+    performs no per-iteration array allocation when [f], [grad_into]
+    and [project_ip] are themselves allocation-free. The vector passed
+    to [f]/[grad_into] is an internal buffer: read it, never retain
+    it.
+
+    Raises {!Guard.Non_finite} when the objective at the (projected)
+    start point or any accepted gradient contains NaN or infinity —
+    iterating on non-finite values would otherwise silently return a
+    garbage minimiser. Non-finite {e trial} objective values during
+    backtracking remain non-fatal: the step is simply rejected.
 
     [?telemetry] captures one {!Lepts_obs.Telemetry.record} per
     iteration (accepted steps and the terminal stalled/zero-step

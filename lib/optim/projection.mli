@@ -6,8 +6,8 @@ val simplex_blocks_ip :
   idx:int array ->
   totals:float array ->
   base:int ->
-  scratch:Lepts_linalg.Vec.t ->
-  Lepts_linalg.Vec.t ->
+  scratch:float array ->
+  float array ->
   unit
 (** [simplex_blocks_ip ~off ~idx ~totals ~base ~scratch x] projects,
     in place, every block of a flat block index onto its scaled simplex

@@ -44,21 +44,47 @@ let cli_case ~file args =
     fun () -> check_text ~what:file (golden file) (run_lepts args) )
 
 (* The motivational example and CNC at ratio 0.1, both modes: one block
-   per solve, each vector as space-separated hex of its IEEE-754 bits. *)
+   per solve, each vector as space-separated hex of its IEEE-754 bits.
+   Two more fixtures reach paths those miss: the motivational set under
+   the alpha-power model (numerical gradient, and constraint terms
+   active over a dozen AL rounds), and a [Random_gen] plan of exactly
+   120 subs, the largest size [Improvement] refines with the literal
+   NLP. *)
 let literal_nlp_bits () =
   let bits xs =
     String.concat " "
       (Array.to_list
          (Array.map (fun x -> Printf.sprintf "%016Lx" (Int64.bits_of_float x)) xs))
   in
-  let cnc_power = Lepts_power.Model.ideal ~v_min:0.5 ~v_max:4.0 () in
+  let module Model = Lepts_power.Model in
+  let cnc_power = Model.ideal ~v_min:0.5 ~v_max:4.0 () in
+  let alpha_power =
+    Model.create ~v_min:1. ~v_max:4. (Model.Alpha { k = 0.5; v_th = 0.4; alpha = 1.6 })
+  in
+  let random_plan =
+    let rng = Lepts_prng.Xoshiro256.create ~seed:4004 in
+    match
+      Lepts_workloads.Random_gen.generate
+        (Lepts_workloads.Random_gen.default_config ~n_tasks:4 ~ratio:0.1)
+        ~power:cnc_power ~rng
+    with
+    | Ok ts -> Plan.expand ts
+    | Error msg -> Alcotest.failf "random fixture: %s" msg
+  in
+  Alcotest.(check int) "random fixture size" 120 (Array.length random_plan.Plan.order);
   let fixtures =
     [ ( "motivation",
         Plan.expand (Lepts_experiments.Motivation.task_set ()),
         Lepts_experiments.Motivation.power () );
       ( "cnc",
         Plan.expand (Lepts_workloads.Cnc.task_set ~power:cnc_power ~ratio:0.1 ()),
-        cnc_power ) ]
+        cnc_power );
+      ( "alpha",
+        Plan.expand
+          (Lepts_task.Task_set.scale_wcec_to_utilization
+             (Lepts_experiments.Motivation.task_set ()) ~power:alpha_power ~target:0.7),
+        alpha_power );
+      ("random", random_plan, cnc_power) ]
   in
   let buf = Buffer.create 4096 in
   List.iter

@@ -5,7 +5,6 @@ let () =
     [ ("util", Test_util.suite);
       ("prng", Test_prng.suite);
       ("par", Test_par.suite);
-      ("linalg", Test_linalg.suite);
       ("optim", Test_optim.suite);
       ("power", Test_power.suite);
       ("task", Test_task.suite);

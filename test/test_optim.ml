@@ -1,11 +1,18 @@
 open Lepts_optim
-module Vec = Lepts_linalg.Vec
 
 let check_float eps = Alcotest.(check (float eps))
 
+let dot a b =
+  let acc = ref 0. in
+  Array.iteri (fun i ai -> acc := !acc +. (ai *. b.(i))) a;
+  !acc
+
+let sub a b = Array.mapi (fun i ai -> ai -. b.(i)) a
+let dist2 a b = sqrt (dot (sub a b) (sub a b))
+
 (* Classic test functions. *)
-let sphere x = Vec.dot x x
-let sphere_grad x = Vec.scale 2. x
+let sphere x = dot x x
+let sphere_grad_into x ~into = Array.iteri (fun i xi -> into.(i) <- 2. *. xi) x
 
 let rosenbrock x =
   let a = 1. -. x.(0) and b = x.(1) -. (x.(0) *. x.(0)) in
@@ -15,7 +22,10 @@ let rosenbrock_grad x =
   let b = x.(1) -. (x.(0) *. x.(0)) in
   [| (-2. *. (1. -. x.(0))) -. (400. *. x.(0) *. b); 200. *. b |]
 
-let quadratic_bowl c x = Vec.dot (Vec.sub x c) (Vec.sub x c)
+let quadratic_bowl c x = dot (sub x c) (sub x c)
+
+let minimize ~f ~grad_into ?(project_ip = ignore) x0 =
+  Projected_gradient.minimize_ws ~f ~grad_into ~project_ip ~x0 ()
 
 (* --- Numdiff ------------------------------------------------------------ *)
 
@@ -58,16 +68,13 @@ let test_numdiff_guards_nan () =
 
 let test_pg_guards_nan_at_start () =
   let f _ = Float.nan in
-  let grad x = Vec.scale 2. x in
   Alcotest.(check bool) "nan objective at x0 detected" true
-    (raises_non_finite (fun () ->
-         Projected_gradient.minimize ~f ~grad ~project:Fun.id ~x0:[| 1. |] ()))
+    (raises_non_finite (fun () -> minimize ~f ~grad_into:sphere_grad_into [| 1. |]))
 
 let test_pg_guards_nan_gradient () =
-  let grad _ = [| Float.nan |] in
+  let grad_into _ ~into = into.(0) <- Float.nan in
   Alcotest.(check bool) "nan gradient detected" true
-    (raises_non_finite (fun () ->
-         Projected_gradient.minimize ~f:sphere ~grad ~project:Fun.id ~x0:[| 1. |] ()))
+    (raises_non_finite (fun () -> minimize ~f:sphere ~grad_into [| 1. |]))
 
 let test_guard_passes_finite () =
   Alcotest.(check (float 0.)) "finite passthrough" 3.5
@@ -117,123 +124,43 @@ let test_simplex_projection_property () =
     let z = Array.init n (fun _ -> -.log (Float.max 1e-9 (Lepts_prng.Xoshiro256.float rng))) in
     let zs = simplex_sum z in
     let z = Array.map (fun v -> total *. v /. zs) z in
-    let inner = Vec.dot (Vec.sub x p) (Vec.sub z p) in
+    let inner = dot (sub x p) (sub z p) in
     if inner > 1e-7 then Alcotest.failf "not a projection: %g" inner
   done
 
 (* --- Projected gradient -------------------------------------------------- *)
 
 let test_pg_unconstrained () =
-  let r =
-    Projected_gradient.minimize ~f:sphere ~grad:sphere_grad ~project:Fun.id
-      ~x0:[| 4.; -2. |] ()
-  in
+  let r = minimize ~f:sphere ~grad_into:sphere_grad_into [| 4.; -2. |] in
   check_float 1e-8 "min" 0. r.Projected_gradient.value
 
-(* Componentwise clamp onto [lo, hi]. *)
-let clamp_box ~lo ~hi x = Array.mapi (fun i v -> Float.min hi.(i) (Float.max lo.(i) v)) x
+(* Componentwise clamp onto [lo, hi], in place. *)
+let clamp_box ~lo ~hi x =
+  Array.iteri (fun i v -> x.(i) <- Float.min hi.(i) (Float.max lo.(i) v)) x
 
 let test_pg_box_active () =
   (* min (x-3)^2 over [0, 1]: solution at the bound x = 1. *)
   let f x = (x.(0) -. 3.) ** 2. in
-  let grad x = [| 2. *. (x.(0) -. 3.) |] in
-  let project = clamp_box ~lo:[| 0. |] ~hi:[| 1. |] in
-  let r = Projected_gradient.minimize ~f ~grad ~project ~x0:[| 0. |] () in
+  let grad_into x ~into = into.(0) <- 2. *. (x.(0) -. 3.) in
+  let project_ip = clamp_box ~lo:[| 0. |] ~hi:[| 1. |] in
+  let r = minimize ~f ~grad_into ~project_ip [| 0. |] in
   check_float 1e-8 "active bound" 1. r.Projected_gradient.x.(0)
 
 let test_pg_simplex () =
   (* min sum (x_i - c_i)^2 over the simplex: projection of c. *)
   let c = [| 0.9; 0.4; -0.3 |] in
-  let f x = Vec.dot (Vec.sub x c) (Vec.sub x c) in
-  let grad x = Vec.scale 2. (Vec.sub x c) in
-  let project = simplex ~total:1. in
-  let r = Projected_gradient.minimize ~f ~grad ~project ~x0:[| 0.4; 0.3; 0.3 |] () in
+  let f = quadratic_bowl c in
+  let grad_into x ~into = Array.iteri (fun i xi -> into.(i) <- 2. *. (xi -. c.(i))) x in
+  let r = minimize ~f ~grad_into ~project_ip:(simplex_ip ~total:1.) [| 0.4; 0.3; 0.3 |] in
   let expected = simplex ~total:1. c in
   Alcotest.(check bool) "matches direct projection" true
-    (Vec.dist2 r.Projected_gradient.x expected < 1e-6)
+    (dist2 r.Projected_gradient.x expected < 1e-6)
 
 let test_pg_infeasible_start () =
-  let f x = Vec.dot x x in
-  let grad x = Vec.scale 2. x in
-  let project = clamp_box ~lo:[| 1.; 1. |] ~hi:[| 2.; 2. |] in
-  let r = Projected_gradient.minimize ~f ~grad ~project ~x0:[| -10.; 10. |] () in
+  let project_ip = clamp_box ~lo:[| 1.; 1. |] ~hi:[| 2.; 2. |] in
+  let r = minimize ~f:sphere ~grad_into:sphere_grad_into ~project_ip [| -10.; 10. |] in
   Alcotest.(check bool) "lands at corner" true
-    (Vec.dist2 r.Projected_gradient.x [| 1.; 1. |] < 1e-7)
-
-(* --- NLP / augmented Lagrangian ------------------------------------------ *)
-
-let test_linear_constraint () =
-  let c = Nlp.linear_constraint ~name:"test" ~coeffs:[ (0, 2.); (2, -1.) ] ~bound:3. in
-  check_float 1e-12 "value" (-1.) (c.Nlp.value [| 1.; 9.; 0. |]);
-  let g = Array.make 3 0. in
-  c.Nlp.add_gradient ~x:[| 0.; 0.; 0. |] ~scale:1. ~into:g;
-  Alcotest.(check bool) "gradient" true (g = [| 2.; 0.; -1. |])
-
-let test_al_equality_via_projection () =
-  (* min (x0-2)^2 + (x1-2)^2 s.t. x on simplex(1): symmetric -> (0.5, 0.5). *)
-  let f x = ((x.(0) -. 2.) ** 2.) +. ((x.(1) -. 2.) ** 2.) in
-  let grad x = [| 2. *. (x.(0) -. 2.); 2. *. (x.(1) -. 2.) |] in
-  let problem =
-    { Nlp.dim = 2; objective = f; gradient = grad; inequalities = [];
-      project = simplex ~total:1. }
-  in
-  let r = Augmented_lagrangian.solve problem ~x0:[| 1.; 0. |] in
-  Alcotest.(check bool) "symmetric solution" true
-    (Vec.dist2 r.Augmented_lagrangian.x [| 0.5; 0.5 |] < 1e-6)
-
-let test_al_inequality_active () =
-  (* min x^2 + y^2  s.t. x + y >= 1  (as 1 - x - y <= 0): optimum (0.5, 0.5). *)
-  let f x = Vec.dot x x in
-  let grad x = Vec.scale 2. x in
-  let c =
-    Nlp.linear_constraint ~name:"sum>=1" ~coeffs:[ (0, -1.); (1, -1.) ] ~bound:(-1.)
-  in
-  let problem =
-    { Nlp.dim = 2; objective = f; gradient = grad; inequalities = [ c ];
-      project = Fun.id }
-  in
-  let r = Augmented_lagrangian.solve problem ~x0:[| 0.; 0. |] in
-  Alcotest.(check bool) "converged" true r.Augmented_lagrangian.converged;
-  Alcotest.(check bool) "KKT point" true
-    (Vec.dist2 r.Augmented_lagrangian.x [| 0.5; 0.5 |] < 1e-4)
-
-let test_al_inequality_inactive () =
-  (* Same objective, constraint x + y <= 10 is inactive: optimum origin. *)
-  let f x = Vec.dot x x in
-  let grad x = Vec.scale 2. x in
-  let c = Nlp.linear_constraint ~name:"loose" ~coeffs:[ (0, 1.); (1, 1.) ] ~bound:10. in
-  let problem =
-    { Nlp.dim = 2; objective = f; gradient = grad; inequalities = [ c ];
-      project = Fun.id }
-  in
-  let r = Augmented_lagrangian.solve problem ~x0:[| 3.; 4. |] in
-  check_float 1e-6 "origin" 0. r.Augmented_lagrangian.value
-
-let test_al_multiple_constraints () =
-  (* min (x-3)^2 s.t. x <= 1 and -x <= 0 -> x = 1. *)
-  let f x = (x.(0) -. 3.) ** 2. in
-  let grad x = [| 2. *. (x.(0) -. 3.) |] in
-  let problem =
-    { Nlp.dim = 1; objective = f; gradient = grad;
-      inequalities =
-        [ Nlp.linear_constraint ~name:"ub" ~coeffs:[ (0, 1.) ] ~bound:1.;
-          Nlp.linear_constraint ~name:"lb" ~coeffs:[ (0, -1.) ] ~bound:0. ];
-      project = Fun.id }
-  in
-  let r = Augmented_lagrangian.solve problem ~x0:[| 0.5 |] in
-  check_float 1e-4 "bound" 1. r.Augmented_lagrangian.x.(0)
-
-let test_nlp_max_violation () =
-  (* Feasible region: 2 <= x <= 5. *)
-  let c1 = Nlp.linear_constraint ~name:"lb" ~coeffs:[ (0, -1.) ] ~bound:(-2.) in
-  let c2 = Nlp.linear_constraint ~name:"ub" ~coeffs:[ (0, 1.) ] ~bound:5. in
-  let p =
-    { Nlp.dim = 1; objective = (fun _ -> 0.); gradient = (fun _ -> [| 0. |]);
-      inequalities = [ c1; c2 ]; project = Fun.id }
-  in
-  check_float 1e-12 "violated by 1" 1. (Nlp.max_violation p [| 1. |]);
-  check_float 1e-12 "feasible" 0. (Nlp.max_violation p [| 2.5 |]);
-  check_float 1e-12 "upper violated" 2. (Nlp.max_violation p [| 7. |])
+    (dist2 r.Projected_gradient.x [| 1.; 1. |] < 1e-7)
 
 (* --- Workspace variants: bit-for-bit parity ----------------------------- *)
 
@@ -270,31 +197,56 @@ let test_simplex_ip_bitwise () =
         expect)
     cases
 
-let test_minimize_ws_bitwise () =
-  (* The allocating front-end and the workspace core must agree exactly
-     on a projected problem that takes real iterations to solve. *)
-  let c = [| 0.3; 1.4; -0.2; 0.9 |] in
-  let f x = quadratic_bowl c x in
-  let grad x = Vec.scale 2. (Vec.sub x c) in
-  let project = simplex ~total:1. in
-  let x0 = [| 2.; -1.; 0.5; 3. |] in
+(* --- minimize_ws loop exits ------------------------------------------------ *)
+
+(* Each toy problem ends the descent through one of its three exits; the
+   report and every iteration's (backtracks, projections) are pinned. *)
+let run_traced ?tol ~f ~grad_into ~project_ip x0 =
+  let ring = Lepts_obs.Telemetry.ring ~capacity:16 in
   let r =
-    Projected_gradient.minimize ~max_iter:500 ~f ~grad ~project ~x0 ()
+    Projected_gradient.minimize_ws ~telemetry:ring ?tol ~f ~grad_into ~project_ip ~x0 ()
   in
-  let grad_into x ~into = Array.blit (grad x) 0 into 0 (Array.length x) in
-  let project_ip x = simplex_ip ~total:1. x in
-  let r_ws =
-    Projected_gradient.minimize_ws ~max_iter:500 ~f ~grad_into ~project_ip ~x0 ()
+  let counts =
+    List.map
+      (fun (rc : Lepts_obs.Telemetry.record) ->
+        (rc.Lepts_obs.Telemetry.backtracks, rc.Lepts_obs.Telemetry.projections))
+      (Lepts_obs.Telemetry.records ring)
   in
-  Alcotest.(check bool) "converged" true r_ws.Projected_gradient.converged;
-  Alcotest.(check int) "iterations" r.Projected_gradient.iterations
-    r_ws.Projected_gradient.iterations;
-  check_bits "value" r.Projected_gradient.value r_ws.Projected_gradient.value;
-  check_bits "step norm" r.Projected_gradient.step_norm
-    r_ws.Projected_gradient.step_norm;
-  Array.iteri
-    (fun i v -> check_bits (Printf.sprintf "x.(%d)" i) v r_ws.Projected_gradient.x.(i))
-    r.Projected_gradient.x
+  (r, counts)
+
+let check_exit ~iterations ~step_norm ~counts (r, got) =
+  Alcotest.(check int) "iterations" iterations r.Projected_gradient.iterations;
+  Alcotest.(check bool) "converged" true r.Projected_gradient.converged;
+  check_bits "step norm" step_norm r.Projected_gradient.step_norm;
+  Alcotest.(check (list (pair int int))) "backtracks, projections" counts got
+
+let test_exit_accepted () =
+  (* A sharp bowl: the first step halves 7 times, the second is accepted
+     below [tol]. *)
+  let f x = (100. *. x.(0) *. x.(0)) +. (x.(1) *. x.(1)) in
+  let grad_into x ~into =
+    into.(0) <- 200. *. x.(0);
+    into.(1) <- 2. *. x.(1)
+  in
+  check_exit ~iterations:2 ~step_norm:0x1.2e5b844800081p-11 ~counts:[ (7, 8); (0, 1) ]
+    (run_traced ~tol:1e-3 ~f ~grad_into ~project_ip:ignore [| 0.001; 0.01 |])
+
+let test_exit_zero_step () =
+  (* min (x-3)^2 over [0, 1]: the second trial projects back onto x = 1. *)
+  let f x = (x.(0) -. 3.) *. (x.(0) -. 3.) in
+  let grad_into x ~into = into.(0) <- 2. *. (x.(0) -. 3.) in
+  let project_ip x = x.(0) <- Float.min 1. (Float.max 0. x.(0)) in
+  check_exit ~iterations:2 ~step_norm:0. ~counts:[ (0, 1); (0, 1) ]
+    (run_traced ~f ~grad_into ~project_ip [| 0. |])
+
+let test_exit_stall () =
+  (* |x| at its kink with subgradient 1: no halving of the step descends,
+     so the first iteration stalls after 61 tries and no step is ever
+     accepted. *)
+  let f x = Float.abs x.(0) in
+  let grad_into x ~into = into.(0) <- (if x.(0) >= 0. then 1. else -1.) in
+  check_exit ~iterations:1 ~step_norm:infinity ~counts:[ (61, 61) ]
+    (run_traced ~f ~grad_into ~project_ip:ignore [| 0. |])
 
 let suite =
   [ ("numdiff quadratic", `Quick, test_numdiff_quadratic);
@@ -311,11 +263,7 @@ let suite =
     ("pg active box", `Quick, test_pg_box_active);
     ("pg simplex", `Quick, test_pg_simplex);
     ("pg infeasible start", `Quick, test_pg_infeasible_start);
-    ("linear constraint", `Quick, test_linear_constraint);
-    ("al projection equality", `Quick, test_al_equality_via_projection);
-    ("al active inequality", `Quick, test_al_inequality_active);
-    ("al inactive inequality", `Quick, test_al_inequality_inactive);
-    ("al multiple constraints", `Quick, test_al_multiple_constraints);
-    ("nlp max violation", `Quick, test_nlp_max_violation);
     ("simplex_ip bit-identical to simplex", `Quick, test_simplex_ip_bitwise);
-    ("minimize_ws bit-identical to minimize", `Quick, test_minimize_ws_bitwise) ]
+    ("minimize_ws exit: accepted step", `Quick, test_exit_accepted);
+    ("minimize_ws exit: zero step", `Quick, test_exit_zero_step);
+    ("minimize_ws exit: stall", `Quick, test_exit_stall) ]
