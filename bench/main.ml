@@ -286,7 +286,7 @@ let warm_json ~plan ~cold_s ~warm_s extra =
     @ extra)
 
 (* Cold against warm CNC ratio sweep: point [i] continued from point
-   [i-1] via {!Solver.resolve_incremental}. Warm's hard guarantee is
+   [i-1] via {!Solver.solve_warm}. Warm's hard guarantee is
    never-worse than its seed (the previous point's solution), not than
    the cold multi-start of the same point, so a warm point can lose a
    basin race cold wins; the gate bounds that loss at 5%, the bound the

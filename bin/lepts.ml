@@ -37,19 +37,17 @@ let seed_arg =
 let jobs_arg =
   Arg.(value & opt int 1
        & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Worker domains for the Monte-Carlo rounds (results are \
-                 bit-identical for every value; 0 = one per core).")
+           ~doc:"Worker domains (results are bit-identical for every value; \
+                 0 = one per core). Each command hands them to its coarsest \
+                 independent work — the task sets of a Fig 6(a) point, the \
+                 requests of a serve wave, or else the NLP multi-start solves \
+                 and the Monte-Carlo rounds — and work nested inside a worker \
+                 runs sequentially.")
 
 let resolve_jobs jobs =
   if jobs < 0 then invalid_arg "--jobs must be non-negative"
   else if jobs = 0 then Lepts_par.Pool.default_jobs ()
   else jobs
-
-let solver_jobs_arg =
-  Arg.(value & opt int 1
-       & info [ "solver-jobs" ] ~docv:"N"
-           ~doc:"Worker domains for the NLP multi-start solves (results are \
-                 bit-identical for every value; 0 = one per core).")
 
 let warm_start_arg =
   Arg.(value & flag
@@ -59,7 +57,7 @@ let warm_start_arg =
                  sweeps and never worse than the seed, but it may settle in \
                  a different local optimum than the cold multi-start, so the \
                  flag is part of the checkpoint fingerprint. Results remain \
-                 bit-identical for every -j / --solver-jobs value.")
+                 bit-identical for every -j value.")
 
 let progress line =
   print_endline line;
@@ -211,11 +209,10 @@ let motivation_cmd ~profile =
 (* --- fig6a ------------------------------------------------------------- *)
 
 let fig6a_cmd ~profile =
-  let run verbose sets rounds seed jobs solver_jobs warm_start v_min v_max
-      checkpoint resume telemetry_file =
+  let run verbose sets rounds seed jobs warm_start v_min v_max checkpoint resume
+      telemetry_file =
     setup_logs verbose;
     let jobs = resolve_jobs jobs in
-    let solver_jobs = resolve_jobs solver_jobs in
     let power = power_of ~v_min ~v_max in
     let config =
       { Experiments.Fig6a.paper_config with sets_per_point = sets; rounds; seed }
@@ -233,7 +230,7 @@ let fig6a_cmd ~profile =
     @@ fun session should_stop ->
     let t0 = Unix.gettimeofday () in
     let points =
-      Experiments.Fig6a.run ~progress ~jobs ~solver_jobs ~warm_start ?telemetry
+      Experiments.Fig6a.run ~progress ~jobs ~warm_start ?telemetry
         ?checkpoint:session ~should_stop config ~power
     in
     let elapsed = Unix.gettimeofday () -. t0 in
@@ -254,8 +251,8 @@ let fig6a_cmd ~profile =
   Cmd.v
     (Cmd.info "fig6a" ~doc:"Reproduce Fig 6(a): improvement vs task count and BCEC/WCEC ratio.")
     Term.(const run $ verbose_arg $ sets $ rounds_arg 1000 $ seed_arg $ jobs_arg
-          $ solver_jobs_arg $ warm_start_arg $ v_min_arg $ v_max_arg
-          $ checkpoint_arg $ resume_arg $ telemetry_arg)
+          $ warm_start_arg $ v_min_arg $ v_max_arg $ checkpoint_arg $ resume_arg
+          $ telemetry_arg)
 
 (* --- fig6b ------------------------------------------------------------- *)
 
@@ -327,11 +324,10 @@ let schedule_cmd ~profile =
 (* --- random ------------------------------------------------------------ *)
 
 let random_cmd ~profile =
-  let run verbose n ratio rounds seed jobs solver_jobs warm_start v_min v_max
-      checkpoint resume telemetry_file =
+  let run verbose n ratio rounds seed jobs warm_start v_min v_max checkpoint resume
+      telemetry_file =
     setup_logs verbose;
     let jobs = resolve_jobs jobs in
-    let solver_jobs = resolve_jobs solver_jobs in
     let power = power_of ~v_min ~v_max in
     let rng = Lepts_prng.Xoshiro256.create ~seed in
     let config = Lepts_workloads.Random_gen.default_config ~n_tasks:n ~ratio in
@@ -354,7 +350,7 @@ let random_cmd ~profile =
     | Ok ts -> (
       Format.printf "task set: %a@." Task_set.pp ts;
       match
-        Experiments.Improvement.measure ~rounds ~jobs ~solver_jobs ~warm_start
+        Experiments.Improvement.measure ~rounds ~jobs ~warm_start
           ?telemetry ~telemetry_tag:"random" ?checkpoint:session ~should_stop
           ~task_set:ts ~power ~sim_seed:(seed + 1) ()
       with
@@ -371,8 +367,8 @@ let random_cmd ~profile =
   Cmd.v
     (Cmd.info "random" ~doc:"Generate one random task set and measure ACS vs WCS.")
     Term.(const run $ verbose_arg $ n $ ratio $ rounds_arg 1000 $ seed_arg $ jobs_arg
-          $ solver_jobs_arg $ warm_start_arg $ v_min_arg $ v_max_arg
-          $ checkpoint_arg $ resume_arg $ telemetry_arg)
+          $ warm_start_arg $ v_min_arg $ v_max_arg $ checkpoint_arg $ resume_arg
+          $ telemetry_arg)
 
 (* --- policies ---------------------------------------------------------- *)
 

@@ -64,10 +64,7 @@ let trace ~plan ~power ~totals ~e ~w_hat =
     if w.(k) > skip_eps then begin
       let s = Float.max sub.Sub.release !finish in
       let d = Float.max (e.(k) -. s) window_floor in
-      let v =
-        Lepts_util.Num_ext.clamp ~lo:power.Model.v_min ~hi:power.Model.v_max
-          (Model.voltage_for power ~cycles:w_hat.(k) ~duration:d)
-      in
+      let v = Model.voltage_for_clamped power ~cycles:w_hat.(k) ~duration:d in
       energy := !energy +. Model.energy power ~v ~cycles:w.(k);
       finish := s +. Model.exec_time power ~v ~cycles:w.(k);
       starts.(k) <- s;
@@ -149,10 +146,7 @@ let eval_ws (ws : Workspace.t) ~power ~totals ~e ~w_hat =
       if w.(k) > skip_eps then begin
         let s = Float.max sub.Sub.release !finish in
         let d = Float.max (e.(k) -. s) window_floor in
-        let v =
-          Lepts_util.Num_ext.clamp ~lo:power.Model.v_min ~hi:power.Model.v_max
-            (Model.voltage_for power ~cycles:w_hat.(k) ~duration:d)
-        in
+        let v = Model.voltage_for_clamped power ~cycles:w_hat.(k) ~duration:d in
         energy := !energy +. Model.energy power ~v ~cycles:w.(k);
         finish := s +. Model.exec_time power ~v ~cycles:w.(k)
       end

@@ -20,6 +20,10 @@ type stats = {
   inner_iterations : int;
 }
 
+type budget = { max_outer : int; wall_budget : float option }
+
+let default_budget = { max_outer = 30; wall_budget = None }
+
 let pp_error ppf = function
   | Unschedulable -> Format.fprintf ppf "task set not schedulable at maximum speed"
   | Solver_stalled msg -> Format.fprintf ppf "NLP solver stalled: %s" msg
@@ -597,15 +601,15 @@ let solve_from ?deadline ?telemetry ~max_outer ~totals_list ~(ws : Workspace.t) 
    indexed by start, and the reduction below scans them in start order
    with a strict-improvement test — so the pick is the same schedule
    for every [jobs] value. *)
-let solve_multi_start ?wall_budget ?telemetry ?(jobs = 1) ~max_outer ~warm_starts
-    ~totals_list ~(plan : Plan.t) ~power () =
+let solve_multi_start ?telemetry ?(jobs = 1) ~budget ~warm_starts ~totals_list
+    ~(plan : Plan.t) ~power () =
   match initial_point ~plan ~power with
   | Error _ as err -> err
   | Ok (e0, q0) ->
     let m = Array.length plan.Plan.order in
     let t_max = t_at_vmax power in
     let t0 = now () in
-    let deadline = Option.map (fun b -> t0 +. b) wall_budget in
+    let deadline = Option.map (fun b -> t0 +. b) budget.wall_budget in
     let point_of_eq (e, q) = Array.append q (slacks_for plan ~t_max ~e ~q) in
     let alap = alap_end_times plan ~t_max ~e:e0 ~q:q0 in
     let candidates =
@@ -629,8 +633,9 @@ let solve_multi_start ?wall_budget ?telemetry ?(jobs = 1) ~max_outer ~warm_start
                 Option.map (fun s -> Telemetry.start_slot s start) telemetry
               in
               try
-                solve_from ?deadline ?telemetry ~max_outer ~totals_list
-                  ~ws:(Workspace.create plan) ~power ~y0:candidates.(start) ()
+                solve_from ?deadline ?telemetry ~max_outer:budget.max_outer
+                  ~totals_list ~ws:(Workspace.create plan) ~power
+                  ~y0:candidates.(start) ()
               with Lepts_optim.Guard.Non_finite what ->
                 Error
                   (Solver_stalled
@@ -665,7 +670,7 @@ let solve_multi_start ?wall_budget ?telemetry ?(jobs = 1) ~max_outer ~warm_start
       Error
         (Solver_stalled ("no start point produced a feasible schedule" ^ detail)))
 
-let solve ?wall_budget ?telemetry ?jobs ?(max_outer = 30) ?(warm_starts = []) ~mode
+let solve ?(budget = default_budget) ?telemetry ?jobs ?(warm_starts = []) ~mode
     ~(plan : Plan.t) ~power () =
   let span_name =
     match mode with
@@ -674,11 +679,11 @@ let solve ?wall_budget ?telemetry ?jobs ?(max_outer = 30) ?(warm_starts = []) ~m
   in
   Span.with_ ~name:span_name (fun () ->
       let totals_list = [ Objective.instance_totals mode plan ] in
-      solve_multi_start ?wall_budget ?telemetry ?jobs ~max_outer ~warm_starts
-        ~totals_list ~plan ~power ())
+      solve_multi_start ?telemetry ?jobs ~budget ~warm_starts ~totals_list ~plan
+        ~power ())
 
-let solve_stochastic ?telemetry ?jobs ?(max_outer = 30) ?(warm_starts = [])
-    ?(scenarios = 16) ?(seed = 1) ~(plan : Plan.t) ~power () =
+let solve_stochastic ?jobs ?(warm_starts = []) ?(scenarios = 16) ?(seed = 1)
+    ~(plan : Plan.t) ~power () =
   if scenarios <= 0 then invalid_arg "Solver.solve_stochastic: scenarios";
   let rng = Lepts_prng.Xoshiro256.create ~seed in
   let sample () =
@@ -695,16 +700,14 @@ let solve_stochastic ?telemetry ?jobs ?(max_outer = 30) ?(warm_starts = [])
   in
   let totals_list = List.init scenarios (fun _ -> sample ()) in
   Span.with_ ~name:"solve:stochastic" (fun () ->
-      solve_multi_start ?telemetry ?jobs ~max_outer ~warm_starts ~totals_list ~plan
-        ~power ())
+      solve_multi_start ?jobs ~budget:default_budget ~warm_starts ~totals_list
+        ~plan ~power ())
 
-let solve_acs ?wall_budget ?telemetry ?jobs ?max_outer ?warm_starts ~plan ~power () =
-  solve ?wall_budget ?telemetry ?jobs ?max_outer ?warm_starts ~mode:Objective.Average
-    ~plan ~power ()
+let solve_acs ?budget ?telemetry ?jobs ?warm_starts ~plan ~power () =
+  solve ?budget ?telemetry ?jobs ?warm_starts ~mode:Objective.Average ~plan ~power ()
 
-let solve_wcs ?wall_budget ?telemetry ?jobs ?max_outer ?warm_starts ~plan ~power () =
-  solve ?wall_budget ?telemetry ?jobs ?max_outer ?warm_starts ~mode:Objective.Worst
-    ~plan ~power ()
+let solve_wcs ?budget ?telemetry ?jobs ?warm_starts ~plan ~power () =
+  solve ?budget ?telemetry ?jobs ?warm_starts ~mode:Objective.Worst ~plan ~power ()
 
 (* --- Warm-start continuation and incremental re-solve ------------------- *)
 
@@ -824,46 +827,36 @@ let continue_from ?deadline ?telemetry ~max_outer ~totals_list ~(plan : Plan.t) 
   | Ok _, Error _ -> baseline
   | (Error _ as err), Error _ -> err
 
-let solve_warm ?wall_budget ?telemetry ?jobs ?(max_outer = 30) ~mode
+let solve_warm ?(budget = default_budget) ?telemetry ?jobs ~mode
     ~(prev : Static_schedule.t) ~(plan : Plan.t) ~power () =
-  if not (structurally_compatible ~plan prev) then
-    (* Nothing to continue from: full cold multi-start. *)
-    solve ?wall_budget ?telemetry ?jobs ~max_outer ~mode ~plan ~power ()
-  else
+  if structurally_compatible ~plan prev then
+    (* Only workloads (ACEC / WCEC values) changed: one continuation
+       descent from the previous solution, never worse than the seed. *)
     Span.with_ ~name:"solve:warm" (fun () ->
         let totals_list = [ Objective.instance_totals mode plan ] in
         let t0 = now () in
-        let deadline = Option.map (fun b -> t0 +. b) wall_budget in
+        let deadline = Option.map (fun b -> t0 +. b) budget.wall_budget in
         Metrics.incr m_solves;
         Metrics.incr m_starts;
         Option.iter (fun s -> Telemetry.init_starts s ~n:1) telemetry;
         let slot = Option.map (fun s -> Telemetry.start_slot s 0) telemetry in
         let result =
-          continue_from ?deadline ?telemetry:slot ~max_outer ~totals_list ~plan ~power
-            ~prev ()
+          continue_from ?deadline ?telemetry:slot ~max_outer:budget.max_outer
+            ~totals_list ~plan ~power ~prev ()
         in
         Metrics.observe h_solve_seconds (now () -. t0);
         (match result with
         | Error _ -> Metrics.incr m_start_failures
         | Ok _ -> ());
         result)
-
-let resolve_incremental ?wall_budget ?telemetry ?jobs ?max_outer ~mode
-    ~(prev : Static_schedule.t) ~(plan : Plan.t) ~power () =
-  if structurally_compatible ~plan prev then
-    (* Only workloads (ACEC / WCEC values) changed: one continuation
-       descent from the previous solution, never worse than the seed. *)
-    solve_warm ?wall_budget ?telemetry ?jobs ?max_outer ~mode ~prev ~plan ~power ()
-  else if
-    Array.length prev.Static_schedule.end_times = Array.length plan.Plan.order
+  else if Array.length prev.Static_schedule.end_times = Array.length plan.Plan.order
   then
     (* Same order length but shifted windows (e.g. one task's period or
        deadline changed): the previous point still carries information,
        so feed it to the multi-start as an extra warm start. *)
-    solve ?wall_budget ?telemetry ?jobs ?max_outer
-      ~warm_starts:
-        [ (prev.Static_schedule.end_times, prev.Static_schedule.quotas) ]
+    solve ~budget ?telemetry ?jobs
+      ~warm_starts:[ (prev.Static_schedule.end_times, prev.Static_schedule.quotas) ]
       ~mode ~plan ~power ()
   else
     (* Structure changed (task added/removed): cold solve. *)
-    solve ?wall_budget ?telemetry ?jobs ?max_outer ~mode ~plan ~power ()
+    solve ~budget ?telemetry ?jobs ~mode ~plan ~power ()

@@ -49,6 +49,20 @@ type stats = {
   inner_iterations : int;
 }
 
+type budget = {
+  max_outer : int;
+      (** augmented-Lagrangian outer rounds per start; [0] runs none,
+          so the start point itself is repaired and returned *)
+  wall_budget : float option;
+      (** wall-clock seconds for the whole solve, read with
+          [Unix.gettimeofday]; [None] is uncapped *)
+}
+(** How much work one solve may do. Every entry point that optimises
+    takes it as [?budget]. *)
+
+val default_budget : budget
+(** 30 outer rounds, no wall-clock cap. *)
+
 val initial_point :
   plan:Lepts_preempt.Plan.t ->
   power:Lepts_power.Model.t ->
@@ -69,10 +83,9 @@ val repair :
     near-feasible solutions only microscopically. *)
 
 val solve :
-  ?wall_budget:float ->
+  ?budget:budget ->
   ?telemetry:Lepts_obs.Telemetry.solve ->
   ?jobs:int ->
-  ?max_outer:int ->
   ?warm_starts:(float array * float array) list ->
   mode:Objective.mode ->
   plan:Lepts_preempt.Plan.t ->
@@ -91,15 +104,16 @@ val solve :
     up to that many domains ({!Lepts_par.Pool}). Each start owns its
     scratch workspace and the best-pick scans results in start order
     with a strict-improvement test, so the returned schedule is
-    identical for every [jobs] value (when no [wall_budget] is set —
-    a budget is the one source of [jobs]-dependence, see below).
+    identical for every [jobs] value (when [budget.wall_budget] is
+    [None] — a wall cap is the one source of [jobs]-dependence, see
+    below).
 
-    [wall_budget] bounds the wall-clock time (seconds, monotonic
-    against the system clock via [Unix.gettimeofday]) spent across all
-    starts: once exhausted, no further outer iteration begins and the
+    [budget] (default {!default_budget}) caps each start's outer
+    rounds and the wall-clock time spent across all starts: once the
+    wall cap is spent, no further outer iteration begins and the
     current iterate is repaired and returned if feasible. Because the
-    budget is wall time shared by all starts, parallel starts each see
-    more of it than sequential ones — budgeted solves may therefore
+    cap is wall time shared by all starts, parallel starts each see
+    more of it than sequential ones — wall-capped solves may therefore
     return different (never worse-than-budgeted) results across [jobs]
     values. Non-finite objective or gradient evaluations (see
     {!Lepts_optim.Guard}) abort the offending start with a
@@ -117,10 +131,9 @@ val solve :
     ([lepts_solver_*] series). *)
 
 val solve_acs :
-  ?wall_budget:float ->
+  ?budget:budget ->
   ?telemetry:Lepts_obs.Telemetry.solve ->
   ?jobs:int ->
-  ?max_outer:int ->
   ?warm_starts:(float array * float array) list ->
   plan:Lepts_preempt.Plan.t ->
   power:Lepts_power.Model.t ->
@@ -129,10 +142,9 @@ val solve_acs :
 (** [solve ~mode:Average] — the paper's proposed scheduler. *)
 
 val solve_wcs :
-  ?wall_budget:float ->
+  ?budget:budget ->
   ?telemetry:Lepts_obs.Telemetry.solve ->
   ?jobs:int ->
-  ?max_outer:int ->
   ?warm_starts:(float array * float array) list ->
   plan:Lepts_preempt.Plan.t ->
   power:Lepts_power.Model.t ->
@@ -141,22 +153,32 @@ val solve_wcs :
 (** [solve ~mode:Worst] — the baseline that only considers WCEC. *)
 
 val solve_warm :
-  ?wall_budget:float ->
+  ?budget:budget ->
   ?telemetry:Lepts_obs.Telemetry.solve ->
   ?jobs:int ->
-  ?max_outer:int ->
   mode:Objective.mode ->
   prev:Static_schedule.t ->
   plan:Lepts_preempt.Plan.t ->
   power:Lepts_power.Model.t ->
   unit ->
   (Static_schedule.t * stats, error) result
-(** Warm-start continuation: one projected-gradient descent seeded
-    from a previous solution instead of the full multi-start. The
-    previous quotas are re-projected onto the current per-instance
-    [sum = WCEC] simplexes, the end-times clamped into the current
-    windows and the slacks re-derived, and the augmented Lagrangian
-    restarts from that point (fresh multipliers).
+(** Re-solve seeded from a previous solution, picking the cheapest
+    strategy that fits what changed between [prev]'s plan and [plan]:
+
+    - structurally identical plans (only ACEC/WCEC values moved — ACS
+      seeded from WCS, ratio continuation, the serve warm chains and
+      the adaptive estimator): one continuation descent, below;
+    - same order length but shifted windows (one task's timing
+      changed): the cold multi-start of {!solve} with [prev] as an
+      extra warm start;
+    - different order length (task added or removed): plain cold
+      {!solve}.
+
+    The continuation is one projected-gradient descent instead of the
+    full multi-start. The previous quotas are re-projected onto the
+    current per-instance [sum = WCEC] simplexes, the end-times clamped
+    into the current windows and the slacks re-derived, and the
+    augmented Lagrangian restarts from that point (fresh multipliers).
 
     The reduction is prev-first with a {e relative} strict-improvement
     threshold of [1e-6]: the continuation result replaces the
@@ -168,47 +190,18 @@ val solve_warm :
       schedule bit-identically ([stats.outer_iterations = 0] marks the
       seed being kept);
     - a warm solve is never worse than its seed evaluated under the
-      current objective — even under an exhausted [wall_budget], where
+      current objective — even under an exhausted wall budget, where
       the seed is returned as-is.
 
-    When [plan] is not structurally compatible with [prev] (different
-    order length, or any segment's task/instance/window differs), the
-    call falls back to the cold {!solve} — [jobs] parallelises only
-    that fallback; the continuation itself is a single descent.
-
-    Intended for sweeps whose neighbouring points share optima
-    (BCEC/WCEC ratio continuation, ACS seeded from WCS) and for
-    re-solving after small workload changes ({!resolve_incremental}).
-    Note the warm pick may differ from the cold multi-start's (fewer
-    basins explored), so callers that persist results must treat
-    warm-started runs as a distinct configuration (the CLI puts
-    [--warm-start] in the checkpoint fingerprint). *)
-
-val resolve_incremental :
-  ?wall_budget:float ->
-  ?telemetry:Lepts_obs.Telemetry.solve ->
-  ?jobs:int ->
-  ?max_outer:int ->
-  mode:Objective.mode ->
-  prev:Static_schedule.t ->
-  plan:Lepts_preempt.Plan.t ->
-  power:Lepts_power.Model.t ->
-  unit ->
-  (Static_schedule.t * stats, error) result
-(** Incremental re-solve after a change, picking the cheapest strategy
-    that fits what actually changed:
-
-    - plan structurally identical to [prev]'s (only ACEC/WCEC values
-      moved — the serve-cache and adaptive-estimator case):
-      {!solve_warm} continuation, never worse than the seed;
-    - same order length but shifted windows (one task's timing
-      changed): cold multi-start with [prev] as an extra warm start;
-    - different size (task added or removed): plain cold {!solve}. *)
+    [jobs] parallelises only the two cold branches; the continuation
+    itself is a single descent, so its result is the same for every
+    [jobs] value. Note the warm pick may differ from the cold
+    multi-start's (fewer basins explored), so callers that persist
+    results must treat warm-started runs as a distinct configuration
+    (the CLI puts [--warm-start] in the checkpoint fingerprint). *)
 
 val solve_stochastic :
-  ?telemetry:Lepts_obs.Telemetry.solve ->
   ?jobs:int ->
-  ?max_outer:int ->
   ?warm_starts:(float array * float array) list ->
   ?scenarios:int ->
   ?seed:int ->
@@ -223,6 +216,6 @@ val solve_stochastic :
     [scenarios] (default 16) Monte-Carlo draws of the per-instance
     workloads from the truncated-normal distribution the evaluation
     uses. Deterministic given [seed]. [stats.objective] is the mean
-    scenario energy. *)
+    scenario energy. Runs under {!default_budget}. *)
 
 val pp_error : Format.formatter -> error -> unit

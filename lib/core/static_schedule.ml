@@ -23,12 +23,6 @@ let predicted_energy t ~mode =
   let totals = Objective.instance_totals mode t.plan in
   Objective.eval ~plan:t.plan ~power:t.power ~totals ~e:t.end_times ~w_hat:t.quotas
 
-let quota_of_instance t ~task ~instance =
-  Array.fold_left
-    (fun acc k -> acc +. t.quotas.(k))
-    0.
-    t.plan.Plan.instance_subs.(task).(instance)
-
 let pp ppf t =
   Format.fprintf ppf "static schedule (%d sub-instances)@." (size t);
   Array.iteri

@@ -28,9 +28,6 @@ val predicted_energy : t -> mode:Objective.mode -> float
 (** Closed-form runtime energy under greedy reclamation when all
     instances take their ACEC ([Average]) or WCEC ([Worst]). *)
 
-val quota_of_instance : t -> task:int -> instance:int -> float
-(** Sum of the quotas of one instance (should equal the task WCEC). *)
-
 val pp : Format.formatter -> t -> unit
 (** Table of sub-instances with windows, quotas and implied worst-case
     voltages. *)

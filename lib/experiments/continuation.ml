@@ -24,7 +24,7 @@ let run ?(warm = false) ?jobs ?(mode = Lepts_core.Objective.Average) ~ratios
       let solved =
         match prev with
         | Some p when warm ->
-          Solver.resolve_incremental ?jobs ~mode ~prev:p ~plan ~power ()
+          Solver.solve_warm ?jobs ~mode ~prev:p ~plan ~power ()
         | _ -> Solver.solve ?jobs ~mode ~plan ~power ()
       in
       match solved with

@@ -3,7 +3,7 @@
     Neighbouring ratios of the same application share plan structure
     (the ratio only rescales BCEC/ACEC), so each point's solve can
     continue from the previous point's solution
-    ({!Lepts_core.Solver.resolve_incremental}) instead of restarting
+    ({!Lepts_core.Solver.solve_warm}) instead of restarting
     the full multi-start. This module runs one ratio sweep either cold
     or warm and reports per-point solve times — the bench compares the
     two to quantify the sweep-level win.
@@ -39,9 +39,9 @@ val run :
     (default false) seeds each solve from the previous point's
     schedule; the first point is always cold, so a warm and a cold
     sweep agree bit-for-bit on it. [jobs] parallelises the multi-start
-    of cold solves (and of structural-fallback cases); warm
-    continuations are a single descent. [mode] defaults to
-    {!Lepts_core.Objective.Average} (ACS). Fails with the first
-    point's solver error, if any. *)
+    of cold solves (and of {!Lepts_core.Solver.solve_warm}'s cold
+    branches); warm continuations are a single descent. [mode]
+    defaults to {!Lepts_core.Objective.Average} (ACS). Fails with the
+    first point's solver error, if any. *)
 
 val to_table : t -> Lepts_util.Table.t

@@ -51,8 +51,8 @@ let set_of_fields = function
     failwith
       (Printf.sprintf "Fig6a: set entry has %d fields" (List.length fields))
 
-let run_point ?(jobs = 1) ?(solver_jobs = 1) ?(warm_start = false) ?telemetry
-    ?checkpoint ?should_stop config ~power ~n_tasks ~ratio =
+let run_point ?(jobs = 1) ?(warm_start = false) ?telemetry ?checkpoint ?should_stop
+    config ~power ~n_tasks ~ratio =
   Lepts_obs.Span.with_ ~name:"fig6a:point" @@ fun () ->
   (* Pool workers open their spans with the point's path as explicit
      parent, so the merged span tree is identical for every [jobs]. *)
@@ -62,7 +62,11 @@ let run_point ?(jobs = 1) ?(solver_jobs = 1) ?(warm_start = false) ?telemetry
   (* Task sets are independent (per-set seeds), so the whole
      generate → solve → simulate pipeline of each set can run on its
      own domain; results come back indexed by set, and the reduction
-     below walks them in set order — bit-identical for every [jobs]. *)
+     below walks them in set order — bit-identical for every [jobs].
+     Each measurement gets the same [jobs]: on a pool worker its solves
+     and rounds run sequentially, so only a set that runs alone (a
+     one-set point, or a lone set left for the last checkpoint chunk)
+     spreads them over the domains. *)
   let one_set set =
     Lepts_obs.Span.with_ ~parent:span_parent ~name:"set" @@ fun () ->
     (* One generator stream per (n, ratio, set) triple so points are
@@ -77,7 +81,7 @@ let run_point ?(jobs = 1) ?(solver_jobs = 1) ?(warm_start = false) ?telemetry
     | Error _ -> None
     | Ok task_set -> (
       match
-        Improvement.measure ~rounds:config.rounds ~solver_jobs ~warm_start ?telemetry
+        Improvement.measure ~rounds:config.rounds ~jobs ~warm_start ?telemetry
           ~telemetry_tag:
             (Printf.sprintf "fig6a:n%d:r%.1f:set%d" n_tasks ratio set)
           ~task_set ~power ~sim_seed:(gen_seed + 7919) ()
@@ -109,14 +113,14 @@ let run_point ?(jobs = 1) ?(solver_jobs = 1) ?(warm_start = false) ?telemetry
     sets_measured = Array.length arr;
     total_misses = misses }
 
-let run ?(progress = fun _ -> ()) ?(jobs = 1) ?(solver_jobs = 1)
-    ?(warm_start = false) ?telemetry ?checkpoint ?should_stop config ~power =
+let run ?(progress = fun _ -> ()) ?(jobs = 1) ?(warm_start = false) ?telemetry
+    ?checkpoint ?should_stop config ~power =
   List.concat_map
     (fun n_tasks ->
       List.map
         (fun ratio ->
           let point =
-            run_point ~jobs ~solver_jobs ~warm_start ?telemetry ?checkpoint
+            run_point ~jobs ~warm_start ?telemetry ?checkpoint
               ?should_stop config ~power ~n_tasks ~ratio
           in
           progress

@@ -33,7 +33,6 @@ type point = {
 val run :
   ?progress:(string -> unit) ->
   ?jobs:int ->
-  ?solver_jobs:int ->
   ?warm_start:bool ->
   ?telemetry:Lepts_obs.Telemetry.collector ->
   ?checkpoint:Lepts_robust.Checkpoint.session ->
@@ -45,12 +44,11 @@ val run :
     completed point. [jobs] (default 1) runs the task sets of each
     point on a {!Lepts_par.Pool} of domains — per-set seeds make sets
     independent, and per-set results are reduced in set order, so the
-    points are bit-identical for every [jobs] value. [solver_jobs]
-    (default 1) additionally parallelises each set's WCS/ACS
-    multi-start solves ({!Lepts_core.Solver.solve}); also
-    bit-identical for every value. Prefer [jobs] (coarser units) when
-    there are many sets; [solver_jobs] helps when a few large sets
-    dominate.
+    points are bit-identical for every [jobs] value. Each set's
+    {!Improvement.measure} gets the same [jobs]; inside a pool worker
+    its solves and simulation rounds run sequentially, so a point with
+    one set runs its multi-start solves and rounds on the domains
+    instead.
 
     [warm_start] (default false) runs each set's ACS solve as one
     continuation descent from its WCS solution instead of the full

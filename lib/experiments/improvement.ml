@@ -30,7 +30,7 @@ let refine_with_literal ~mode ~plan ~power (best : Lepts_core.Static_schedule.t)
       then candidate
       else best
 
-let measure ?(rounds = 1000) ?(jobs = 1) ?(solver_jobs = 1) ?(warm_start = false)
+let measure ?(rounds = 1000) ?(jobs = 1) ?(warm_start = false)
     ?telemetry ?(telemetry_tag = "") ?checkpoint ?should_stop
     ~task_set ~power ~sim_seed () =
   if rounds <= 0 then invalid_arg "Improvement.measure: rounds must be positive";
@@ -44,7 +44,7 @@ let measure ?(rounds = 1000) ?(jobs = 1) ?(solver_jobs = 1) ?(warm_start = false
         ~label:(if telemetry_tag = "" then kind else kind ^ ":" ^ telemetry_tag)
   in
   let plan = Plan.expand task_set in
-  match Solver.solve_wcs ?telemetry:(sink "wcs") ~jobs:solver_jobs ~plan ~power () with
+  match Solver.solve_wcs ?telemetry:(sink "wcs") ~jobs ~plan ~power () with
   | Error _ as err -> err
   | Ok (wcs, _) -> (
     let wcs = refine_with_literal ~mode:Lepts_core.Objective.Worst ~plan ~power wcs in
@@ -58,10 +58,10 @@ let measure ?(rounds = 1000) ?(jobs = 1) ?(solver_jobs = 1) ?(warm_start = false
          local optimum than the cold pick, so callers fingerprint the
          flag. *)
       if warm_start then
-        Solver.solve_warm ?telemetry:(sink "acs") ~jobs:solver_jobs
+        Solver.solve_warm ?telemetry:(sink "acs") ~jobs
           ~mode:Lepts_core.Objective.Average ~prev:wcs ~plan ~power ()
       else
-        Solver.solve_acs ?telemetry:(sink "acs") ~jobs:solver_jobs
+        Solver.solve_acs ?telemetry:(sink "acs") ~jobs
           ~warm_starts:warm ~plan ~power ()
     with
     | Error _ as err -> err

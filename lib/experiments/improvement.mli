@@ -18,7 +18,6 @@ type t = {
 val measure :
   ?rounds:int ->
   ?jobs:int ->
-  ?solver_jobs:int ->
   ?warm_start:bool ->
   ?telemetry:Lepts_obs.Telemetry.collector ->
   ?telemetry_tag:string ->
@@ -32,11 +31,12 @@ val measure :
 (** [measure ~task_set ~power ~sim_seed ()] runs the full pipeline on
     one task set. Both schedules are simulated with the same workload
     RNG seed (paired comparison). [rounds] defaults to 1000
-    hyper-periods, the paper's setting. [jobs] (default 1) parallelises
-    the simulation rounds across domains; [solver_jobs] (default 1)
-    parallelises the multi-start NLP solves
-    ({!Lepts_core.Solver.solve}). The result is bit-identical for every
-    value of either (see {!Lepts_sim.Runner.simulate}).
+    hyper-periods, the paper's setting. [jobs] (default 1) runs the
+    multi-start NLP solves ({!Lepts_core.Solver.solve}) and the
+    simulation rounds across that many domains; called from inside a
+    {!Lepts_par.Pool} worker (a sweep that already parallelises its
+    sets), both run sequentially. The result is bit-identical for
+    every [jobs] value (see {!Lepts_sim.Runner.simulate}).
 
     [warm_start] (default false) replaces the three-start ACS
     multi-start with one {!Lepts_core.Solver.solve_warm} continuation
@@ -44,7 +44,7 @@ val measure :
     never worse than that seed, but it may settle in a different local
     optimum than the cold multi-start, so results are comparable only
     within one setting of the flag (sweep checkpoints fingerprint
-    it). Still bit-identical for every [jobs] / [solver_jobs] value.
+    it). Still bit-identical for every [jobs] value.
 
     [telemetry] registers one convergence sink per NLP solve this
     measurement runs (labels ["wcs"] / ["acs"], suffixed with

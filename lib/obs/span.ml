@@ -11,7 +11,6 @@ type table = { mutable stack : string list; cells : (string, cell) Hashtbl.t }
 
 let enabled_flag = Atomic.make false
 let set_enabled b = Atomic.set enabled_flag b
-let enabled () = Atomic.get enabled_flag
 
 let registry_lock = Mutex.create ()
 let registry : table list ref = ref []

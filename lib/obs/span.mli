@@ -36,8 +36,6 @@ type agg = {
 val set_enabled : bool -> unit
 (** Spans are disabled by default; {!with_} is then a pass-through. *)
 
-val enabled : unit -> bool
-
 val with_ : ?parent:string -> name:string -> (unit -> 'a) -> 'a
 (** Time [f] under [parent ^ "/" ^ name] ([parent] defaults to the
     current domain's innermost open span; an empty parent means a root

@@ -50,10 +50,17 @@ let voltage_for t ~cycles ~duration =
     done;
     0.5 *. (!lo +. !hi)
 
-let voltage_for_clamped t ~cycles ~duration =
-  Lepts_util.Num_ext.clamp ~lo:t.v_min ~hi:t.v_max (voltage_for t ~cycles ~duration)
-
 let min_duration t ~cycles = exec_time t ~v:t.v_max ~cycles
+
+let voltage_for_clamped t ~cycles ~duration =
+  match t.delay with
+  | Alpha _ when cycles > 0. && duration > 0. && min_duration t ~cycles > duration ->
+    (* The exact voltage lies above [v_max], where the clamp lands
+       anyway; the bisection's bracket would grow towards it and may
+       pass its 1e9 V limit. *)
+    t.v_max
+  | Ideal _ | Alpha _ ->
+    Lepts_util.Num_ext.clamp ~lo:t.v_min ~hi:t.v_max (voltage_for t ~cycles ~duration)
 
 let max_frequency_utilization t ~cycles ~period =
   if period <= 0. then invalid_arg "Power.Model.max_frequency_utilization: period";

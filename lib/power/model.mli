@@ -59,9 +59,11 @@ val voltage_for : t -> cycles:float -> duration:float -> float
     [1e-12]. *)
 
 val voltage_for_clamped : t -> cycles:float -> duration:float -> float
-(** {!voltage_for} clamped into [[v_min, v_max]]. The caller is
-    responsible for checking feasibility when the unclamped value
-    exceeds [v_max]. *)
+(** {!voltage_for} clamped into [[v_min, v_max]]. Total on its domain:
+    when even [v_max] cannot finish [cycles] within [duration] it
+    returns [v_max] (for the alpha model without bisecting, so an
+    unreachable duration does not raise). The caller is responsible
+    for checking feasibility in that case. *)
 
 val min_duration : t -> cycles:float -> float
 (** Fastest possible execution time: [exec_time ~v:v_max]. *)

@@ -172,7 +172,7 @@ let run ?(rounds = 500) ?(jobs = 1) ?dist ?(config = default_config)
           (* Structurally identical plan: this takes the solve_warm
              continuation — a single descent, jobs-independent. *)
           match
-            Solver.resolve_incremental ~jobs:1
+            Solver.solve_warm ~jobs:1
               ~mode:Lepts_core.Objective.Average ~prev:!current ~plan:plan'
               ~power ()
           with

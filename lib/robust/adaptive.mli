@@ -7,7 +7,7 @@
     ACEC), fold each round's per-task consumed cycles into an
     {!Lepts_sim.Estimator}, and at every epoch boundary (every
     [resolve_every] rounds) re-solve the ACS schedule incrementally
-    ({!Lepts_core.Solver.resolve_incremental}, warm-continuation path)
+    ({!Lepts_core.Solver.solve_warm}, continuation path)
     when the estimate has drifted past the threshold. The {e static}
     arm replays the identical rounds on the offline schedule, so the
     reported energy delta isolates what adaptation buys.

@@ -17,9 +17,6 @@ let zero =
   { seed = 2005; overrun_prob = 0.; overrun_factor = 1.5; jitter_prob = 0.;
     jitter_frac = 0.; denial_prob = 0. }
 
-let is_zero spec =
-  spec.overrun_prob <= 0. && spec.jitter_prob <= 0. && spec.denial_prob <= 0.
-
 (* Per-field validation with the offending value in the message, and
    written so that NaN fails every check: a negated [>=]-conjunction
    rejects NaN, where the naive [p < 0. || p > 1.] would let it

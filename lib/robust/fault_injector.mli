@@ -36,8 +36,6 @@ val zero : spec
     workloads unchanged and a scenario whose simulation is bit-identical
     to a fault-free run. *)
 
-val is_zero : spec -> bool
-
 type counters = {
   mutable overruns : int;
   mutable jitters : int;

@@ -9,13 +9,9 @@ let log_src = Logs.Src.create "lepts.robust.solver" ~doc:"resilient solve pipeli
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type budget = { max_outer : int; wall_budget : float option }
+type config = { acs : Solver.budget; wcs : Solver.budget }
 
-let default_budget = { max_outer = 30; wall_budget = None }
-
-type config = { acs : budget; wcs : budget }
-
-let default_config = { acs = default_budget; wcs = default_budget }
+let default_config = { acs = Solver.default_budget; wcs = Solver.default_budget }
 
 type stage = Acs | Wcs | Rm_vmax
 
@@ -99,10 +95,10 @@ let validated (schedule, stats) =
   | Error vs ->
     Error (Printf.sprintf "solution failed validation (%s)" (violations_string vs))
 
-let attempt_nlp ~budget ~solve =
+let attempt_nlp ~(budget : Solver.budget) solve =
   if budget.max_outer <= 0 then Error "iteration budget exhausted before start"
   else
-    match solve ?wall_budget:budget.wall_budget ~max_outer:budget.max_outer () with
+    match solve budget with
     | Error e -> Error (error_string e)
     | Ok pair -> validated pair
 
@@ -142,7 +138,7 @@ let solve ?(config = default_config) ?(skip_acs = false) ?prev ?telemetry ~plan
          far over budget it ran. *)
       let why =
         match budget with
-        | Some { wall_budget = Some b; _ } ->
+        | Some { Solver.wall_budget = Some b; _ } ->
           let elapsed = Unix.gettimeofday () -. t0 in
           if elapsed >= b then begin
             Metrics.incr (m_budget_expired stage);
@@ -182,32 +178,28 @@ let solve ?(config = default_config) ?(skip_acs = false) ?prev ?telemetry ~plan
     end
     else
       run ~budget:config.acs Acs (fun () ->
-          attempt_nlp ~budget:config.acs
-            ~solve:(fun ?wall_budget ~max_outer () ->
-              (* With a previous schedule of the same structure in hand
-                 (the serve-layer warm chain), the ACS stage goes
-                 through the incremental path: a continuation descent
-                 that is never worse than its seed, falling back to the
-                 cold multi-start itself when the plans are not
-                 compatible. *)
+          attempt_nlp ~budget:config.acs (fun budget ->
+              (* With a previous schedule in hand (the serve-layer warm
+                 chain), the ACS stage re-solves from it: a
+                 continuation descent that is never worse than its
+                 seed when the plans are compatible, the cold
+                 multi-start otherwise. *)
               match prev with
               | Some prev ->
-                Solver.resolve_incremental ?wall_budget
-                  ?telemetry:(sink "pipeline:acs") ~max_outer
+                Solver.solve_warm ~budget ?telemetry:(sink "pipeline:acs")
                   ~mode:Lepts_core.Objective.Average ~prev ~plan ~power ()
               | None ->
-                Solver.solve_acs ?wall_budget ?telemetry:(sink "pipeline:acs")
-                  ~max_outer ~plan ~power ()))
+                Solver.solve_acs ~budget ?telemetry:(sink "pipeline:acs") ~plan
+                  ~power ()))
   in
   let result =
     acs_result
     <|>? ( Wcs,
            Some config.wcs,
            fun () ->
-             attempt_nlp ~budget:config.wcs
-               ~solve:(fun ?wall_budget ~max_outer () ->
-                 Solver.solve_wcs ?wall_budget ?telemetry:(sink "pipeline:wcs")
-                   ~max_outer ~plan ~power ()) )
+             attempt_nlp ~budget:config.wcs (fun budget ->
+                 Solver.solve_wcs ~budget ?telemetry:(sink "pipeline:wcs") ~plan
+                   ~power ()) )
     <|>? (Rm_vmax, None, fun () -> attempt_rm ~plan ~power)
   in
   match result with

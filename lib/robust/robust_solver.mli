@@ -19,18 +19,13 @@
     returned {!diagnostics} record which stages failed and why —
     replacing the former drop-errors-on-the-floor behaviour. *)
 
-type budget = {
-  max_outer : int;  (** augmented-Lagrangian outer iterations; <= 0
-                        fails the stage before it starts *)
-  wall_budget : float option;  (** CPU-seconds cap for the stage *)
-}
-
-val default_budget : budget
-(** The solver defaults: 30 outer iterations, no wall cap. *)
-
-type config = { acs : budget; wcs : budget }
+type config = { acs : Lepts_core.Solver.budget; wcs : Lepts_core.Solver.budget }
+(** One solver budget per NLP stage. A [max_outer <= 0] fails that
+    stage before it starts; [wall_budget] caps the stage's wall-clock
+    seconds. *)
 
 val default_config : config
+(** {!Lepts_core.Solver.default_budget} for both stages. *)
 
 type stage = Acs | Wcs | Rm_vmax
 
@@ -67,10 +62,10 @@ val solve :
     [lepts_pipeline_acs_skipped_total].
 
     [prev] (default: none) seeds the ACS stage with a previously solved
-    schedule via {!Lepts_core.Solver.resolve_incremental}: when the
-    plan is structurally compatible with [prev]'s the stage runs the
-    warm continuation (never worse than its seed), otherwise the
-    incremental path itself falls back to a cold solve. The serve
+    schedule via {!Lepts_core.Solver.solve_warm}: when the plan is
+    structurally compatible with [prev]'s the stage runs the warm
+    continuation (never worse than its seed), otherwise the warm
+    re-solve itself falls back to a cold multi-start. The serve
     layer's warm chains (near-identical requests in one wave) pass it;
     the fallback stages never see it.
 

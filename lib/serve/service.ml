@@ -178,18 +178,13 @@ let solve_once ~power ~before_solve ~skip_acs ~prev ~wait_ms ~attempt
         (fun ms -> float_of_int (ms - wait_ms) /. 1000.)
         req.Request.budget_ms
     in
-    let stage_budget ?max_outer () =
-      { Robust_solver.max_outer =
-          Option.value max_outer
-            ~default:Robust_solver.default_budget.Robust_solver.max_outer;
-        wall_budget =
-          (match wall with
-          | Some _ -> wall
-          | None -> Robust_solver.default_budget.Robust_solver.wall_budget) }
-    in
+    let wcs = { Lepts_core.Solver.default_budget with wall_budget = wall } in
     let solver_config =
-      { Robust_solver.acs = stage_budget ?max_outer:req.Request.acs_max_outer ();
-        wcs = stage_budget () }
+      { Robust_solver.wcs;
+        acs =
+          (match req.Request.acs_max_outer with
+          | Some max_outer -> { wcs with max_outer }
+          | None -> wcs) }
     in
     match
       Robust_solver.solve ~config:solver_config ~skip_acs ?prev ~plan ~power ()

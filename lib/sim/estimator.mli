@@ -10,7 +10,7 @@
     ({!Outcome.t}'s [consumed] field) into a per-task predictor, and tells the
     caller when the predicted ACEC has drifted far enough from the one
     the current schedule was solved with to be worth an incremental
-    re-solve ({!Lepts_core.Solver.resolve_incremental}).
+    re-solve ({!Lepts_core.Solver.solve_warm}).
 
     Two predictors are provided, in the style of the Dysta scheduler's
     [*_pred_linear_rate] hooks (SNIPPETS.md §3):
@@ -28,8 +28,7 @@
     interval — the invariant {!Lepts_task.Task.create} enforces — so a
     committed estimate always yields a valid task set and a plan
     structurally identical to the original ({!plan_with_acecs}), which
-    is precisely the cheap [solve_warm] path of
-    [Solver.resolve_incremental].
+    is precisely the cheap continuation path of [Solver.solve_warm].
 
     {2 Determinism contract}
 
@@ -142,8 +141,7 @@ val plan_with_acecs :
     [acecs.(i)] clamped into [[bcec_i, wcec_i]]. Periods, priorities,
     WCEC and BCEC are untouched, so the result is structurally
     identical to [plan] (same sub-instance order and windows) — the
-    precondition for [Solver.resolve_incremental]'s warm
-    continuation path. *)
+    precondition for [Solver.solve_warm]'s continuation path. *)
 
 val pp : Format.formatter -> t -> unit
 (** One line: observations, drift, resolves done, armed flag. *)

@@ -6,8 +6,6 @@ type t = {
   consumed : float array;
 }
 
-let completed t = t.deadline_misses = 0
-
 let pp ppf t =
   if t.shed_instances = 0 then
     Format.fprintf ppf "energy=%g misses=%d" t.energy t.deadline_misses

@@ -21,7 +21,4 @@ type t = {
           executes at [v_max]. *)
 }
 
-val completed : t -> bool
-(** [true] iff no deadline was missed. *)
-
 val pp : Format.formatter -> t -> unit

@@ -34,10 +34,6 @@ let hyper_period t =
   Lepts_util.Num_ext.lcm_list
     (Array.to_list (Array.map (fun (task : Task.t) -> task.period) t.tasks))
 
-let instance_count t =
-  let h = hyper_period t in
-  Array.fold_left (fun acc (task : Task.t) -> acc + (h / task.period)) 0 t.tasks
-
 let utilization t ~power =
   Array.fold_left
     (fun acc (task : Task.t) ->

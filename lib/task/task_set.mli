@@ -23,9 +23,6 @@ val tasks : t -> Task.t array
 val hyper_period : t -> int
 (** LCM of all periods, in ticks. *)
 
-val instance_count : t -> int
-(** Total number of task instances in one hyper-period. *)
-
 val utilization : t -> power:Lepts_power.Model.t -> float
 (** Worst-case processor utilisation at maximum speed:
     [sum_i wcec_i * cycle_time(v_max) / period_i]. *)

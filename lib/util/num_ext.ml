@@ -22,8 +22,6 @@ let approx_equal ?(eps = 1e-9) a b =
   let scale = Float.max 1. (Float.max (Float.abs a) (Float.abs b)) in
   Float.abs (a -. b) <= (eps *. scale)
 
-let is_finite x = Float.is_finite x
-
 (* Kahan summation: the compensation term recovers the low-order bits
    lost when adding a small element to a large running total. *)
 let sum xs =
@@ -35,8 +33,3 @@ let sum xs =
     total := t
   done;
   !total
-
-let fmin a b = if Float.is_nan a || Float.is_nan b then Float.nan else Float.min a b
-let fmax a b = if Float.is_nan a || Float.is_nan b then Float.nan else Float.max a b
-
-let divide num ~by = if by = 0. then raise Division_by_zero else num /. by

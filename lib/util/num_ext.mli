@@ -20,19 +20,5 @@ val approx_equal : ?eps:float -> float -> float -> bool
     tolerance [eps] (default [1e-9]):
     [|a - b| <= eps * max 1. (max |a| |b|)]. *)
 
-val is_finite : float -> bool
-(** [is_finite x] is [true] iff [x] is neither infinite nor NaN. *)
-
 val sum : float array -> float
 (** Left-to-right (Kahan-compensated) sum of an array. *)
-
-val fmin : float -> float -> float
-(** Minimum of two floats, propagating neither NaN silently: if either
-    argument is NaN the result is NaN. *)
-
-val fmax : float -> float -> float
-(** Maximum, with the same NaN behaviour as {!fmin}. *)
-
-val divide : float -> by:float -> float
-(** [divide num ~by] is [num /. by], raising [Division_by_zero] when
-    [by = 0.] instead of returning an infinity. *)

@@ -36,14 +36,3 @@ let percentile xs ~p =
   else
     let frac = rank -. float_of_int lo in
     (sorted.(lo) *. (1. -. frac)) +. (sorted.(hi) *. frac)
-
-let geometric_mean xs =
-  check_nonempty "geometric_mean" xs;
-  let logs =
-    Array.map
-      (fun x ->
-        if x <= 0. then invalid_arg "Stats.geometric_mean: non-positive element"
-        else log x)
-      xs
-  in
-  exp (Num_ext.sum logs /. float_of_int (Array.length xs))

@@ -19,6 +19,3 @@ val percentile : float array -> p:float -> float
 (** [percentile xs ~p] is the [p]-th percentile ([0. <= p <= 100.]) using
     linear interpolation between closest ranks. Does not mutate [xs].
     Raises [Invalid_argument] when empty or [p] out of range. *)
-
-val geometric_mean : float array -> float
-(** Geometric mean; requires every element to be positive. *)

@@ -33,13 +33,13 @@ let test_fig6a_jobs_bit_identical () =
     { Experiments.Fig6a.quick_config with
       task_counts = [ 2 ]; ratios = [ 0.5 ]; sets_per_point = 3; rounds = 30 }
   in
-  let run jobs solver_jobs =
-    Experiments.Fig6a.run ~jobs ~solver_jobs config ~power
-  in
-  let base = run 1 1 in
-  Alcotest.(check bool) "set-level jobs" true (base = run 4 1);
-  Alcotest.(check bool) "solver-level jobs" true (base = run 1 4);
-  Alcotest.(check bool) "both levels" true (base = run 2 2)
+  let run config jobs = Experiments.Fig6a.run ~jobs config ~power in
+  let base = run config 1 in
+  Alcotest.(check bool) "set-level jobs" true (base = run config 4);
+  Alcotest.(check bool) "three sets on two domains" true (base = run config 2);
+  (* A one-set point runs its solves and rounds on the pool instead. *)
+  let one = { config with sets_per_point = 1 } in
+  Alcotest.(check bool) "solver-level jobs" true (run one 1 = run one 4)
 
 let test_motivation_reproduces_paper () =
   match Experiments.Motivation.run () with

@@ -409,7 +409,7 @@ let test_pipeline_degradation_counters () =
   (* An exhausted ACS budget forces the WCS fallback: a degradation. *)
   let config =
     { Lepts_robust.Robust_solver.default_config with
-      acs = { Lepts_robust.Robust_solver.default_budget with max_outer = 0 } }
+      acs = { Lepts_core.Solver.default_budget with max_outer = 0 } }
   in
   let collector = Telemetry.collector () in
   (match Lepts_robust.Robust_solver.solve ~config ~telemetry:collector ~plan ~power () with

@@ -78,6 +78,15 @@ let test_alpha_voltage_for_roundtrip () =
     if Float.abs (v -. v') > 1e-6 then Alcotest.failf "alpha roundtrip %g vs %g" v v'
   done
 
+let test_alpha_voltage_for_clamped_unreachable () =
+  (* The exact voltage for 100 Mcycles in 1 ms lies near 1e10 V, past
+     the bisection's bracket: the clamped form still answers v_max. *)
+  Alcotest.check_raises "unclamped raises"
+    (Invalid_argument "Power.Model.voltage_for: duration unreachable") (fun () ->
+      ignore (Model.voltage_for alpha ~cycles:100. ~duration:1e-3));
+  check_float 0. "clamped is v_max" alpha.Model.v_max
+    (Model.voltage_for_clamped alpha ~cycles:100. ~duration:1e-3)
+
 let test_alpha_validation () =
   Alcotest.check_raises "v_min below v_th"
     (Invalid_argument "Power.Model.create: v_min must exceed v_th") (fun () ->
@@ -139,6 +148,8 @@ let suite =
     ("invalid arguments", `Quick, test_invalid_args);
     ("alpha model monotone", `Quick, test_alpha_monotone);
     ("alpha voltage_for roundtrip", `Quick, test_alpha_voltage_for_roundtrip);
+    ("alpha clamped voltage for unreachable duration", `Quick,
+     test_alpha_voltage_for_clamped_unreachable);
     ("alpha validation", `Quick, test_alpha_validation);
     ("levels create", `Quick, test_levels_create);
     ("levels of_range", `Quick, test_levels_of_range);

@@ -53,7 +53,6 @@ let test_injector_zero_is_identity () =
   let plan, _ = preemptive_acs () in
   let totals = Sampler.fixed plan ~value:`Acec in
   let s = Fault_injector.perturb Fault_injector.zero ~round:3 plan ~totals in
-  Alcotest.(check bool) "is_zero" true (Fault_injector.is_zero Fault_injector.zero);
   Alcotest.(check bool) "totals unchanged" true (s.Fault_injector.totals = totals);
   Alcotest.(check bool) "no events" true (Fault_injector.trace s = []);
   Alcotest.(check bool) "budget still enforced" true
@@ -355,7 +354,7 @@ let test_runner_percentiles_ordered () =
 
 (* --- Resilient solve pipeline --------------------------------------------- *)
 
-let zero_budget = { Robust_solver.max_outer = 0; wall_budget = None }
+let zero_budget = { Solver.max_outer = 0; wall_budget = None }
 
 let test_robust_solver_default_uses_acs () =
   let plan, _ = preemptive_acs () in
@@ -440,7 +439,7 @@ let test_robust_solver_budget_expiry_annotated () =
   let plan, _ = preemptive_acs () in
   let config =
     { Robust_solver.default_config with
-      acs = { Robust_solver.max_outer = 0; wall_budget = Some 0. } }
+      acs = { Solver.max_outer = 0; wall_budget = Some 0. } }
   in
   match Robust_solver.solve ~config ~plan ~power () with
   | Error _ -> Alcotest.fail "pipeline must survive the expired stage"

@@ -109,10 +109,12 @@ let test_quota_sums () =
   Array.iteri
     (fun i per_instance ->
       let wcec = (Task_set.task ts i).Task.wcec in
-      Array.iteri
-        (fun j _ ->
+      Array.iter
+        (fun idxs ->
           Alcotest.(check (float 1e-6)) "quota sum = WCEC" wcec
-            (Static_schedule.quota_of_instance acs ~task:i ~instance:j))
+            (Array.fold_left
+               (fun acc k -> acc +. acs.Static_schedule.quotas.(k))
+               0. idxs))
         per_instance)
     plan.Plan.instance_subs
 
@@ -178,7 +180,10 @@ let test_alpha_model_solve () =
         Task.create ~name:"t2" ~period:20 ~wcec:20. ~acec:10. ~bcec:0. ]
   in
   let plan = Plan.expand ts in
-  match Solver.solve_acs ~max_outer:8 ~plan ~power:alpha () with
+  match
+    Solver.solve_acs ~budget:{ Solver.default_budget with max_outer = 8 } ~plan
+      ~power:alpha ()
+  with
   | Error e -> Alcotest.failf "alpha solve failed: %a" Solver.pp_error e
   | Ok (schedule, _) ->
     Alcotest.(check bool) "feasible under alpha model" true
@@ -235,14 +240,15 @@ let test_wall_budget_returns () =
      one start always runs), and a generous one matches the unbudgeted
      result. *)
   let plan = Plan.expand (motivation_ts ()) in
-  (match Solver.solve_acs ~wall_budget:1e-9 ~plan ~power () with
+  let wall_budget b = { Solver.default_budget with wall_budget = Some b } in
+  (match Solver.solve_acs ~budget:(wall_budget 1e-9) ~plan ~power () with
   | Error e -> Alcotest.failf "budgeted solve failed: %a" Solver.pp_error e
   | Ok (schedule, _) ->
     Alcotest.(check bool) "feasible under tiny budget" true
       (Validate.is_feasible schedule));
   let unbudgeted, _ = Result.get_ok (Solver.solve_acs ~plan ~power ()) in
   let generous, _ =
-    Result.get_ok (Solver.solve_acs ~wall_budget:3600. ~plan ~power ())
+    Result.get_ok (Solver.solve_acs ~budget:(wall_budget 3600.) ~plan ~power ())
   in
   check_bits_arr "generous budget = no budget"
     unbudgeted.Static_schedule.end_times generous.Static_schedule.end_times

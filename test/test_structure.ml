@@ -277,7 +277,11 @@ let test_budgeted_fast_solve_returns () =
      iterations) must still latch: an already-expired budget returns the
      best repaired iterate instead of spinning. *)
   let plan = Plan.expand (Lepts_workloads.Cnc.task_set ~power ~ratio:0.1 ()) in
-  match Solver.solve_acs ~wall_budget:1e-9 ~plan ~power () with
+  match
+    Solver.solve_acs
+      ~budget:{ Solver.default_budget with wall_budget = Some 1e-9 }
+      ~plan ~power ()
+  with
   | Error e -> Alcotest.failf "budgeted fast solve failed: %a" Solver.pp_error e
   | Ok (schedule, _) ->
     Alcotest.(check bool) "feasible under expired budget" true

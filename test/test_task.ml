@@ -68,8 +68,7 @@ let test_hyper_period () =
       [ mk ~name:"a" ~period:4 ~wcec:1. (); mk ~name:"b" ~period:6 ~wcec:1. ();
         mk ~name:"c" ~period:8 ~wcec:1. () ]
   in
-  Alcotest.(check int) "lcm" 24 (Task_set.hyper_period ts);
-  Alcotest.(check int) "instances" (6 + 4 + 3) (Task_set.instance_count ts)
+  Alcotest.(check int) "lcm" 24 (Task_set.hyper_period ts)
 
 let test_utilization () =
   (* cycle time at v_max = 0.25; U = 0.25 * (4/4 + 8/8) = 0.5. *)

@@ -48,17 +48,6 @@ let test_sum () =
   xs.(0) <- 1e10;
   check_float "compensated" (1e10 +. 1e-6) (Num_ext.sum xs)
 
-let test_divide () =
-  check_float "normal" 2.5 (Num_ext.divide 5. ~by:2.);
-  Alcotest.check_raises "zero" Division_by_zero (fun () ->
-      ignore (Num_ext.divide 1. ~by:0.))
-
-let test_fmin_fmax () =
-  check_float "fmin" 1. (Num_ext.fmin 1. 2.);
-  check_float "fmax" 2. (Num_ext.fmax 1. 2.);
-  Alcotest.(check bool) "fmin nan" true (Float.is_nan (Num_ext.fmin Float.nan 1.));
-  Alcotest.(check bool) "fmax nan" true (Float.is_nan (Num_ext.fmax 1. Float.nan))
-
 let test_mean_variance () =
   check_float "mean" 2. (Stats.mean [| 1.; 2.; 3. |]);
   check_float "variance" 1. (Stats.variance [| 1.; 2.; 3. |]);
@@ -110,12 +99,6 @@ let test_percentile_edges () =
   check_float "unsorted p100" 50. (Stats.percentile unsorted ~p:100.);
   check_float "unsorted p50" 30. (Stats.percentile unsorted ~p:50.)
 
-let test_geometric_mean () =
-  check_float "powers of two" 4. (Stats.geometric_mean [| 2.; 8. |]);
-  Alcotest.check_raises "non-positive"
-    (Invalid_argument "Stats.geometric_mean: non-positive element") (fun () ->
-      ignore (Stats.geometric_mean [| 1.; 0. |]))
-
 let test_table_render () =
   let t = Table.create ~header:[ "a"; "long-col" ] in
   Table.add_row t [ "1"; "2" ];
@@ -152,13 +135,10 @@ let suite =
     ("clamp", `Quick, test_clamp);
     ("approx_equal", `Quick, test_approx_equal);
     ("kahan sum", `Quick, test_sum);
-    ("divide", `Quick, test_divide);
-    ("fmin/fmax nan", `Quick, test_fmin_fmax);
     ("mean/variance", `Quick, test_mean_variance);
     ("min_max", `Quick, test_min_max);
     ("percentile", `Quick, test_percentile);
     ("percentile edge cases", `Quick, test_percentile_edges);
-    ("geometric mean", `Quick, test_geometric_mean);
     ("table render", `Quick, test_table_render);
     ("table arity", `Quick, test_table_mismatch);
     ("table cells", `Quick, test_table_cells) ]

@@ -1,6 +1,6 @@
-(* Warm-start continuation and incremental re-solve (Solver.solve_warm /
-   Solver.resolve_incremental): bit-identity on converged instances,
-   never-worse under exhausted budgets, and the structural fallbacks. *)
+(* Warm re-solve (Solver.solve_warm): bit-identity on converged
+   instances, never-worse under exhausted budgets, and the two cold
+   branches for plans that cannot be continued. *)
 
 open Lepts_core
 module Task = Lepts_task.Task
@@ -20,8 +20,8 @@ let preemptive_ts () =
     ~power ~target:0.7
 
 (* Same structure (periods, WCECs) as [preemptive_ts], different ACECs:
-   the serve-cache / adaptive-estimator case resolve_incremental's warm
-   path is for. *)
+   the serve-cache / adaptive-estimator case solve_warm's continuation
+   is for. *)
 let acec_shifted_ts () =
   Task_set.scale_wcec_to_utilization
     (Task_set.create
@@ -102,8 +102,9 @@ let test_warm_exhausted_budget_returns_seed () =
   let prev, _ = solve_cold ~mode:Objective.Average plan in
   let warm, stats =
     Result.get_ok
-      (Solver.solve_warm ~wall_budget:0. ~mode:Objective.Average ~prev ~plan
-         ~power ())
+      (Solver.solve_warm
+         ~budget:{ Solver.default_budget with wall_budget = Some 0. }
+         ~mode:Objective.Average ~prev ~plan ~power ())
   in
   check_schedule_bits "seed returned" prev warm;
   Alcotest.(check bool) "never worse" true
@@ -112,7 +113,7 @@ let test_warm_exhausted_budget_returns_seed () =
 
 let test_warm_jobs_independent () =
   (* The continuation is a single descent: [jobs] must not change its
-     bits (it only parallelises the structural-fallback cold solve). *)
+     bits (it only parallelises the cold branches). *)
   let plan = Plan.expand (preemptive_ts ()) in
   let wcs, _ = Result.get_ok (Solver.solve_wcs ~plan ~power ()) in
   let w1, s1 =
@@ -129,7 +130,7 @@ let test_warm_jobs_independent () =
   Alcotest.(check int64) "objective bits" (Int64.bits_of_float s1.Solver.objective)
     (Int64.bits_of_float s4.Solver.objective)
 
-let test_resolve_incremental_acec_change () =
+let test_warm_acec_change () =
   (* Only the ACECs moved: the warm path must apply (a single
      continuation descent), stay feasible, and never be worse than the
      previous solution re-evaluated under the new workloads. *)
@@ -145,17 +146,16 @@ let test_resolve_incremental_acec_change () =
   in
   let next, stats =
     Result.get_ok
-      (Solver.resolve_incremental ~mode:Objective.Average ~prev ~plan:plan2
-         ~power ())
+      (Solver.solve_warm ~mode:Objective.Average ~prev ~plan:plan2 ~power ())
   in
   Alcotest.(check bool) "feasible under new plan" true
     (Validate.is_feasible next);
   Alcotest.(check bool) "never worse than carried-over seed" true
     (stats.Solver.objective <= seed_energy +. 1e-9)
 
-let test_resolve_incremental_structural_fallback () =
-  (* Task count changed: nothing to continue from, so the incremental
-     entry point must degrade to the plain cold solve, bit for bit. *)
+let test_warm_structural_fallback () =
+  (* Task count changed: nothing to continue from, so the warm re-solve
+     must degrade to the plain cold solve, bit for bit. *)
   let plan1 = Plan.expand (preemptive_ts ()) in
   let prev, _ = solve_cold ~mode:Objective.Average plan1 in
   let ts2 =
@@ -166,11 +166,43 @@ let test_resolve_incremental_structural_fallback () =
   let plan2 = Plan.expand ts2 in
   let inc, _ =
     Result.get_ok
-      (Solver.resolve_incremental ~mode:Objective.Average ~prev ~plan:plan2
-         ~power ())
+      (Solver.solve_warm ~mode:Objective.Average ~prev ~plan:plan2 ~power ())
   in
   let cold, _ = solve_cold ~mode:Objective.Average plan2 in
   check_schedule_bits "fallback = cold" cold inc
+
+let random_plan seed =
+  let rng = Lepts_prng.Xoshiro256.create ~seed in
+  let config = Lepts_workloads.Random_gen.default_config ~n_tasks:3 ~ratio:0.3 in
+  Plan.expand
+    (Result.get_ok (Lepts_workloads.Random_gen.generate config ~power ~rng))
+
+let test_warm_shifted_windows () =
+  (* Two random sets whose plans have the same order length (18 subs)
+     but different windows: the previous schedule cannot be continued,
+     yet it joins the cold multi-start as a third start. *)
+  let plan1 = random_plan 7 and plan2 = random_plan 15 in
+  Alcotest.(check int) "same order length" (Plan.size plan1) (Plan.size plan2);
+  let prev, _ = solve_cold ~mode:Objective.Average plan1 in
+  let sink = Lepts_obs.Telemetry.solve_sink ~label:"shifted" () in
+  let inc, inc_stats =
+    Result.get_ok
+      (Solver.solve_warm ~telemetry:sink ~mode:Objective.Average ~prev
+         ~plan:plan2 ~power ())
+  in
+  Alcotest.(check int) "greedy, ALAP and prev starts" 3
+    (Array.length sink.Lepts_obs.Telemetry.starts);
+  let cold, cold_stats =
+    Result.get_ok
+      (Solver.solve
+         ~warm_starts:
+           [ (prev.Static_schedule.end_times, prev.Static_schedule.quotas) ]
+         ~mode:Objective.Average ~plan:plan2 ~power ())
+  in
+  check_schedule_bits "shifted = cold with prev start" cold inc;
+  Alcotest.(check int64) "objective bits"
+    (Int64.bits_of_float cold_stats.Solver.objective)
+    (Int64.bits_of_float inc_stats.Solver.objective)
 
 let test_continuation_sweep () =
   (* Warm and cold ratio sweeps agree bit-for-bit on the (always cold)
@@ -217,7 +249,9 @@ let suite =
      test_warm_exhausted_budget_returns_seed);
     ("warm result independent of jobs", `Quick, test_warm_jobs_independent);
     ("incremental re-solve after ACEC change", `Quick,
-     test_resolve_incremental_acec_change);
+     test_warm_acec_change);
     ("incremental re-solve structural fallback", `Quick,
-     test_resolve_incremental_structural_fallback);
+     test_warm_structural_fallback);
+    ("incremental re-solve with shifted windows", `Quick,
+     test_warm_shifted_windows);
     ("continuation ratio sweep", `Quick, test_continuation_sweep) ]
