@@ -375,9 +375,9 @@ type work_case = {
 
 let work_cases =
   [ { plan = random_plan ~n:8 ~seed:108 ~max_subs:1000; inner = 3780;
-      words = 197_427 };
+      words = 79_730 };
     { plan = random_plan ~n:16 ~seed:104 ~max_subs:2600; inner = 4020;
-      words = 227_555 } ]
+      words = 106_680 } ]
 
 let work_slack = 1.10
 

@@ -217,11 +217,14 @@ let fig6a_cmd ~profile =
     let config =
       { Experiments.Fig6a.paper_config with sets_per_point = sets; rounds; seed }
     in
+    (* The layout part names how entries are keyed (one "set" section,
+       keyed by the cell's index in the largest-first batch), so a file
+       keyed another way is refused rather than silently recomputed. *)
     let fingerprint =
       Checkpoint.fingerprint
         ~parts:
-          [ "fig6a"; string_of_int sets; string_of_int rounds;
-            string_of_int seed; string_of_bool warm_start;
+          [ "fig6a"; "layout:cells-largest-first"; string_of_int sets;
+            string_of_int rounds; string_of_int seed; string_of_bool warm_start;
             string_of_float v_min; string_of_float v_max ]
     in
     with_observability ~command:"fig6a" ~profile ~telemetry_file

@@ -25,11 +25,17 @@ type point = {
   total_misses : int;
 }
 
-(* Checkpoint codec for one set's measurement: absent (generation or
-   solve failed) or the full Improvement record, floats bit-exact. *)
+let log_src = Logs.Src.create "lepts.experiments.fig6a" ~doc:"Fig 6(a) sweep"
+
+module Log = (val Logs.src_log log_src : Logs.LOG)
+
+(* Checkpoint codec for one set's measurement: dropped (generation or
+   solve failed) or the full Improvement record, floats bit-exact. The
+   entry records a drop, not its cause, so a drop read back says only
+   when it happened. *)
 let set_fields = function
-  | None -> [ "none" ]
-  | Some (r : Improvement.t) ->
+  | Error _ -> [ "none" ]
+  | Ok (r : Improvement.t) ->
     [ "ok";
       Checkpoint.float_field r.Improvement.wcs_energy;
       Checkpoint.float_field r.Improvement.acs_energy;
@@ -39,9 +45,9 @@ let set_fields = function
       string_of_int r.Improvement.sub_instances ]
 
 let set_of_fields = function
-  | [ "none" ] -> None
+  | [ "none" ] -> Error "dropped in an earlier session"
   | [ "ok"; we; ae; imp; wm; am; subs ] ->
-    Some
+    Ok
       { Improvement.wcs_energy = Checkpoint.float_of_field we;
         acs_energy = Checkpoint.float_of_field ae;
         improvement_pct = Checkpoint.float_of_field imp;
@@ -51,56 +57,26 @@ let set_of_fields = function
     failwith
       (Printf.sprintf "Fig6a: set entry has %d fields" (List.length fields))
 
-let run_point ?(jobs = 1) ?(warm_start = false) ?telemetry ?checkpoint ?should_stop
-    config ~power ~n_tasks ~ratio =
-  Lepts_obs.Span.with_ ~name:"fig6a:point" @@ fun () ->
-  (* Pool workers open their spans with the point's path as explicit
-     parent, so the merged span tree is identical for every [jobs]. *)
-  let span_parent =
-    match Lepts_obs.Span.current () with Some p -> p | None -> ""
+(* One set: generate → solve → simulate, from seeds that depend only on
+   its (task count, ratio, set) triple, so sets are independent and
+   reproducible whichever domain runs them and in whatever order. *)
+let measure_set ~jobs ~warm_start ?telemetry config ~power ~n_tasks ~ratio set =
+  let gen_seed =
+    config.seed + (1_000_000 * n_tasks) + (10_000 * int_of_float (ratio *. 100.)) + set
   in
-  (* Task sets are independent (per-set seeds), so the whole
-     generate → solve → simulate pipeline of each set can run on its
-     own domain; results come back indexed by set, and the reduction
-     below walks them in set order — bit-identical for every [jobs].
-     Each measurement gets the same [jobs]: on a pool worker its solves
-     and rounds run sequentially, so only a set that runs alone (a
-     one-set point, or a lone set left for the last checkpoint chunk)
-     spreads them over the domains. *)
-  let one_set set =
-    Lepts_obs.Span.with_ ~parent:span_parent ~name:"set" @@ fun () ->
-    (* One generator stream per (n, ratio, set) triple so points are
-       independent and reproducible. *)
-    let gen_seed =
-      config.seed + (1_000_000 * n_tasks) + (10_000 * int_of_float (ratio *. 100.))
-      + set
-    in
-    let rng = Rng.create ~seed:gen_seed in
-    let gen_config = Random_gen.default_config ~n_tasks ~ratio in
-    match Random_gen.generate gen_config ~power ~rng with
-    | Error _ -> None
-    | Ok task_set -> (
-      match
-        Improvement.measure ~rounds:config.rounds ~jobs ~warm_start ?telemetry
-          ~telemetry_tag:
-            (Printf.sprintf "fig6a:n%d:r%.1f:set%d" n_tasks ratio set)
-          ~task_set ~power ~sim_seed:(gen_seed + 7919) ()
-      with
-      | Error _ -> None
-      | Ok r -> Some r)
-  in
-  (* Sets flow through the checkpointable driver, one section per
-     (task count, ratio) point so keys never collide across points.
-     [chunk:jobs] runs one set per domain and saves after each such
-     round — a set is the expensive unit here (generate + two NLP
-     solves + simulations), so a crash loses at most [jobs] sets. *)
-  let results =
-    Checkpoint.map_indices ?session:checkpoint ?should_stop ~chunk:jobs
-      ~section:(Printf.sprintf "set:n%d:r%g" n_tasks ratio)
-      ~encode:set_fields ~decode:set_of_fields ~jobs ~n:config.sets_per_point
-      ~f:one_set ()
-  in
-  let measured = List.filter_map Fun.id (Array.to_list results) in
+  let rng = Rng.create ~seed:gen_seed in
+  let gen_config = Random_gen.default_config ~n_tasks ~ratio in
+  match Random_gen.generate gen_config ~power ~rng with
+  | Error msg -> Error ("generation failed: " ^ msg)
+  | Ok task_set ->
+    Result.map_error (Format.asprintf "%a" Lepts_core.Solver.pp_error)
+      (Improvement.measure ~rounds:config.rounds ~jobs ~warm_start ?telemetry
+         ~telemetry_tag:(Printf.sprintf "fig6a:n%d:r%.1f:set%d" n_tasks ratio set)
+         ~task_set ~power ~sim_seed:(gen_seed + 7919) ())
+
+(* A point's reduction over its sets, in set order. *)
+let reduce ~n_tasks ~ratio sets =
+  let measured = List.filter_map Result.to_option (Array.to_list sets) in
   let arr = Array.of_list (List.map (fun r -> r.Improvement.improvement_pct) measured) in
   let misses =
     List.fold_left
@@ -115,20 +91,65 @@ let run_point ?(jobs = 1) ?(warm_start = false) ?telemetry ?checkpoint ?should_s
 
 let run ?(progress = fun _ -> ()) ?(jobs = 1) ?(warm_start = false) ?telemetry
     ?checkpoint ?should_stop config ~power =
-  List.concat_map
-    (fun n_tasks ->
-      List.map
-        (fun ratio ->
-          let point =
-            run_point ~jobs ~warm_start ?telemetry ?checkpoint
-              ?should_stop config ~power ~n_tasks ~ratio
-          in
-          progress
-            (Printf.sprintf "fig6a: n=%d ratio=%.1f -> %.1f%% (%d sets)" n_tasks
-               ratio point.mean_improvement_pct point.sets_measured);
-          point)
-        config.ratios)
-    config.task_counts
+  let points =
+    Array.of_list
+      (List.concat_map
+         (fun n -> List.map (fun r -> (n, r)) config.ratios)
+         config.task_counts)
+  in
+  let sets = config.sets_per_point in
+  (* Cell [p * sets + set] is set [set] of point [p] in config order.
+     The batch runs the cells largest task count first (ratios and sets
+     in config order), the longest-processing-time rule: the costly
+     sets start early and the cheap ones fill the domains at the end,
+     so no domain waits at a point boundary. *)
+  let order =
+    List.init (Array.length points) Fun.id
+    |> List.stable_sort (fun p q -> Int.compare (fst points.(q)) (fst points.(p)))
+    |> List.concat_map (fun p -> List.init sets (fun set -> (p * sets) + set))
+    |> Array.of_list
+  in
+  let results =
+    Lepts_obs.Span.with_ ~name:"fig6a:grid" @@ fun () ->
+    (* Pool workers open their spans with the grid's path as explicit
+       parent, so the merged span tree is identical for every [jobs]. *)
+    let span_parent =
+      match Lepts_obs.Span.current () with Some p -> p | None -> ""
+    in
+    let one i =
+      Lepts_obs.Span.with_ ~parent:span_parent ~name:"set" @@ fun () ->
+      let c = order.(i) in
+      let n_tasks, ratio = points.(c / sets) in
+      measure_set ~jobs ~warm_start ?telemetry config ~power ~n_tasks ~ratio (c mod sets)
+    in
+    (* Each measurement gets the same [jobs]: on a pool worker its
+       solves and rounds run sequentially, so only a cell that runs
+       alone (a one-cell grid, or a lone cell left for the last
+       checkpoint chunk) spreads them over the domains. [chunk:jobs]
+       saves after every [jobs] cells — a set is the expensive unit
+       here, so a crash loses at most [jobs] sets. *)
+    Checkpoint.map_indices ?session:checkpoint ?should_stop ~chunk:jobs ~section:"set"
+      ~encode:set_fields ~decode:set_of_fields ~jobs ~n:(Array.length order) ~f:one ()
+  in
+  (* [order] is a permutation, so every slot of the copy is rewritten. *)
+  let by_cell = Array.copy results in
+  Array.iteri (fun i r -> by_cell.(order.(i)) <- r) results;
+  List.mapi
+    (fun p (n_tasks, ratio) ->
+      let cells = Array.sub by_cell (p * sets) sets in
+      Array.iteri
+        (fun set -> function
+          | Ok _ -> ()
+          | Error e ->
+            Log.warn (fun m ->
+                m "fig6a: dropped set %d at n=%d ratio=%.1f: %s" set n_tasks ratio e))
+        cells;
+      let point = reduce ~n_tasks ~ratio cells in
+      progress
+        (Printf.sprintf "fig6a: n=%d ratio=%.1f -> %.1f%% (%d sets)" n_tasks ratio
+           point.mean_improvement_pct point.sets_measured);
+      point)
+    (Array.to_list points)
 
 let to_table points =
   let table =

@@ -17,8 +17,9 @@ let[@inline] fmax (x : float) (y : float) =
 let[@inline] fmin (x : float) (y : float) =
   if y < x || (x <> x && not (y <> y)) then y else x
 
-(* Vector loops; the norms accumulate in ascending index order. *)
-let axpy_into a (x : float array) (y : float array) ~(into : float array) =
+(* Vector loops; the norms accumulate in ascending index order.
+   [axpy_into] is inlined so its scalar is not boxed for the call. *)
+let[@inline] axpy_into a (x : float array) (y : float array) ~(into : float array) =
   for i = 0 to Array.length x - 1 do
     into.(i) <- (a *. x.(i)) +. y.(i)
   done
@@ -39,9 +40,10 @@ let norm_inf (a : float array) =
 
 (* Fused one-pass kernels: the projected difference with its norm and
    slope, and the Barzilai–Borwein inner products, one accumulator per
-   product in ascending index order. *)
+   product in ascending index order. Each writes its two scalars into
+   [out], a float array, so no pair or float is boxed to return them. *)
 let sub_norm_slope (xt : float array) (x : float array) (g : float array)
-    ~(into : float array) =
+    ~(into : float array) ~(out : float array) =
   let n = Array.length into in
   let ss = ref 0. and sg = ref 0. in
   for i = 0 to n - 1 do
@@ -50,10 +52,11 @@ let sub_norm_slope (xt : float array) (x : float array) (g : float array)
     ss := !ss +. (di *. di);
     sg := !sg +. (g.(i) *. di)
   done;
-  (sqrt !ss, !sg)
+  out.(0) <- sqrt !ss;
+  out.(1) <- !sg
 
 let bb_terms (gn : float array) (g : float array) (d : float array)
-    ~(into_y : float array) =
+    ~(into_y : float array) ~(out : float array) =
   let n = Array.length into_y in
   let sy = ref 0. and ss = ref 0. in
   for i = 0 to n - 1 do
@@ -62,14 +65,21 @@ let bb_terms (gn : float array) (g : float array) (d : float array)
     sy := !sy +. (d.(i) *. yi);
     ss := !ss +. (d.(i) *. d.(i))
   done;
-  (!sy, !ss)
+  out.(0) <- !sy;
+  out.(1) <- !ss
 
 (* Objective values the non-monotone Armijo test looks back over. *)
 let history = 10
 
+(* How an iteration's backtracking stands: constant constructors, so
+   the descent loop tests and stores them without allocating. *)
+type search = Searching | Stalled | Zero_step | Accepted
+
 (* All per-iteration vectors (trial point, search direction, gradients,
-   BB difference) live in buffers allocated once here, so a run
-   performs no per-iteration array allocation as long as [f],
+   BB difference, the kernels' scalar pair) live in buffers allocated
+   once here, and every per-iteration scalar is a local float that
+   never crosses a closure call, so an iteration allocates nothing of
+   its own beyond the boxed float [f] returns — as long as [f],
    [grad_into] and [project_ip] are allocation-free themselves. *)
 let minimize_ws ?telemetry ?should_stop ?(max_iter = 2000) ?(tol = 1e-9) ~f ~grad_into
     ~project_ip ~x0 () =
@@ -82,19 +92,9 @@ let minimize_ws ?telemetry ?should_stop ?(max_iter = 2000) ?(tol = 1e-9) ~f ~gra
   ignore (Guard.finite_vec ~where:"gradient at x0" !g);
   let xt = ref (Array.make n 0.) and gn = ref (Array.make n 0.) in
   let d = Array.make n 0. and y = Array.make n 0. in
+  let pair = Array.make 2 0. in
   let recent = Array.make history !fx in
   let recent_idx = ref 0 in
-  let push_value v =
-    recent.(!recent_idx) <- v;
-    recent_idx := (!recent_idx + 1) mod history
-  in
-  let reference () =
-    let acc = ref neg_infinity in
-    for i = 0 to history - 1 do
-      acc := fmax !acc recent.(i)
-    done;
-    !acc
-  in
   let step = ref (1. /. Float.max 1. (norm_inf !g)) in
   let iterations = ref 0 in
   let converged = ref false in
@@ -105,51 +105,50 @@ let minimize_ws ?telemetry ?should_stop ?(max_iter = 2000) ?(tol = 1e-9) ~f ~gra
   let stop_requested =
     match should_stop with None -> fun () -> false | Some f -> f
   in
-  (* Backtrack the trial step until the non-monotone Armijo test
-     passes; the projected difference is the true search direction.
-     [xt] and [d] are overwritten on every try. *)
-  let rec attempt trial tries =
-    if tries > 60 then `Stalled tries
-    else begin
-      axpy_into (-.trial) !g !x ~into:!xt;
-      project_ip !xt;
-      let dnorm, slope = sub_norm_slope !xt !x !g ~into:d in
-      if dnorm = 0. then `Zero_step tries
-      else
-        let fx_trial = f !xt in
-        if Float.is_finite fx_trial && fx_trial <= reference () +. (1e-4 *. slope)
-        then `Accepted (fx_trial, dnorm, trial, tries)
-        else attempt (trial /. 2.) (tries + 1)
-    end
-  in
-  (* Observational only: telemetry pushes store already-computed
-     scalars, so the float operations — and hence the iterates — are
-     bit-identical with telemetry on or off. *)
-  let observe ~objective ~step ~step_norm ~backtracks ~projections =
-    match telemetry with
-    | None -> ()
-    | Some ring ->
-      Lepts_obs.Telemetry.push ring ~iteration:!iterations ~objective ~step ~step_norm
-        ~backtracks ~projections
-  in
   while (not !converged) && !iterations < max_iter && not (stop_requested ()) do
     incr iterations;
-    match attempt !step 0 with
-    | `Stalled tries ->
+    (* Backtrack the trial step until the non-monotone Armijo test
+       passes against the largest of the recent objective values; the
+       projected difference is the true search direction. [xt] and [d]
+       are overwritten on every try. *)
+    let trial = ref !step and tries = ref 0 and status = ref Searching in
+    let fx_trial = ref 0. and dnorm = ref 0. in
+    while !status = Searching do
+      if !tries > 60 then status := Stalled
+      else begin
+        axpy_into (-. !trial) !g !x ~into:!xt;
+        project_ip !xt;
+        sub_norm_slope !xt !x !g ~into:d ~out:pair;
+        dnorm := pair.(0);
+        if !dnorm = 0. then status := Zero_step
+        else begin
+          fx_trial := f !xt;
+          let reference = ref neg_infinity in
+          for i = 0 to history - 1 do
+            reference := fmax !reference recent.(i)
+          done;
+          if Float.is_finite !fx_trial && !fx_trial <= !reference +. (1e-4 *. pair.(1))
+          then status := Accepted
+          else begin
+            trial := !trial /. 2.;
+            incr tries
+          end
+        end
+      end
+    done;
+    if !status = Stalled then
       (* no progress possible at this scale *)
-      converged := true;
-      observe ~objective:!fx ~step:!step ~step_norm:!last_step_norm ~backtracks:tries
-        ~projections:tries
-    | `Zero_step tries ->
+      converged := true
+    else if !status = Zero_step then begin
       last_step_norm := 0.;
-      converged := true;
-      observe ~objective:!fx ~step:!step ~step_norm:0. ~backtracks:tries
-        ~projections:(tries + 1)
-    | `Accepted (fx_next, dnorm, trial, tries) ->
+      converged := true
+    end
+    else begin
       grad_into !xt ~into:!gn;
       ignore (Guard.finite_vec ~where:"gradient" !gn);
       (* Barzilai–Borwein step length for the next iteration. *)
-      let sy, ss = bb_terms !gn !g d ~into_y:y in
+      bb_terms !gn !g d ~into_y:y ~out:pair;
+      let sy = pair.(0) and ss = pair.(1) in
       step := (if sy > 1e-16 then ss /. sy else fmin (2. *. !step) 1e6);
       if (not (Float.is_finite !step)) || !step <= 0. then step := 1.;
       let x_prev = !x in
@@ -158,13 +157,24 @@ let minimize_ws ?telemetry ?should_stop ?(max_iter = 2000) ?(tol = 1e-9) ~f ~gra
       let g_prev = !g in
       g := !gn;
       gn := g_prev;
-      fx := fx_next;
-      push_value fx_next;
-      last_step_norm := dnorm;
+      fx := !fx_trial;
+      recent.(!recent_idx) <- !fx_trial;
+      recent_idx := (!recent_idx + 1) mod history;
+      last_step_norm := !dnorm;
       let scale = fmax 1. (norm2 !x) in
-      if !last_step_norm <= tol *. scale then converged := true;
-      observe ~objective:fx_next ~step:trial ~step_norm:dnorm ~backtracks:tries
-        ~projections:(tries + 1)
+      if !last_step_norm <= tol *. scale then converged := true
+    end;
+    (* Observational only: the push stores already-computed scalars, so
+       the float operations — and hence the iterates — are bit-identical
+       with telemetry on or off. An accepted step reports its trial
+       step; a stalled or zero step the step it started from. *)
+    match telemetry with
+    | None -> ()
+    | Some ring ->
+      Lepts_obs.Telemetry.push ring ~iteration:!iterations ~objective:!fx
+        ~step:(if !status = Accepted then !trial else !step)
+        ~step_norm:!last_step_norm ~backtracks:!tries
+        ~projections:(if !status = Stalled then !tries else !tries + 1)
   done;
   { x = Array.copy !x; value = !fx; step_norm = !last_step_norm;
     iterations = !iterations; converged = !converged }

@@ -38,8 +38,10 @@ val minimize_ws :
 
     [grad_into x ~into] writes the gradient at [x] into [into], and
     [project_ip] projects its argument in place, so the descent loop
-    performs no per-iteration array allocation when [f], [grad_into]
-    and [project_ip] are themselves allocation-free. The vector passed
+    allocates nothing per iteration beyond the boxed float [f] returns
+    when [f], [grad_into] and [project_ip] are themselves
+    allocation-free (telemetry capture, when on, boxes its record's
+    scalars). The vector passed
     to [f]/[grad_into] is an internal buffer: read it, never retain
     it.
 

@@ -209,7 +209,9 @@ let solve_once ~power ~before_solve ~skip_acs ~prev ~wait_ms ~attempt
    near-identical solve. *)
 let process ~config ~power ~before_solve ~skip_acs ~prev ~wait_ms
     (req : Request.t) =
-  Span.with_ ~name:("serve:" ^ req.Request.id) @@ fun () ->
+  (* One constant name: a request id in it would add a span path per
+     request, and build a string per request even with spans off. *)
+  Span.with_ ~name:"serve:request" @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let rec go ~attempt ~crashes =
     let result =

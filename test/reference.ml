@@ -24,6 +24,9 @@
    The arithmetic is the production arithmetic, operation for
    operation; only the bookkeeping differs.
 
+   [Fig6a.run] is the Fig 6(a) sweep driven one point at a time, the
+   per-point batches that [Lepts_experiments.Fig6a.run] folds into one.
+
    [Sequence.run] is an oracle of another kind: the closed-form model
    the objective optimises, which the event-driven simulator must agree
    with to rounding on any fixed workloads. *)
@@ -785,4 +788,53 @@ module Sequence = struct
     in
     { Outcome.energy = trace.Objective.energy; deadline_misses = !misses;
       shed_instances = 0; finish_times; consumed }
+end
+
+(* --- Fig 6(a) point by point ---------------------------------------------- *)
+
+(* The sweep as it was first written: one pool batch per (task count,
+   ratio) point over [Improvement.measure], then the point's reduction
+   over its sets in set order. No checkpoint, spans or telemetry.
+   [Lepts_experiments.Fig6a.run] runs the whole grid as one batch and
+   regroups the cells afterwards; its points must equal these bit for
+   bit. *)
+module Fig6a = struct
+  module F = Lepts_experiments.Fig6a
+  module Improvement = Lepts_experiments.Improvement
+
+  let point ~jobs (config : F.config) ~power ~n_tasks ~ratio =
+    let one_set set =
+      let gen_seed =
+        config.F.seed + (1_000_000 * n_tasks)
+        + (10_000 * int_of_float (ratio *. 100.))
+        + set
+      in
+      let rng = Lepts_prng.Xoshiro256.create ~seed:gen_seed in
+      let gen_config = Lepts_workloads.Random_gen.default_config ~n_tasks ~ratio in
+      match Lepts_workloads.Random_gen.generate gen_config ~power ~rng with
+      | Error _ -> None
+      | Ok task_set ->
+        Result.to_option
+          (Improvement.measure ~rounds:config.F.rounds ~task_set ~power
+             ~sim_seed:(gen_seed + 7919) ())
+    in
+    let results, _ = Lepts_par.Pool.run ~jobs ~n:config.F.sets_per_point ~f:one_set in
+    let measured = List.filter_map Fun.id (Array.to_list results) in
+    let arr = Array.of_list (List.map (fun r -> r.Improvement.improvement_pct) measured) in
+    { F.n_tasks; ratio;
+      mean_improvement_pct =
+        (if Array.length arr = 0 then Float.nan else Lepts_util.Stats.mean arr);
+      stddev_improvement_pct =
+        (if Array.length arr < 2 then 0. else Lepts_util.Stats.stddev arr);
+      sets_measured = Array.length arr;
+      total_misses =
+        List.fold_left
+          (fun acc r -> acc + r.Improvement.wcs_misses + r.Improvement.acs_misses)
+          0 measured }
+
+  let run ~jobs (config : F.config) ~power =
+    List.concat_map
+      (fun n_tasks ->
+        List.map (fun ratio -> point ~jobs config ~power ~n_tasks ~ratio) config.F.ratios)
+      config.F.task_counts
 end

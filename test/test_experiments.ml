@@ -41,6 +41,30 @@ let test_fig6a_jobs_bit_identical () =
   let one = { config with sets_per_point = 1 } in
   Alcotest.(check bool) "solver-level jobs" true (run one 1 = run one 4)
 
+(* Every field of a point, floats by their bits (a point whose sets all
+   dropped has a NaN mean, which [=] would never match). *)
+let point_key (p : Experiments.Fig6a.point) =
+  Printf.sprintf "n%d r%h mean %Lx stddev %Lx sets %d misses %d"
+    p.Experiments.Fig6a.n_tasks p.ratio
+    (Int64.bits_of_float p.mean_improvement_pct)
+    (Int64.bits_of_float p.stddev_improvement_pct)
+    p.sets_measured p.total_misses
+
+let test_fig6a_matches_per_point_reference () =
+  (* A multi-point grid, so a cell filed under the wrong point, or
+     points emitted out of config order, shows as a mismatch. *)
+  let config =
+    { Experiments.Fig6a.quick_config with
+      task_counts = [ 2; 3 ]; ratios = [ 0.1; 0.9 ]; sets_per_point = 3; rounds = 30 }
+  in
+  let expected = List.map point_key (Reference.Fig6a.run ~jobs:2 config ~power) in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "-j %d" jobs) expected
+        (List.map point_key (Experiments.Fig6a.run ~jobs config ~power)))
+    [ 1; 2; 4 ]
+
 let test_motivation_reproduces_paper () =
   match Experiments.Motivation.run () with
   | Error e -> Alcotest.failf "motivation failed: %a" Lepts_core.Solver.pp_error e
@@ -147,4 +171,5 @@ let suite =
     ("fig6b CNC point", `Slow, test_fig6b_cnc);
     ("policy ablation", `Quick, test_policies_ablation);
     ("sweeps bit-identical across jobs", `Slow, test_sweeps_jobs_bit_identical);
-    ("fig6a bit-identical across jobs", `Slow, test_fig6a_jobs_bit_identical) ]
+    ("fig6a bit-identical across jobs", `Slow, test_fig6a_jobs_bit_identical);
+    ("fig6a matches per-point reference", `Slow, test_fig6a_matches_per_point_reference) ]

@@ -239,6 +239,32 @@ let test_service_jobs_bit_identical () =
         true (seq = run jobs))
     [ 2; 4 ]
 
+let test_service_span_names_bounded () =
+  (* Span paths are aggregation keys: a request id in one would grow the
+     span table by a path per request. *)
+  let module Span = Lepts_obs.Span in
+  let lines =
+    [ {|{"id": "alpha-req", "rounds": 5, "seed": 3}|};
+      {|{"id": "beta-req", "rounds": 5, "seed": 4}|} ]
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Span.set_enabled false;
+      Span.reset ())
+    (fun () ->
+      Span.set_enabled true;
+      Span.reset ();
+      let r = Service.run ~config:quick_config ~power ~lines () in
+      Alcotest.(check int) "both processed" 2 r.Service.processed;
+      let paths = List.map (fun (a : Span.agg) -> a.Span.path) (Span.report ()) in
+      Alcotest.(check bool) "requests spanned" true
+        (List.exists (contains ~sub:"serve:request") paths);
+      List.iter
+        (fun path ->
+          Alcotest.(check bool) (path ^ " names no request") false
+            (contains ~sub:"alpha-req" path || contains ~sub:"beta-req" path))
+        paths)
+
 let test_service_retries_then_fails () =
   (* A 64-task request cannot satisfy the random generator's
      sub-instance cap (any short period splits every lower-priority
@@ -474,6 +500,7 @@ let suite =
     ("service breaker sequence", `Quick, test_service_breaker_sequence);
     ("service admission shed", `Quick, test_service_admission_shed);
     ("service jobs bit-identical", `Quick, test_service_jobs_bit_identical);
+    ("service span names bounded", `Quick, test_service_span_names_bounded);
     ("service retries then fails", `Quick, test_service_retries_then_fails);
     ("service worker restart recovers", `Quick,
      test_service_worker_restart_recovers);
