@@ -375,9 +375,9 @@ type work_case = {
 
 let work_cases =
   [ { plan = random_plan ~n:8 ~seed:108 ~max_subs:1000; inner = 3780;
-      words = 79_730 };
+      words = 78_420 };
     { plan = random_plan ~n:16 ~seed:104 ~max_subs:2600; inner = 4020;
-      words = 106_680 } ]
+      words = 102_818 } ]
 
 let work_slack = 1.10
 

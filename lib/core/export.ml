@@ -54,46 +54,3 @@ let schedule_to_csv s =
       Buffer.add_char buf '\n')
     (schedule_to_rows s);
   Buffer.contents buf
-
-let schedule_of_csv ~plan ~power csv =
-  let lines =
-    String.split_on_char '\n' csv |> List.filter (fun l -> String.trim l <> "")
-  in
-  match lines with
-  | [] -> Error "empty input"
-  | header :: rows ->
-    if String.trim header <> csv_header then Error "unrecognised header"
-    else begin
-      let m = Array.length plan.Plan.order in
-      if List.length rows <> m then
-        Error
-          (Printf.sprintf "expected %d rows for this plan, found %d" m
-             (List.length rows))
-      else begin
-        let end_times = Array.make m 0. and quotas = Array.make m 0. in
-        let problem = ref None in
-        List.iteri
-          (fun row_idx line ->
-            match String.split_on_char ',' line with
-            | idx :: _label :: _task :: _inst :: _seg :: _r :: _b :: _d :: e :: q :: _
-              -> (
-              match
-                (int_of_string_opt idx, float_of_string_opt e, float_of_string_opt q)
-              with
-              | Some k, Some e, Some q when k >= 0 && k < m ->
-                end_times.(k) <- e;
-                quotas.(k) <- q
-              | _ ->
-                if !problem = None then
-                  problem := Some (Printf.sprintf "malformed row %d" (row_idx + 2)))
-            | _ ->
-              if !problem = None then
-                problem := Some (Printf.sprintf "malformed row %d" (row_idx + 2)))
-          rows;
-        match !problem with
-        | Some msg -> Error msg
-        | None -> (
-          try Ok (Static_schedule.create ~plan ~power ~end_times ~quotas)
-          with Invalid_argument msg -> Error msg)
-      end
-    end

@@ -12,17 +12,3 @@ val schedule_to_csv : Static_schedule.t -> string
 val schedule_to_rows : Static_schedule.t -> string list list
 (** The same data as lists of cells (header excluded), for callers that
     want a different serialisation. *)
-
-val csv_header : string
-
-val schedule_of_csv :
-  plan:Lepts_preempt.Plan.t ->
-  power:Lepts_power.Model.t ->
-  string ->
-  (Static_schedule.t, string) result
-(** Parse a CSV produced by {!schedule_to_csv} back into a schedule for
-    the given plan (the plan itself is reconstructed from the task set,
-    not the file). Checks the header, the row count and the sub-instance
-    indices; returns a descriptive [Error] on any mismatch. The
-    round-trip is exact ({!schedule_to_csv} prints floats with 17
-    significant digits). *)

@@ -5,7 +5,6 @@ module Task = Lepts_task.Task
 module Task_set = Lepts_task.Task_set
 module Pg = Lepts_optim.Projected_gradient
 module Projection = Lepts_optim.Projection
-module Numdiff = Lepts_optim.Numdiff
 
 let log_src = Logs.Src.create "lepts.core.literal_nlp" ~doc:"paper-literal NLP"
 
@@ -135,19 +134,14 @@ let solve ~mode ~(plan : Plan.t) ~power () =
       unpack x;
       Objective.eval_ws ws ~power ~totals ~e ~w_hat:q
     in
-    let objective_grad_into =
-      match power.Model.delay with
-      | Model.Ideal _ ->
-        let de = Array.make m 0. and dq = Array.make m 0. in
-        fun x ~into ->
-          unpack x;
-          let (_ : float) =
-            Objective.eval_with_gradient_ws ws ~power ~totals ~e ~w_hat:q ~de ~dwq:dq
-          in
-          Array.blit de 0 into 0 m;
-          Array.blit dq 0 into m m
-      | Model.Alpha _ ->
-        fun x ~into -> Array.blit (Numdiff.gradient ~f:objective x) 0 into 0 (2 * m)
+    let de = Array.make m 0. and dq = Array.make m 0. in
+    let objective_grad_into x ~into =
+      unpack x;
+      let (_ : float) =
+        Objective.eval_with_gradient_ws ws ~power ~totals ~e ~w_hat:q ~de ~dwq:dq
+      in
+      Array.blit de 0 into 0 m;
+      Array.blit dq 0 into m m
     in
     let x, max_violation, outer_iterations, inner_iterations =
       augmented_lagrangian ~release ~t_max ~m ~objective ~objective_grad_into

@@ -31,7 +31,7 @@ let instance_totals mode (plan : Plan.t) =
       Array.map (fun _ -> total) per_instance)
     plan.instance_subs
 
-(* Off-projection iterates (numerical differentiation, trial steps) may
+(* Off-projection iterates (finite-difference probes, trial steps) may
    carry slightly negative quotas; the objective treats them as 0. *)
 let sanitize w_hat = Array.map (fun q -> Float.max 0. q) w_hat
 
@@ -121,47 +121,25 @@ let eval_ws (ws : Workspace.t) ~power ~totals ~e ~w_hat =
   let plan = ws.Workspace.plan in
   let w = ws.Workspace.w and w_hat = ws.Workspace.w_hat in
   let finish = ref 0. and energy = ref 0. in
-  (match power.Model.delay with
-  | Model.Ideal { c0 } ->
-    (* Inlined ideal-model arithmetic: identical expressions to
-       [Model.voltage_for]/[energy]/[exec_time] (their domain checks
-       cannot fire here — [w > skip_eps] implies positive cycles, and
-       the window is floored), with no boxed-float returns. *)
-    for k = 0 to ws.Workspace.m - 1 do
-      let sub = plan.Plan.order.(k) in
-      if w.(k) > skip_eps then begin
-        let s = fmax sub.Sub.release !finish in
-        let d = fmax (e.(k) -. s) window_floor in
-        let v =
-          clampf ~lo:power.Model.v_min ~hi:power.Model.v_max
-            (c0 *. w_hat.(k) /. d)
-        in
-        energy := !energy +. (power.Model.c_eff *. v *. v *. w.(k));
-        finish := s +. (w.(k) *. (c0 /. v))
-      end
-    done
-  | Model.Alpha _ ->
-    for k = 0 to ws.Workspace.m - 1 do
-      let sub = plan.Plan.order.(k) in
-      if w.(k) > skip_eps then begin
-        let s = Float.max sub.Sub.release !finish in
-        let d = Float.max (e.(k) -. s) window_floor in
-        let v = Model.voltage_for_clamped power ~cycles:w_hat.(k) ~duration:d in
-        energy := !energy +. Model.energy power ~v ~cycles:w.(k);
-        finish := s +. Model.exec_time power ~v ~cycles:w.(k)
-      end
-    done);
+  let c0 = power.Model.c0 in
+  (* Inlined model arithmetic: identical expressions to
+     [Model.voltage_for]/[energy]/[exec_time] (their domain checks
+     cannot fire here — [w > skip_eps] implies positive cycles, and the
+     window is floored), with no boxed-float returns. *)
+  for k = 0 to ws.Workspace.m - 1 do
+    let sub = plan.Plan.order.(k) in
+    if w.(k) > skip_eps then begin
+      let s = fmax sub.Sub.release !finish in
+      let d = fmax (e.(k) -. s) window_floor in
+      let v = clampf ~lo:power.Model.v_min ~hi:power.Model.v_max (c0 *. w_hat.(k) /. d) in
+      energy := !energy +. (power.Model.c_eff *. v *. v *. w.(k));
+      finish := s +. (w.(k) *. (c0 /. v))
+    end
+  done;
   !energy
 
-let no_adjoint () =
-  invalid_arg "Objective.eval_with_gradient: analytic adjoint requires ideal delay"
-
 let eval_with_gradient_at_split_ws (ws : Workspace.t) ~power ~totals ~e ~de ~dwq =
-  let c0 =
-    match power.Model.delay with
-    | Model.Ideal { c0 } -> c0
-    | Model.Alpha _ -> no_adjoint ()
-  in
+  let c0 = power.Model.c0 in
   let m = ws.Workspace.m in
   if Array.length e <> m then
     invalid_arg "Objective: vector length does not match plan size";
@@ -235,7 +213,6 @@ let eval_with_gradient_at_split_ws (ws : Workspace.t) ~power ~totals ~e ~de ~dwq
   !energy
 
 let eval_with_gradient_ws (ws : Workspace.t) ~power ~totals ~e ~w_hat ~de ~dwq =
-  (match power.Model.delay with Model.Ideal _ -> () | Model.Alpha _ -> no_adjoint ());
   check_lengths ws ~e ~w_hat;
   split_ws ws ~totals ~w_hat;
   eval_with_gradient_at_split_ws ws ~power ~totals ~e ~de ~dwq

@@ -20,8 +20,8 @@
     [trace] replays this recurrence and [eval] is its energy;
     [eval_with_gradient_ws] additionally returns the gradient with
     respect to [(e, w_hat)] by a hand-written reverse-mode (adjoint)
-    sweep — exact for the ideal delay model, and cross-checked against
-    numerical differentiation in the test suite. *)
+    sweep, cross-checked against central differences in the test
+    suite. *)
 
 type mode =
   | Average  (** instances take their ACEC — the ACS objective *)
@@ -95,9 +95,7 @@ val eval_with_gradient_ws :
     [dwq] (worst-case quotas), both of the plan size. This is the one
     implementation of the objective adjoint; the test suite checks it
     bit for bit against a dense list-based reference and against
-    numerical differentiation. Requires the ideal delay model; raises
-    [Invalid_argument] for the alpha model (use numerical
-    differentiation there — see {!Solver}). *)
+    central differences. *)
 
 val eval_with_gradient_at_split_ws :
   Workspace.t ->

@@ -5,7 +5,6 @@ module Task = Lepts_task.Task
 module Task_set = Lepts_task.Task_set
 module Projection = Lepts_optim.Projection
 module Pg = Lepts_optim.Projected_gradient
-module Numdiff = Lepts_optim.Numdiff
 module Pool = Lepts_par.Pool
 module Metrics = Lepts_obs.Metrics
 module Telemetry = Lepts_obs.Telemetry
@@ -95,9 +94,7 @@ let initial_point ~(plan : Plan.t) ~power =
     remaining;
   if !feasible then Ok (e0, q0) else Error Unschedulable
 
-let t_at_vmax power =
-  (* Time per megacycle at maximum speed; valid for both delay models. *)
-  Model.cycle_time power ~v:power.Model.v_max
+let t_at_vmax power = Model.cycle_time power ~v:power.Model.v_max
 
 (* --- Slack parametrisation -------------------------------------------- *)
 
@@ -347,7 +344,7 @@ let solve_from ?deadline ?telemetry ~max_outer ~totals_list ~(ws : Workspace.t) 
     let split_of = ref (-1) in
     (* The accumulation functions below are built once per solve and
        capture only the workspace, so the hot path — [lag] and
-       [lag_grad_into], called once per inner iteration — allocates
+       [grad_into], called once per inner iteration — allocates
        only the boxed floats its calls return. Scenarios accumulate left
        to right, as in {!mean_energy}. *)
     let mean_energy_ws () =
@@ -392,10 +389,6 @@ let solve_from ?deadline ?telemetry ~max_outer ~totals_list ~(ws : Workspace.t) 
     let energy_of z =
       let (_ : int) = forward z in
       mean_energy_ws ()
-    in
-    let analytic = match power.Model.delay with
-      | Model.Ideal _ -> true
-      | Model.Alpha _ -> false
     in
     let lambda = Array.make m 0. in
     let mu = ref 10. in
@@ -470,7 +463,7 @@ let solve_from ?deadline ?telemetry ~max_outer ~totals_list ~(ws : Workspace.t) 
         ws.Workspace.pen_valid <- true;
         energy +. !penalty
       in
-      let lag_grad_analytic_into z ~into =
+      let grad_into z ~into =
         let (_ : int) = forward z in
         let de = ws.Workspace.de and dq = ws.Workspace.dq in
         let dg = ws.Workspace.dg and ds = ws.Workspace.ds in
@@ -508,10 +501,6 @@ let solve_from ?deadline ?telemetry ~max_outer ~totals_list ~(ws : Workspace.t) 
         backward_scaled ws ~hi:!hi ~de ~dg ~into_du:dq ~into_ds:ds;
         Array.blit dq 0 into 0 m;
         Array.blit ds 0 into m m
-      in
-      let grad_into =
-        if analytic then lag_grad_analytic_into
-        else fun z ~into -> Array.blit (Numdiff.gradient ~f:lag z) 0 into 0 (2 * m)
       in
       (* Adaptive inner budget. Basin selection happens in the first
          few rounds — they deserve a real descent — while later

@@ -96,9 +96,9 @@ val solve :
     solver runs from several structurally distinct feasible starts —
     greedy as-soon-as-possible, its ALAP push-right, and any
     [warm_starts] given as [(end_times, quotas)] pairs (e.g. the WCS
-    solution when solving ACS) — and returns the best. Uses the
-    analytic adjoint gradient for the ideal delay model and falls back
-    to central differences for the alpha model.
+    solution when solving ACS) — and returns the best. Every descent
+    uses the analytic adjoint gradient
+    ({!Objective.eval_with_gradient_ws}).
 
     [jobs] (default 1, must be [>= 1]) runs the independent starts on
     up to that many domains ({!Lepts_par.Pool}). Each start owns its

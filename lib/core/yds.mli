@@ -17,8 +17,9 @@
     - an independent correctness oracle: WCS worst-case energy must
       never beat the YDS bound.
 
-    This implementation is O(n^2) in the number of jobs per peel and
-    O(n^3) overall — ample for hyper-period job sets. *)
+    Each peel tests every pair of the O(n) endpoints against every
+    job, so this implementation is O(n^3) in the number of jobs per
+    peel and O(n^4) overall. *)
 
 type job = {
   release : float;

@@ -172,9 +172,8 @@ let to_json r =
   Buffer.add_string b "}\n";
   Buffer.contents b
 
-(* CSV: no quoting needed — labels and paths never contain commas by
-   construction (metric names and span names are identifiers), but
-   escape defensively anyway by replacing commas. *)
+(* CSV: no quoting needed — solve labels never contain commas by
+   construction, but escape defensively anyway by replacing commas. *)
 
 let csv_field s =
   String.map (fun c -> if c = ',' || c = '\n' then ';' else c) s
@@ -200,44 +199,6 @@ let convergence_csv r =
             (Telemetry.records st.s_ring))
         s.starts)
     r.solves;
-  Buffer.contents b
-
-let labels_string labels =
-  String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) labels)
-
-let metrics_csv r =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "kind,name,labels,field,value\n";
-  let row kind name labels field value =
-    Buffer.add_string b
-      (Printf.sprintf "%s,%s,%s,%s,%s\n" kind (csv_field name)
-         (csv_field (labels_string labels))
-         field value)
-  in
-  List.iter
-    (fun (s : Metrics.sample) ->
-      match s.value with
-      | Metrics.Counter_v v ->
-        row "counter" s.name s.labels "value" (string_of_int v)
-      | Metrics.Gauge_v v -> row "gauge" s.name s.labels "value" (csv_float v)
-      | Metrics.Histogram_v { upper; counts; sum; count } ->
-        Array.iteri
-          (fun i u ->
-            row "histogram" s.name s.labels
-              (Printf.sprintf "le=%s" (csv_float u))
-              (string_of_int counts.(i)))
-          upper;
-        row "histogram" s.name s.labels "le=+Inf"
-          (string_of_int counts.(Array.length upper));
-        row "histogram" s.name s.labels "sum" (csv_float sum);
-        row "histogram" s.name s.labels "count" (string_of_int count))
-    r.metrics;
-  List.iter
-    (fun (a : Span.agg) ->
-      row "span" a.path [] "count" (string_of_int a.count);
-      row "span" a.path [] "total_s" (csv_float a.total_s);
-      row "span" a.path [] "max_s" (csv_float a.max_s))
-    r.spans;
   Buffer.contents b
 
 (* Prometheus text exposition format. *)

@@ -40,11 +40,6 @@ val convergence_csv : report -> string
     [solve,start,outer,iteration,objective,step,step_norm,backtracks,projections]
     — the file to hand a plotting script. *)
 
-val metrics_csv : report -> string
-(** One row per scalar: counters/gauges as
-    [kind,name,labels,field,value]; histograms exploded into one row
-    per bucket plus [sum]/[count]. *)
-
 val to_prometheus : report -> string
 (** Prometheus text exposition of the metrics snapshot, plus the span
     profile as synthetic [lepts_span_seconds_total] /

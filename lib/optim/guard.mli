@@ -3,8 +3,8 @@
     Objective or gradient evaluations that produce NaN or infinity used
     to propagate silently through the iterative solvers, which would
     then "converge" on garbage. Every evaluation entering
-    {!Projected_gradient} or {!Numdiff} now passes through these checks
-    and raises {!Non_finite} with the offending quantity named, so the
+    {!Projected_gradient} now passes through these checks and raises
+    {!Non_finite} with the offending quantity named, so the
     scheduling layer can turn it into a structured solver error instead
     of a wrong schedule. *)
 

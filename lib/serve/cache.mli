@@ -60,9 +60,6 @@ type provenance =
   | Authoritative  (** the full ACS solve produced the schedule *)
   | Fallback  (** a WCS/RM stage below ACS produced it *)
 
-val provenance_name : provenance -> string
-(** ["acs"] / ["fallback"]. *)
-
 type entry = {
   stage : string;  (** winning pipeline stage name *)
   mean_energy : float option;  (** post-solve simulation mean, if any *)

@@ -1,3 +1,5 @@
+module Model = Lepts_power.Model
+
 type span = {
   task : int;
   instance : int;
@@ -11,11 +13,11 @@ type t = { spans : span list; horizon : float }
 let busy_time t =
   List.fold_left (fun acc s -> acc +. (s.to_time -. s.from_time)) 0. t.spans
 
-let energy t ~c_eff =
+let energy t ~power =
   List.fold_left
     (fun acc s ->
-      let cycles = s.voltage *. (s.to_time -. s.from_time) in
-      acc +. (c_eff *. s.voltage *. s.voltage *. cycles))
+      let cycles = s.voltage *. (s.to_time -. s.from_time) /. power.Model.c0 in
+      acc +. Model.energy power ~v:s.voltage ~cycles)
     0. t.spans
 
 let utilization t = if t.horizon <= 0. then 0. else busy_time t /. t.horizon

@@ -13,21 +13,18 @@ type span = {
 
 type t = { spans : span list;  (** in increasing start order *) horizon : float }
 
-val busy_time : t -> float
-(** Total processor-busy time. *)
-
-val energy : t -> c_eff:float -> float
-(** Energy recomputed from the spans (cross-check against the
-    simulator's accounting): [sum c_eff * v^2 * cycles] where cycles
-    follow from span length and voltage under the ideal model is not
-    assumed — this uses [v^2 * (span length) * v / c0]... — instead the
-    simulator's own per-span cycle count is not stored, so this is
-    provided for the {e ideal} model only via [cycles = v * dt / c0]
-    with [c0 = 1]. Use the simulator outcome for authoritative
+val energy : t -> power:Lepts_power.Model.t -> float
+(** Energy recomputed from the spans, as a cross-check of the
+    simulator's accounting. A span of length [dt] at voltage [v] runs
+    [v * dt / c0] megacycles, priced by {!Lepts_power.Model.energy}.
+    Spans do not record their cycle counts, so the result matches the
+    simulator's energy only up to rounding, and excludes voltage
+    transition energy. Use the simulator outcome for authoritative
     energy. *)
 
 val utilization : t -> float
-(** [busy_time / horizon]. *)
+(** Total processor-busy time over the horizon; 0 on an empty
+    horizon. *)
 
 val pp_gantt : ?width:int -> n_tasks:int -> Format.formatter -> t -> unit
 (** ASCII Gantt chart, one row per task, [width] columns (default 72)

@@ -29,8 +29,3 @@ let schedulable ts ~power =
   let n = Task_set.size ts in
   let rec go i = i >= n || (Option.is_some (response_time ts ~power i) && go (i + 1)) in
   go 0
-
-let breakdown_utilization ~n =
-  if n <= 0 then invalid_arg "Rm.breakdown_utilization: n must be positive";
-  let nf = float_of_int n in
-  nf *. ((2. ** (1. /. nf)) -. 1.)

@@ -14,7 +14,3 @@ val response_time : Task_set.t -> power:Lepts_power.Model.t -> int -> float opti
 val schedulable : Task_set.t -> power:Lepts_power.Model.t -> bool
 (** [true] iff every task's worst-case response time is within its
     deadline at maximum speed. *)
-
-val breakdown_utilization : n:int -> float
-(** The Liu–Layland bound [n (2^{1/n} - 1)]: any task set with
-    utilisation below this is RM-schedulable regardless of periods. *)

@@ -29,7 +29,9 @@
 
    [Sequence.run] is an oracle of another kind: the closed-form model
    the objective optimises, which the event-driven simulator must agree
-   with to rounding on any fixed workloads. *)
+   with to rounding on any fixed workloads. [Numdiff.gradient] is one
+   too: central differences, which the objective adjoint must agree
+   with to truncation error. *)
 
 module Plan = Lepts_preempt.Plan
 module Sub = Lepts_preempt.Sub_instance
@@ -37,8 +39,30 @@ module Model = Lepts_power.Model
 module Task = Lepts_task.Task
 module Task_set = Lepts_task.Task_set
 module Pg = Lepts_optim.Projected_gradient
-module Numdiff = Lepts_optim.Numdiff
 open Lepts_core
+
+(* --- Numerical differentiation ------------------------------------------ *)
+
+module Numdiff = struct
+  module Guard = Lepts_optim.Guard
+
+  (* Central differences of step [h] (default 1e-6) scaled by
+     coordinate magnitude; [x] is not modified. Raises
+     [Guard.Non_finite] when an evaluation of [f] is NaN or
+     infinite. *)
+  let gradient ?(h = 1e-6) ~f x =
+    let x = Array.copy x in
+    let n = Array.length x in
+    Array.init n (fun i ->
+        let step = h *. Float.max 1. (Float.abs x.(i)) in
+        let xi = x.(i) in
+        x.(i) <- xi +. step;
+        let fp = Guard.finite ~where:(Printf.sprintf "f(x + h e_%d)" i) (f x) in
+        x.(i) <- xi -. step;
+        let fm = Guard.finite ~where:(Printf.sprintf "f(x - h e_%d)" i) (f x) in
+        x.(i) <- xi;
+        (fp -. fm) /. (2. *. step))
+end
 
 (* --- Simplex projection -------------------------------------------------- *)
 
@@ -121,11 +145,7 @@ type step = {
 }
 
 let eval_with_gradient ~plan ~power ~totals ~e ~w_hat =
-  let c0 =
-    match power.Model.delay with
-    | Model.Ideal { c0 } -> c0
-    | Model.Alpha _ -> invalid_arg "Reference.eval_with_gradient: ideal delay only"
-  in
+  let c0 = power.Model.c0 in
   let m = Array.length plan.Plan.order in
   if Array.length e <> m || Array.length w_hat <> m then
     invalid_arg "Reference.eval_with_gradient: vector length";
@@ -286,9 +306,6 @@ let solve_from ~max_outer ~totals_list ~(plan : Plan.t) ~power ~y0 =
       0. totals_list
     /. scenario_count
   in
-  let analytic =
-    match power.Model.delay with Model.Ideal _ -> true | Model.Alpha _ -> false
-  in
   let lambda = Array.make m 0. in
   let mu = ref 10. in
   let x = ref (Array.init (2 * m) (fun k -> if k < m then t_max *. y0.(k) else y0.(k))) in
@@ -311,7 +328,7 @@ let solve_from ~max_outer ~totals_list ~(plan : Plan.t) ~power ~y0 =
       done;
       energy +. !penalty
     in
-    let grad_analytic z ~into =
+    let grad_into z ~into =
       forward z;
       let de = Array.make m 0. and dq = Array.make m 0. in
       let de_i = Array.make m 0. and dq_i = Array.make m 0. in
@@ -346,10 +363,6 @@ let solve_from ~max_outer ~totals_list ~(plan : Plan.t) ~power ~y0 =
       done;
       Array.blit dq 0 into 0 m;
       Array.blit ds 0 into m m
-    in
-    let grad_into =
-      if analytic then grad_analytic
-      else fun z ~into -> Array.blit (Numdiff.gradient ~f:lag z) 0 into 0 (2 * m)
     in
     let inner_budget = if !outer <= 3 then 300 else 60 in
     let r =

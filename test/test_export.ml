@@ -6,6 +6,9 @@ module Model = Lepts_power.Model
 
 let power = Model.ideal ~v_min:1. ~v_max:4. ()
 
+let csv_header =
+  "index,label,task,instance,segment,release,boundary,deadline,end_time,quota,worst_voltage"
+
 let schedule () =
   let ts =
     Task_set.create
@@ -22,7 +25,7 @@ let test_row_count () =
   List.iter
     (fun row ->
       Alcotest.(check int) "column count"
-        (List.length (String.split_on_char ',' Export.csv_header))
+        (List.length (String.split_on_char ',' csv_header))
         (List.length row))
     rows
 
@@ -30,7 +33,7 @@ let test_csv_shape () =
   let csv = Export.schedule_to_csv (schedule ()) in
   let lines = String.split_on_char '\n' csv |> List.filter (fun l -> l <> "") in
   Alcotest.(check int) "header + 3 rows" 4 (List.length lines);
-  Alcotest.(check string) "header first" Export.csv_header (List.hd lines)
+  Alcotest.(check string) "header first" csv_header (List.hd lines)
 
 let test_values_roundtrip () =
   let rows = Export.schedule_to_rows (schedule ()) in
@@ -59,39 +62,3 @@ let suite =
     ("csv shape", `Quick, test_csv_shape);
     ("values round-trip", `Quick, test_values_roundtrip);
     ("voltages match policy layer", `Quick, test_voltages_match_policy) ]
-
-let test_csv_roundtrip () =
-  let s = schedule () in
-  let csv = Export.schedule_to_csv s in
-  match Export.schedule_of_csv ~plan:s.Static_schedule.plan ~power csv with
-  | Error msg -> Alcotest.failf "roundtrip failed: %s" msg
-  | Ok s' ->
-    Alcotest.(check (array (float 0.))) "end times" s.Static_schedule.end_times
-      s'.Static_schedule.end_times;
-    Alcotest.(check (array (float 0.))) "quotas" s.Static_schedule.quotas
-      s'.Static_schedule.quotas
-
-let test_csv_import_rejects () =
-  let s = schedule () in
-  let reject name input =
-    match Export.schedule_of_csv ~plan:s.Static_schedule.plan ~power input with
-    | Ok _ -> Alcotest.failf "%s accepted" name
-    | Error _ -> ()
-  in
-  reject "empty" "";
-  reject "bad header" "nope\n1,2,3\n";
-  reject "row count" (Export.csv_header ^ "\n");
-  (* Corrupt the first data row's index field. *)
-  let good = Export.schedule_to_csv s in
-  let corrupted =
-    match String.split_on_char '\n' good with
-    | header :: row :: rest ->
-      String.concat "\n" (header :: ("x" ^ String.sub row 1 (String.length row - 1)) :: rest)
-    | _ -> assert false
-  in
-  reject "corrupted row" corrupted
-
-let suite =
-  suite
-  @ [ ("csv round-trip", `Quick, test_csv_roundtrip);
-      ("csv import validation", `Quick, test_csv_import_rejects) ]

@@ -53,20 +53,6 @@ let test_literal_nlp_wcs () =
     Alcotest.(check (float 1.)) "worst optimum 540" 540. stats.Solver.objective;
     ignore schedule
 
-let test_literal_nlp_alpha_valid () =
-  (* The literal form penalises its fits rather than enforcing them, so
-     trial steps reach windows no voltage up to v_max can meet; under
-     the alpha model its objective must still evaluate there. *)
-  let power = Model.create (Model.Alpha { k = 0.5; v_th = 0.4; alpha = 1.6 }) in
-  let plan =
-    Plan.expand (Task_set.scale_wcec_to_utilization (motivation_ts ()) ~power ~target:0.5)
-  in
-  match Literal_nlp.solve ~mode:Objective.Worst ~plan ~power () with
-  | Error e -> Alcotest.failf "literal alpha solve failed: %a" Solver.pp_error e
-  | Ok (schedule, _) ->
-    Alcotest.(check bool) "passes Validate.check" true
-      (Validate.check schedule = Ok ())
-
 let test_literal_nlp_preemptive_agreement () =
   (* On a small preemptive instance, both formulations should land
      within a few percent of each other. *)
@@ -167,7 +153,6 @@ let test_quantized_pp () =
 let suite =
   [ ("literal NLP: ACS motivation", `Quick, test_literal_nlp_matches_slack_formulation);
     ("literal NLP: WCS motivation", `Quick, test_literal_nlp_wcs);
-    ("literal NLP: alpha-power WCS is valid", `Quick, test_literal_nlp_alpha_valid);
     ("literal NLP: preemptive agreement", `Slow, test_literal_nlp_preemptive_agreement);
     ("stochastic solver feasible", `Slow, test_stochastic_solver_feasible);
     ("stochastic competitive with ACS", `Slow, test_stochastic_close_to_acs_on_simulation);

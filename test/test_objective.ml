@@ -118,7 +118,7 @@ let test_gradient_matches_numdiff_interior () =
   in
   let x = Array.append e quotas3 in
   let _, de, dq = adjoint ~plan ~power ~totals ~e ~w_hat:quotas3 in
-  let num = Lepts_optim.Numdiff.gradient ~h:1e-7 ~f x in
+  let num = Reference.Numdiff.gradient ~h:1e-7 ~f x in
   let ana = Array.append de dq in
   Array.iteri
     (fun i a ->
@@ -157,7 +157,7 @@ let test_gradient_random_feasible_points () =
       let x = Array.append e q0 in
       let fx, de, dq = adjoint ~plan ~power ~totals ~e ~w_hat:q0 in
       Alcotest.(check (float 1e-9)) "value agrees" (f x) fx;
-      let num = Lepts_optim.Numdiff.gradient ~h:1e-7 ~f x in
+      let num = Reference.Numdiff.gradient ~h:1e-7 ~f x in
       let ana = Array.append de dq in
       let bad = ref 0 in
       Array.iteri
@@ -170,21 +170,6 @@ let test_gradient_random_feasible_points () =
       if !bad > (2 * m) / 4 then
         Alcotest.failf "%d of %d gradient coords disagree" !bad (2 * m)
   done
-
-let test_alpha_model_eval () =
-  (* The alpha-power model evaluates (no analytic gradient). *)
-  let alpha = Model.create ~v_min:1. ~v_max:4. (Model.Alpha { k = 0.5; v_th = 0.4; alpha = 1.6 }) in
-  let plan = motivation_plan () in
-  let totals = Objective.instance_totals Objective.Average plan in
-  let energy =
-    Objective.eval ~plan ~power:alpha ~totals ~e:[| 10.; 15.; 20. |] ~w_hat:quotas3
-  in
-  Alcotest.(check bool) "finite positive" true (energy > 0. && Float.is_finite energy);
-  Alcotest.check_raises "no adjoint for alpha"
-    (Invalid_argument "Objective.eval_with_gradient: analytic adjoint requires ideal delay")
-    (fun () ->
-      ignore
-        (adjoint ~plan ~power:alpha ~totals ~e:[| 10.; 15.; 20. |] ~w_hat:quotas3))
 
 let test_length_mismatch () =
   let plan = motivation_plan () in
@@ -227,15 +212,21 @@ let test_ws_eval_bitwise () =
       (Objective.Average, [| 10.; 15.; 20. |], [| 20.; 0.; 20. |]);
       (Objective.Average, [| 0.; 15.; 20. |], quotas3) ]
   in
+  (* The kernel inlines the model's arithmetic, so a model with
+     non-unit [c0] and [c_eff] must agree too. *)
+  let scaled = Model.ideal ~c0:2. ~c_eff:0.5 ~v_min:1. ~v_max:4. () in
   List.iter
-    (fun (mode, e, w_hat) ->
-      let totals = Objective.instance_totals mode plan in
-      let expect = Objective.eval ~plan ~power ~totals ~e ~w_hat in
-      check_bits "eval_ws" expect (Objective.eval_ws ws ~power ~totals ~e ~w_hat);
-      (* Same workspace again: reuse must not leak state between calls. *)
-      check_bits "eval_ws (reused)" expect
-        (Objective.eval_ws ws ~power ~totals ~e ~w_hat))
-    points;
+    (fun power ->
+      List.iter
+        (fun (mode, e, w_hat) ->
+          let totals = Objective.instance_totals mode plan in
+          let expect = Objective.eval ~plan ~power ~totals ~e ~w_hat in
+          check_bits "eval_ws" expect (Objective.eval_ws ws ~power ~totals ~e ~w_hat);
+          (* Same workspace again: reuse must not leak state between calls. *)
+          check_bits "eval_ws (reused)" expect
+            (Objective.eval_ws ws ~power ~totals ~e ~w_hat))
+        points)
+    [ power; scaled ];
   (* v_min clamp fixture. *)
   let tiny =
     Plan.expand
@@ -247,19 +238,6 @@ let test_ws_eval_bitwise () =
   check_bits "eval_ws (v_min clamp)"
     (Objective.eval ~plan:tiny ~power ~totals ~e:[| 100. |] ~w_hat:[| 1. |])
     (Objective.eval_ws ws ~power ~totals ~e:[| 100. |] ~w_hat:[| 1. |])
-
-let test_ws_eval_alpha_bitwise () =
-  let alpha =
-    Model.create ~v_min:1. ~v_max:4.
-      (Model.Alpha { k = 0.5; v_th = 0.4; alpha = 1.6 })
-  in
-  let plan = motivation_plan () in
-  let ws = Workspace.create plan in
-  let totals = Objective.instance_totals Objective.Average plan in
-  let e = [| 10.; 15.; 20. |] in
-  check_bits "alpha eval_ws"
-    (Objective.eval ~plan ~power:alpha ~totals ~e ~w_hat:quotas3)
-    (Objective.eval_ws ws ~power:alpha ~totals ~e ~w_hat:quotas3)
 
 let test_ws_gradient_bitwise_random () =
   (* Random feasible-ish points on a genuinely preemptive plan: value
@@ -334,7 +312,7 @@ let test_ws_gradient_branch_points_numdiff () =
       Objective.eval ~plan ~power ~totals ~e:(Array.sub x 0 m)
         ~w_hat:(Array.sub x m m)
     in
-    let num = Lepts_optim.Numdiff.gradient ~h:1e-7 ~f (Array.append e w_hat) in
+    let num = Reference.Numdiff.gradient ~h:1e-7 ~f (Array.append e w_hat) in
     Array.iteri
       (fun i a ->
         let rel = Float.abs (a -. num.(i)) /. Float.max 1. (Float.abs num.(i)) in
@@ -361,18 +339,7 @@ let test_ws_error_paths () =
     (fun () ->
       ignore
         (Objective.eval_with_gradient_ws ws ~power ~totals ~e:[| 10.; 15.; 20. |]
-           ~w_hat:quotas3 ~de:[| 0. |] ~dwq:[| 0. |]));
-  let alpha =
-    Model.create ~v_min:1. ~v_max:4.
-      (Model.Alpha { k = 0.5; v_th = 0.4; alpha = 1.6 })
-  in
-  Alcotest.check_raises "no adjoint for alpha"
-    (Invalid_argument "Objective.eval_with_gradient: analytic adjoint requires ideal delay")
-    (fun () ->
-      ignore
-        (Objective.eval_with_gradient_ws ws ~power:alpha ~totals
-           ~e:[| 10.; 15.; 20. |] ~w_hat:quotas3
-           ~de:(Array.make 3 0.) ~dwq:(Array.make 3 0.)))
+           ~w_hat:quotas3 ~de:[| 0. |] ~dwq:[| 0. |]))
 
 let suite =
   [ ("Fig 1(b): WCS average energy", `Quick, test_wcs_schedule_average_energy);
@@ -384,11 +351,9 @@ let suite =
     ("zero-quota sub-instances skipped", `Quick, test_zero_quota_skipped);
     ("adjoint vs numdiff (interior)", `Quick, test_gradient_matches_numdiff_interior);
     ("adjoint vs numdiff (random feasible)", `Quick, test_gradient_random_feasible_points);
-    ("alpha model evaluation", `Quick, test_alpha_model_eval);
     ("length mismatch", `Quick, test_length_mismatch);
     ("instance totals", `Quick, test_instance_totals);
     ("workspace eval bit-identical", `Quick, test_ws_eval_bitwise);
-    ("workspace eval bit-identical (alpha)", `Quick, test_ws_eval_alpha_bitwise);
     ("workspace adjoint bit-identical (random)", `Quick, test_ws_gradient_bitwise_random);
     ("workspace adjoint branch points + numdiff", `Quick, test_ws_gradient_branch_points_numdiff);
     ("workspace error paths", `Quick, test_ws_error_paths) ]

@@ -162,20 +162,7 @@ let test_csv_golden () =
   Alcotest.(check string) "convergence CSV"
     "solve,start,outer,iteration,objective,step,step_norm,backtracks,projections\n\
      s,0,1,1,2.5,0.5,0.25,0,1\n"
-    (Export.convergence_csv r);
-  Alcotest.(check string) "metrics CSV"
-    "kind,name,labels,field,value\n\
-     counter,test_counter,,value,3\n\
-     gauge,test_gauge,k=v,value,1.5\n\
-     histogram,test_hist,,le=1,1\n\
-     histogram,test_hist,,le=2,1\n\
-     histogram,test_hist,,le=+Inf,1\n\
-     histogram,test_hist,,sum,11\n\
-     histogram,test_hist,,count,3\n\
-     span,a/b,,count,2\n\
-     span,a/b,,total_s,0.5\n\
-     span,a/b,,max_s,0.375\n"
-    (Export.metrics_csv r)
+    (Export.convergence_csv r)
 
 let test_prometheus_golden () =
   Alcotest.(check string) "Prometheus text"

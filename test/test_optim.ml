@@ -27,7 +27,9 @@ let quadratic_bowl c x = dot (sub x c) (sub x c)
 let minimize ~f ~grad_into ?(project_ip = ignore) x0 =
   Projected_gradient.minimize_ws ~f ~grad_into ~project_ip ~x0 ()
 
-(* --- Numdiff ------------------------------------------------------------ *)
+(* --- Numdiff (the test suite's gradient oracle) -------------------------- *)
+
+module Numdiff = Reference.Numdiff
 
 let test_numdiff_quadratic () =
   let x = [| 1.; -2.; 3. |] in

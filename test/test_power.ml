@@ -44,59 +44,20 @@ let test_utilization () =
 
 let test_invalid_args () =
   Alcotest.check_raises "bad c_eff"
-    (Invalid_argument "Power.Model.create: c_eff must be positive") (fun () ->
+    (Invalid_argument "Power.Model.ideal: c_eff must be positive") (fun () ->
       ignore (Model.ideal ~c_eff:0. ()));
   Alcotest.check_raises "bad range"
-    (Invalid_argument "Power.Model.create: need 0 < v_min <= v_max") (fun () ->
+    (Invalid_argument "Power.Model.ideal: need 0 < v_min <= v_max") (fun () ->
       ignore (Model.ideal ~v_min:3. ~v_max:2. ()));
+  Alcotest.check_raises "bad c0"
+    (Invalid_argument "Power.Model.ideal: c0 must be positive") (fun () ->
+      ignore (Model.ideal ~c0:0. ()));
   Alcotest.check_raises "bad cycles"
     (Invalid_argument "Power.Model.voltage_for: cycles must be positive") (fun () ->
       ignore (Model.voltage_for ideal ~cycles:0. ~duration:1.));
   Alcotest.check_raises "bad duration"
     (Invalid_argument "Power.Model.voltage_for: duration must be positive") (fun () ->
       ignore (Model.voltage_for ideal ~cycles:1. ~duration:0.))
-
-let alpha = Model.create ~v_min:1. ~v_max:4. (Model.Alpha { k = 1.; v_th = 0.5; alpha = 1.5 })
-
-let test_alpha_monotone () =
-  (* Cycle time strictly decreases with voltage above threshold. *)
-  let prev = ref infinity in
-  List.iter
-    (fun v ->
-      let ct = Model.cycle_time alpha ~v in
-      Alcotest.(check bool) "decreasing" true (ct < !prev);
-      prev := ct)
-    [ 1.; 1.5; 2.; 3.; 4. ]
-
-let test_alpha_voltage_for_roundtrip () =
-  let rng = Lepts_prng.Xoshiro256.create ~seed:4 in
-  for _ = 1 to 50 do
-    let v = Lepts_prng.Xoshiro256.uniform rng ~lo:1. ~hi:4. in
-    let w = Lepts_prng.Xoshiro256.uniform rng ~lo:0.5 ~hi:50. in
-    let d = Model.exec_time alpha ~v ~cycles:w in
-    let v' = Model.voltage_for alpha ~cycles:w ~duration:d in
-    if Float.abs (v -. v') > 1e-6 then Alcotest.failf "alpha roundtrip %g vs %g" v v'
-  done
-
-let test_alpha_voltage_for_clamped_unreachable () =
-  (* The exact voltage for 100 Mcycles in 1 ms lies near 1e10 V, past
-     the bisection's bracket: the clamped form still answers v_max. *)
-  Alcotest.check_raises "unclamped raises"
-    (Invalid_argument "Power.Model.voltage_for: duration unreachable") (fun () ->
-      ignore (Model.voltage_for alpha ~cycles:100. ~duration:1e-3));
-  check_float 0. "clamped is v_max" alpha.Model.v_max
-    (Model.voltage_for_clamped alpha ~cycles:100. ~duration:1e-3)
-
-let test_alpha_validation () =
-  Alcotest.check_raises "v_min below v_th"
-    (Invalid_argument "Power.Model.create: v_min must exceed v_th") (fun () ->
-      ignore (Model.create ~v_min:0.4 (Model.Alpha { k = 1.; v_th = 0.5; alpha = 1.5 })));
-  Alcotest.check_raises "alpha < 1"
-    (Invalid_argument "Power.Model.create: alpha must be >= 1") (fun () ->
-      ignore (Model.create (Model.Alpha { k = 1.; v_th = 0.1; alpha = 0.5 })));
-  Alcotest.check_raises "voltage at threshold"
-    (Invalid_argument "Power.Model.cycle_time: voltage must exceed v_th") (fun () ->
-      ignore (Model.cycle_time alpha ~v:0.5))
 
 let test_levels_create () =
   let l = Levels.create [ 2.; 1.; 2.; 3. ] in
@@ -146,11 +107,6 @@ let suite =
     ("min duration", `Quick, test_min_duration);
     ("utilization", `Quick, test_utilization);
     ("invalid arguments", `Quick, test_invalid_args);
-    ("alpha model monotone", `Quick, test_alpha_monotone);
-    ("alpha voltage_for roundtrip", `Quick, test_alpha_voltage_for_roundtrip);
-    ("alpha clamped voltage for unreachable duration", `Quick,
-     test_alpha_voltage_for_clamped_unreachable);
-    ("alpha validation", `Quick, test_alpha_validation);
     ("levels create", `Quick, test_levels_create);
     ("levels of_range", `Quick, test_levels_of_range);
     ("levels rounding", `Quick, test_levels_rounding);

@@ -168,27 +168,6 @@ let test_alap_never_infeasible () =
   let _, acs = solve_pair plan power in
   Alcotest.(check bool) "feasible" true (Validate.is_feasible acs)
 
-let test_alpha_model_solve () =
-  (* The full pipeline with the alpha-power delay model (numerical
-     gradients): small instance to stay quick. *)
-  let alpha =
-    Model.create ~v_min:1. ~v_max:4. (Model.Alpha { k = 0.25; v_th = 0.3; alpha = 1.5 })
-  in
-  let ts =
-    Task_set.create
-      [ Task.create ~name:"t1" ~period:20 ~wcec:20. ~acec:10. ~bcec:0.;
-        Task.create ~name:"t2" ~period:20 ~wcec:20. ~acec:10. ~bcec:0. ]
-  in
-  let plan = Plan.expand ts in
-  match
-    Solver.solve_acs ~budget:{ Solver.default_budget with max_outer = 8 } ~plan
-      ~power:alpha ()
-  with
-  | Error e -> Alcotest.failf "alpha solve failed: %a" Solver.pp_error e
-  | Ok (schedule, _) ->
-    Alcotest.(check bool) "feasible under alpha model" true
-      (Validate.is_feasible schedule)
-
 let check_bits_arr msg expect got =
   Alcotest.(check int) (msg ^ ": length") (Array.length expect) (Array.length got);
   Array.iteri
@@ -271,7 +250,6 @@ let suite =
     ("end-times within segments", `Quick, test_end_times_within_segments);
     ("random sets solve + validate", `Slow, test_random_sets_solve_and_validate);
     ("tight boundaries stay feasible", `Quick, test_alap_never_infeasible);
-    ("alpha-power model solve", `Slow, test_alpha_model_solve);
     ("stats reported", `Quick, test_stats_reported);
     ("parallel multi-start bit-identical", `Slow, test_parallel_multistart_bit_identical);
     ("wall budget returns a schedule", `Quick, test_wall_budget_returns) ]

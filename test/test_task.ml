@@ -117,18 +117,14 @@ let test_unschedulable () =
   in
   Alcotest.(check bool) "unschedulable" false (Rm.schedulable ts ~power)
 
-let test_breakdown_utilization () =
-  Alcotest.(check (float 1e-12)) "n=1" 1. (Rm.breakdown_utilization ~n:1);
-  Alcotest.(check (float 1e-6)) "n=2" 0.828427 (Rm.breakdown_utilization ~n:2);
-  (* Limit is ln 2. *)
-  Alcotest.(check (float 1e-3)) "n=1000" (log 2.) (Rm.breakdown_utilization ~n:1000)
-
 let test_liu_layland_consistency () =
-  (* Any set below the bound must pass response-time analysis. *)
+  (* Any set below the Liu-Layland bound n (2^{1/n} - 1) must pass
+     response-time analysis. *)
   let rng = Lepts_prng.Xoshiro256.create ~seed:5 in
   for _ = 1 to 30 do
     let n = 2 + Lepts_prng.Xoshiro256.int rng ~bound:4 in
-    let bound = Rm.breakdown_utilization ~n in
+    let nf = float_of_int n in
+    let bound = nf *. ((2. ** (1. /. nf)) -. 1.) in
     let tasks =
       List.init n (fun i ->
           let period = 5 * (1 + Lepts_prng.Xoshiro256.int rng ~bound:20) in
@@ -155,5 +151,4 @@ let suite =
     ("response time single", `Quick, test_response_time_single);
     ("response time interference", `Quick, test_response_time_interference);
     ("unschedulable detected", `Quick, test_unschedulable);
-    ("breakdown utilization", `Quick, test_breakdown_utilization);
     ("Liu-Layland consistency", `Quick, test_liu_layland_consistency) ]
