@@ -19,7 +19,7 @@
    Usage: main.exe [--json FILE] [--quick] [--max-telemetry-overhead-ns N]
                    [--min-vs-sequential X] [--min-warm-speedup X]
    --quick shortens every section (the CI smoke run); --json writes the
-   summary (schema lepts-bench-solver/8). A violated gate prints a FAIL
+   summary (schema lepts-bench-solver/9). A violated gate prints a FAIL
    line and exits 1. *)
 
 module Model = Lepts_power.Model
@@ -185,9 +185,9 @@ let kernel_row ~k ~batch_s (name, f) =
     [ ("name", Str name); ("ns_per_op", times_json ns); ("ops_per_batch", Int n);
       ("minor_words_per_op", Num words) ]
 
-(* The allocating [Objective.eval] against the workspace kernels the
-   solver calls, on the same inputs, plus whole multi-start solves on
-   the two smallest plans (the large ones are the solver-work section's). *)
+(* The objective and adjoint kernels the solver calls, on one ACS
+   point, plus whole multi-start solves on the two smallest plans (the
+   large ones are the solver-work section's). *)
 let kernel_section ~quick =
   let plan = Lazy.force cnc_plan in
   let _, acs = Lazy.force cnc_schedules in
@@ -201,9 +201,7 @@ let kernel_section ~quick =
     List
       (List.map
          (kernel_row ~k:(if quick then 5 else 21) ~batch_s:(if quick then 0.01 else 0.05))
-         [ ( "objective eval, alloc (CNC, 32 subs)",
-             fun () -> ignore (Objective.eval ~plan ~power ~totals ~e ~w_hat) );
-           ( "objective eval, workspace (CNC, 32 subs)",
+         [ ( "objective eval, workspace (CNC, 32 subs)",
              fun () -> ignore (Objective.eval_ws ws ~power ~totals ~e ~w_hat) );
            ( "adjoint gradient, workspace (CNC, 32 subs)",
              fun () ->
@@ -506,7 +504,7 @@ let () =
       let b = Buffer.create 4096 in
       emit b 0
         (Obj
-           [ ("schema", Str "lepts-bench-solver/8"); ("quick", Bool quick);
+           [ ("schema", Str "lepts-bench-solver/9"); ("quick", Bool quick);
              ("cores", Int cores); kernels; parallel;
              ("warm_start", Obj [ ("continuation", continuation); ("fig6a", fig6a) ]);
              work; telemetry ]);

@@ -1,37 +1,13 @@
 module Plan = Lepts_preempt.Plan
 module Sub = Lepts_preempt.Sub_instance
-module Model = Lepts_power.Model
 
 let csv_header =
   "index,label,task,instance,segment,release,boundary,deadline,end_time,quota,worst_voltage"
 
 let float_cell x = Printf.sprintf "%.17g" x
 
-(* Worst-case voltages, recomputed here rather than importing the DVS
-   layer (which depends on this library). *)
-let worst_voltages (s : Static_schedule.t) =
-  let power = s.Static_schedule.power in
-  let m = Array.length s.Static_schedule.end_times in
-  let v = Array.make m 0. in
-  let cursor = ref 0. in
-  Array.iter
-    (fun (sub : Sub.t) ->
-      let k = sub.Sub.index in
-      if s.Static_schedule.quotas.(k) > 0. then begin
-        let start = Float.max sub.Sub.release !cursor in
-        let window = s.Static_schedule.end_times.(k) -. start in
-        v.(k) <-
-          (if window <= 0. then power.Model.v_max
-           else
-             Model.voltage_for_clamped power ~cycles:s.Static_schedule.quotas.(k)
-               ~duration:window);
-        cursor := s.Static_schedule.end_times.(k)
-      end)
-    s.Static_schedule.plan.Plan.order;
-  v
-
 let schedule_to_rows (s : Static_schedule.t) =
-  let v = worst_voltages s in
+  let v = Static_schedule.worst_case_voltages s in
   Array.to_list
     (Array.map
        (fun (sub : Sub.t) ->

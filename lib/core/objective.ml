@@ -6,14 +6,6 @@ module Task_set = Lepts_task.Task_set
 
 type mode = Average | Worst
 
-type trace = {
-  start_times : float array;
-  voltages : float array;
-  exec_workloads : float array;
-  finish_times : float array;
-  energy : float;
-}
-
 (* A dispatched sub-instance never executes fewer than [skip_eps]
    cycles. Voltages are clamped into [v_min, v_max] exactly as the
    online policy clamps them, which keeps the objective bounded on
@@ -31,65 +23,15 @@ let instance_totals mode (plan : Plan.t) =
       Array.map (fun _ -> total) per_instance)
     plan.instance_subs
 
-(* Off-projection iterates (finite-difference probes, trial steps) may
-   carry slightly negative quotas; the objective treats them as 0. *)
-let sanitize w_hat = Array.map (fun q -> Float.max 0. q) w_hat
-
-(* Waterfall split of the actual instance workloads onto sub-instances,
-   indexed by total-order position. [w_hat] must be sanitized. *)
-let split_workloads (plan : Plan.t) ~totals ~w_hat =
-  let w = Array.make (Array.length plan.order) 0. in
-  Array.iteri
-    (fun i per_instance ->
-      Array.iteri
-        (fun j idxs ->
-          let quotas = Array.map (fun k -> w_hat.(k)) idxs in
-          let dist = Waterfall.distribute ~quotas ~total:totals.(i).(j) in
-          Array.iteri (fun pos k -> w.(k) <- dist.(pos)) idxs)
-        per_instance)
-    plan.instance_subs;
-  w
-
-let trace ~plan ~power ~totals ~e ~w_hat =
-  let m = Array.length plan.Plan.order in
-  if Array.length e <> m || Array.length w_hat <> m then
-    invalid_arg "Objective: vector length does not match plan size";
-  let w_hat = sanitize w_hat in
-  let w = split_workloads plan ~totals ~w_hat in
-  let starts = Array.make m 0. and volts = Array.make m 0. in
-  let finishes = Array.make m 0. in
-  let finish = ref 0. and energy = ref 0. in
-  for k = 0 to m - 1 do
-    let sub = plan.Plan.order.(k) in
-    if w.(k) > skip_eps then begin
-      let s = Float.max sub.Sub.release !finish in
-      let d = Float.max (e.(k) -. s) window_floor in
-      let v = Model.voltage_for_clamped power ~cycles:w_hat.(k) ~duration:d in
-      energy := !energy +. Model.energy power ~v ~cycles:w.(k);
-      finish := s +. Model.exec_time power ~v ~cycles:w.(k);
-      starts.(k) <- s;
-      volts.(k) <- v;
-      finishes.(k) <- !finish
-    end
-    else begin
-      starts.(k) <- Float.max sub.Sub.release !finish;
-      finishes.(k) <- starts.(k)
-    end
-  done;
-  { start_times = starts; voltages = volts; exec_workloads = w;
-    finish_times = finishes; energy = !energy }
-
-let eval ~plan ~power ~totals ~e ~w_hat = (trace ~plan ~power ~totals ~e ~w_hat).energy
-
 (* --- Workspace kernels -------------------------------------------------- *)
 
-(* The [_ws] kernels perform the operations of {!trace} (energy only)
-   and of the adjoint sweep over the preallocated buffers of a
-   {!Workspace.t}, so the solver's inner loop — which evaluates them
-   tens of thousands of times per solve — allocates no arrays. The
-   gradient kernel is the only implementation of the adjoint; the
-   test suite checks it bit for bit against a dense list-based
-   reference. *)
+(* The kernels run the recurrence and its adjoint sweep over the
+   preallocated buffers of a {!Workspace.t}, so the solver's inner
+   loop — which evaluates them tens of thousands of times per solve —
+   allocates no arrays. Each is the library's only implementation of
+   its computation; the test suite checks both bit for bit against
+   the allocating trace and the dense list-based adjoint of its
+   reference module. *)
 
 let check_lengths ws ~e ~w_hat =
   let m = ws.Workspace.m in
@@ -106,8 +48,10 @@ let[@inline] fmax (x : float) (y : float) =
 let[@inline] clampf ~(lo : float) ~(hi : float) (x : float) =
   if x < lo then lo else if x > hi then hi else x
 
-(* sanitize + split_workloads over ws buffers: fills [ws.w_hat] and
-   [ws.w], the waterfall in one plan-wide call over the block index. *)
+(* Off-projection iterates (finite-difference probes, trial steps) may
+   carry slightly negative quotas; the objective treats them as 0.
+   Fills [ws.w_hat] with the clipped quotas and [ws.w] with their
+   waterfall split, in one plan-wide call over the block index. *)
 let split_ws (ws : Workspace.t) ~totals ~w_hat =
   for k = 0 to ws.m - 1 do
     ws.w_hat.(k) <- fmax 0. w_hat.(k)

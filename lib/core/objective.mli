@@ -17,58 +17,26 @@
       E    += c_eff * v_k^2 * w_k
     v}
 
-    [trace] replays this recurrence and [eval] is its energy;
-    [eval_with_gradient_ws] additionally returns the gradient with
-    respect to [(e, w_hat)] by a hand-written reverse-mode (adjoint)
-    sweep, cross-checked against central differences in the test
-    suite. *)
+    {!eval_ws} prices this recurrence and {!eval_with_gradient_ws}
+    also returns its gradient with respect to [(e, w_hat)] by a
+    hand-written reverse-mode (adjoint) sweep. They are its only
+    implementation; the full replay (start and finish times,
+    voltages) is a test-suite oracle they match bit for bit. *)
 
 type mode =
   | Average  (** instances take their ACEC — the ACS objective *)
   | Worst  (** instances take their WCEC — the WCS objective *)
-
-type trace = {
-  start_times : float array;  (** dispatch time of each sub-instance
-                                  (release time if never dispatched) *)
-  voltages : float array;  (** 0 for sub-instances never dispatched *)
-  exec_workloads : float array;  (** waterfall split of the actual work *)
-  finish_times : float array;  (** equal to start time if not dispatched *)
-  energy : float;
-}
 
 val instance_totals : mode -> Lepts_preempt.Plan.t -> float array array
 (** Actual workload of every instance under [mode]: [acec] or [wcec]
     of the parent task (the paper assumes every instance of a task has
     the same workload). Indexed as [.(task).(instance)]. *)
 
-val eval :
-  plan:Lepts_preempt.Plan.t ->
-  power:Lepts_power.Model.t ->
-  totals:float array array ->
-  e:float array ->
-  w_hat:float array ->
-  float
-(** Runtime energy for the given actual instance workloads: the
-    [energy] field of {!trace}. [e] and [w_hat] are indexed by
-    total-order position. Degenerate windows are guarded: a dispatched
-    sub-instance whose window [e_k - s_k] is not positive is priced at
-    a tiny positive window, so the value stays finite (and enormous) on
-    infeasible iterates. *)
-
-val trace :
-  plan:Lepts_preempt.Plan.t ->
-  power:Lepts_power.Model.t ->
-  totals:float array array ->
-  e:float array ->
-  w_hat:float array ->
-  trace
-(** The full execution trace of the recurrence above. *)
-
 (** {1 Workspace kernels}
 
     Allocation-free kernels over the preallocated buffers of a
-    {!Workspace.t}: what the solver's inner loop and every other
-    caller holding a workspace call. *)
+    {!Workspace.t}, which the solver's inner loop reuses; a one-off
+    caller creates one, as {!Static_schedule.predicted_energy} does. *)
 
 val eval_ws :
   Workspace.t ->
@@ -77,10 +45,12 @@ val eval_ws :
   e:float array ->
   w_hat:float array ->
   float
-(** Bit-identical to {!eval} on [Workspace.plan ws] (the same
-    floating-point operations in the same order, asserted by the test
-    suite); allocates nothing. Clobbers the workspace's objective
-    buffers. *)
+(** Runtime energy of the recurrence on [Workspace.plan ws] for the
+    given instance workloads; [e] and [w_hat] are indexed by
+    total-order position, and negative quotas count as 0. A window
+    [e_k - s_k] that is not positive is priced at a tiny positive one,
+    so the value stays finite (and enormous) on infeasible iterates.
+    Allocates nothing; clobbers the workspace's objective buffers. *)
 
 val eval_with_gradient_ws :
   Workspace.t ->
@@ -95,7 +65,13 @@ val eval_with_gradient_ws :
     [dwq] (worst-case quotas), both of the plan size. This is the one
     implementation of the objective adjoint; the test suite checks it
     bit for bit against a dense list-based reference and against
-    central differences. *)
+    central differences.
+
+    Its forward sweep forms execution times as [(w *. c0) /. v], and
+    {!eval_ws} as [w *. (c0 /. v)] ({!Lepts_power.Model.exec_time}).
+    They can round apart, so the energy returned here may differ from
+    {!eval_ws}'s in its last bits, and the gradient is taken along a
+    trajectory up to an ulp away from the one {!eval_ws} prices. *)
 
 val eval_with_gradient_at_split_ws :
   Workspace.t ->

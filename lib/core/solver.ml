@@ -310,25 +310,26 @@ let slacks_for (plan : Plan.t) ~t_max ~e ~q =
 
 (* --- Augmented Lagrangian over the slack parametrisation --------------- *)
 
-(* Mean runtime energy of [(e, q)] over the workload scenarios. *)
-let mean_energy ws ~power ~totals_list ~e ~q =
-  List.fold_left
-    (fun acc totals -> acc +. Objective.eval_ws ws ~power ~totals ~e ~w_hat:q)
-    0. totals_list
-  /. float_of_int (List.length totals_list)
+(* Mean runtime energy of [(e, q)] over the workload scenarios, summed
+   left to right; the last scenario's waterfall split stays in [ws]. *)
+let mean_energy ws ~power ~scenarios ~e ~q =
+  let sum = ref 0. in
+  for i = 0 to Array.length scenarios - 1 do
+    sum := !sum +. Objective.eval_ws ws ~power ~totals:scenarios.(i) ~e ~w_hat:q
+  done;
+  !sum /. float_of_int (Array.length scenarios)
 
 (* One augmented-Lagrangian descent from [y0] over the workspace's
-   plan. [totals_list] holds one or more workload scenarios; the
+   plan. [scenarios] holds one or more workload scenarios; the
    objective is their mean runtime energy (a single ACEC or WCEC
    scenario for the deterministic modes, a Monte-Carlo sample for the
    stochastic extension). *)
-let solve_from ?deadline ?telemetry ~max_outer ~totals_list ~(ws : Workspace.t) ~power
+let solve_from ?deadline ?telemetry ~max_outer ~scenarios ~(ws : Workspace.t) ~power
     ~y0 () =
     let plan = ws.Workspace.plan in
     let m = ws.Workspace.m in
     let t_max = t_at_vmax power in
     let hyper = Plan.hyper_period plan in
-    let scenarios = Array.of_list totals_list in
     let n_scenarios = Array.length scenarios in
     let scenario_count = float_of_int n_scenarios in
     (* The scenario whose waterfall split of [ws.q] the workspace holds,
@@ -345,18 +346,10 @@ let solve_from ?deadline ?telemetry ~max_outer ~totals_list ~(ws : Workspace.t) 
     (* The accumulation functions below are built once per solve and
        capture only the workspace, so the hot path — [lag] and
        [grad_into], called once per inner iteration — allocates
-       only the boxed floats its calls return. Scenarios accumulate left
-       to right, as in {!mean_energy}. *)
+       only the boxed floats its calls return. *)
     let mean_energy_ws () =
-      let sum = ref 0. in
-      for i = 0 to n_scenarios - 1 do
-        sum :=
-          !sum
-          +. Objective.eval_ws ws ~power ~totals:scenarios.(i) ~e:ws.Workspace.e
-               ~w_hat:ws.Workspace.q;
-        split_of := i
-      done;
-      !sum /. scenario_count
+      split_of := n_scenarios - 1;
+      mean_energy ws ~power ~scenarios ~e:ws.Workspace.e ~q:ws.Workspace.q
     in
     let add_gradients () =
       let de = ws.Workspace.de and dq = ws.Workspace.dq in
@@ -562,7 +555,7 @@ let solve_from ?deadline ?telemetry ~max_outer ~totals_list ~(ws : Workspace.t) 
         let schedule = Static_schedule.create ~plan ~power ~end_times:e ~quotas:q in
         let stats =
           { objective =
-              mean_energy ws ~power ~totals_list ~e:schedule.Static_schedule.end_times
+              mean_energy ws ~power ~scenarios ~e:schedule.Static_schedule.end_times
                 ~q:schedule.Static_schedule.quotas;
             max_violation = !violation;
             outer_iterations = !outer;
@@ -590,7 +583,7 @@ let solve_from ?deadline ?telemetry ~max_outer ~totals_list ~(ws : Workspace.t) 
    indexed by start, and the reduction below scans them in start order
    with a strict-improvement test — so the pick is the same schedule
    for every [jobs] value. *)
-let solve_multi_start ?telemetry ?(jobs = 1) ~budget ~warm_starts ~totals_list
+let solve_multi_start ?telemetry ?(jobs = 1) ~budget ~warm_starts ~scenarios
     ~(plan : Plan.t) ~power () =
   match initial_point ~plan ~power with
   | Error _ as err -> err
@@ -623,7 +616,7 @@ let solve_multi_start ?telemetry ?(jobs = 1) ~budget ~warm_starts ~totals_list
               in
               try
                 solve_from ?deadline ?telemetry ~max_outer:budget.max_outer
-                  ~totals_list ~ws:(Workspace.create plan) ~power
+                  ~scenarios ~ws:(Workspace.create plan) ~power
                   ~y0:candidates.(start) ()
               with Lepts_optim.Guard.Non_finite what ->
                 Error
@@ -667,9 +660,9 @@ let solve ?(budget = default_budget) ?telemetry ?jobs ?(warm_starts = []) ~mode
     | Objective.Worst -> "solve:wcs"
   in
   Span.with_ ~name:span_name (fun () ->
-      let totals_list = [ Objective.instance_totals mode plan ] in
-      solve_multi_start ?telemetry ?jobs ~budget ~warm_starts ~totals_list ~plan
-        ~power ())
+      let scenarios = [| Objective.instance_totals mode plan |] in
+      solve_multi_start ?telemetry ?jobs ~budget ~warm_starts ~scenarios ~plan ~power
+        ())
 
 let solve_stochastic ?jobs ?(warm_starts = []) ?(scenarios = 16) ?(seed = 1)
     ~(plan : Plan.t) ~power () =
@@ -687,10 +680,10 @@ let solve_stochastic ?jobs ?(warm_starts = []) ?(scenarios = 16) ?(seed = 1)
           per_instance)
       plan.Plan.instance_subs
   in
-  let totals_list = List.init scenarios (fun _ -> sample ()) in
+  let scenarios = Array.init scenarios (fun _ -> sample ()) in
   Span.with_ ~name:"solve:stochastic" (fun () ->
-      solve_multi_start ?jobs ~budget:default_budget ~warm_starts ~totals_list
-        ~plan ~power ())
+      solve_multi_start ?jobs ~budget:default_budget ~warm_starts ~scenarios ~plan
+        ~power ())
 
 let solve_acs ?budget ?telemetry ?jobs ?warm_starts ~plan ~power () =
   solve ?budget ?telemetry ?jobs ?warm_starts ~mode:Objective.Average ~plan ~power ()
@@ -760,7 +753,7 @@ let seed_margin = 1e-6
    (fresh multipliers, one more projection); the threshold keeps the
    seed in that case, so re-solving a converged instance returns it
    bit-identically and a warm solve is never worse than its seed. *)
-let continue_from ?deadline ?telemetry ~max_outer ~totals_list ~(plan : Plan.t) ~power
+let continue_from ?deadline ?telemetry ~max_outer ~scenarios ~(plan : Plan.t) ~power
     ~(prev : Static_schedule.t) () =
   let m = Array.length plan.Plan.order in
   let t_max = t_at_vmax power in
@@ -798,12 +791,12 @@ let continue_from ?deadline ?telemetry ~max_outer ~totals_list ~(plan : Plan.t) 
       Ok
         ( schedule,
           { objective =
-              mean_energy ws ~power ~totals_list ~e:schedule.Static_schedule.end_times
+              mean_energy ws ~power ~scenarios ~e:schedule.Static_schedule.end_times
                 ~q:schedule.Static_schedule.quotas;
             max_violation = 0.; outer_iterations = 0; inner_iterations = 0 } )
   in
   let continued =
-    try solve_from ?deadline ?telemetry ~max_outer ~totals_list ~ws ~power ~y0 ()
+    try solve_from ?deadline ?telemetry ~max_outer ~scenarios ~ws ~power ~y0 ()
     with Lepts_optim.Guard.Non_finite what ->
       Error (Solver_stalled (Printf.sprintf "non-finite evaluation (%s)" what))
   in
@@ -822,7 +815,7 @@ let solve_warm ?(budget = default_budget) ?telemetry ?jobs ~mode
     (* Only workloads (ACEC / WCEC values) changed: one continuation
        descent from the previous solution, never worse than the seed. *)
     Span.with_ ~name:"solve:warm" (fun () ->
-        let totals_list = [ Objective.instance_totals mode plan ] in
+        let scenarios = [| Objective.instance_totals mode plan |] in
         let t0 = now () in
         let deadline = Option.map (fun b -> t0 +. b) budget.wall_budget in
         Metrics.incr m_solves;
@@ -831,7 +824,7 @@ let solve_warm ?(budget = default_budget) ?telemetry ?jobs ~mode
         let slot = Option.map (fun s -> Telemetry.start_slot s 0) telemetry in
         let result =
           continue_from ?deadline ?telemetry:slot ~max_outer:budget.max_outer
-            ~totals_list ~plan ~power ~prev ()
+            ~scenarios ~plan ~power ~prev ()
         in
         Metrics.observe h_solve_seconds (now () -. t0);
         (match result with

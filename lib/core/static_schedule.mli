@@ -26,8 +26,16 @@ val size : t -> int
 
 val predicted_energy : t -> mode:Objective.mode -> float
 (** Closed-form runtime energy under greedy reclamation when all
-    instances take their ACEC ([Average]) or WCEC ([Worst]). *)
+    instances take their ACEC ([Average]) or WCEC ([Worst]):
+    {!Objective.eval_ws} on a fresh workspace of the plan. *)
+
+val worst_case_voltages : t -> float array
+(** The per-sub-instance voltage of the worst-case execution: each
+    dispatched sub-instance stretches its full quota from its
+    worst-case start (previous end-time or release) to its end-time,
+    clamped into [[v_min, v_max]]. Sub-instances with zero quota get
+    0. Read by the [Static_voltage] policy and by {!Export}. *)
 
 val pp : Format.formatter -> t -> unit
-(** Table of sub-instances with windows, quotas and implied worst-case
-    voltages. *)
+(** Table of sub-instances, one line each: label, segment release and
+    boundary, end-time and quota. *)

@@ -1,51 +1,3 @@
-let check quotas total =
-  if total < 0. then invalid_arg "Waterfall: negative total";
-  Array.iter (fun q -> if q < 0. then invalid_arg "Waterfall: negative quota") quotas
-
-let distribute ~quotas ~total =
-  check quotas total;
-  let remaining = ref total in
-  Array.map
-    (fun q ->
-      let w = Float.min q !remaining in
-      remaining := !remaining -. w;
-      w)
-    quotas
-
-(* Derivative structure: sub-instances before the partial one satisfy
-   w_k = q_k (dw_k/dq_k = 1); the partial one satisfies
-   w_p = total - sum_{l<p} q_l (dw_p/dq_l = -1 for l < p); later ones
-   are 0 with zero derivative. At kinks we take the fully-filled
-   branch. *)
-let backward ~quotas ~total ~adjoint =
-  check quotas total;
-  let n = Array.length quotas in
-  if Array.length adjoint <> n then
-    invalid_arg "Waterfall.backward: adjoint length mismatch";
-  let out = Array.make n 0. in
-  let remaining = ref total in
-  (try
-     for k = 0 to n - 1 do
-       let q = quotas.(k) in
-       if !remaining >= q then begin
-         (* fully filled: w_k = q_k *)
-         out.(k) <- out.(k) +. adjoint.(k);
-         remaining := !remaining -. q
-       end
-       else begin
-         if !remaining > 0. then
-           (* partial: w_k = total - sum of earlier quotas *)
-           for l = 0 to k - 1 do
-             out.(l) <- out.(l) -. adjoint.(k)
-           done;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  out
-
-(* --- Plan-wide kernels ---------------------------------------------------- *)
-
 (* Same-module float copy of [Float.min] (same formula as the stdlib,
    so same results): the cross-module call boxes floats on every
    element without flambda. *)
@@ -89,9 +41,13 @@ let distribute_blocks ~off ~idx ~totals ~quotas ~into =
     done
   done
 
-(* Per block, the fill walk of {!backward} finds the first sub-instance
-   that is not fully filled ([stop]) and whether it is partial; then
-   each coordinate's product is formed exactly as {!backward} forms it
+(* Derivative structure: sub-instances before the partial one satisfy
+   w_k = q_k (dw_k/dq_k = 1); the partial one satisfies
+   w_p = total - sum_{l<p} q_l (dw_p/dq_l = -1 for l < p); later ones
+   are 0 with zero derivative. At kinks we take the fully-filled
+   branch. Per block, the fill walk finds the first sub-instance that
+   is not fully filled ([stop]) and whether it is partial; then each
+   coordinate's product is formed as the per-instance oracle forms it
    ([0. +. adjoint] when filled, minus the partial one's adjoint when
    it precedes that one) and added to [into]. *)
 let backward_add_blocks ~off ~idx ~totals ~quotas ~adjoint ~into =

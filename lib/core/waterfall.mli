@@ -10,36 +10,22 @@
     [w_k = clamp (total - (q_1 + .. + q_{k-1})) 0 q_k].
 
     The same rule gives the ACEC split (the paper's case-1/case-2
-    classification) and the runtime split for any sampled workload. *)
+    classification) and the runtime split for any sampled workload.
+    Any workload beyond [sum q_k] is silently dropped: callers enforce
+    [total <= sum q_k], the WCEC bound, separately.
 
-val distribute : quotas:float array -> total:float -> float array
-(** [distribute ~quotas ~total] returns the per-sub-instance executed
-    workloads. Requires [total >= 0.] and non-negative quotas; any
-    workload beyond [sum quotas] is silently dropped (callers enforce
-    [total <= sum quotas] — the WCEC bound — separately). *)
-
-val backward :
-  quotas:float array -> total:float -> adjoint:float array -> float array
-(** [backward ~quotas ~total ~adjoint] is the vector-Jacobian product
-    [J^T adjoint] where [J = d(distribute)/d(quotas)], using the
-    one-sided derivative that treats boundary sub-instances as fully
-    filled. The reference adjoint of the test suite calls it per
-    instance; the solver's gradient runs {!backward_add_blocks}. *)
-
-(** {1 Plan-wide kernels}
-
-    The solver's allocation-free forms of {!distribute} and
-    {!backward}, over every instance of a plan in one call. The
-    instances are given as a flat block index: block [b] covers the
-    coordinates [idx.(p)] for [off.(b) <= p < off.(b+1)], in fill
-    order, and its total is the [b]-th entry of [totals] in row-major
-    order ([totals.(task).(instance)], the order of the workspace's
-    [blk_off]/[blk_idx]). Each block's arithmetic is
-    {!distribute}'s or {!backward}'s, operation for operation, so the
-    results are bit-identical to calling those per instance (asserted
-    by the test suite). Both raise [Invalid_argument] on a negative
-    total or quota, an index that does not have one block per total,
-    or a buffer shorter than the index. *)
+    The kernels below split every instance of a plan in one call, over
+    a flat block index: block [b] covers the coordinates [idx.(p)] for
+    [off.(b) <= p < off.(b+1)], in fill order, and its total is the
+    [b]-th entry of [totals] in row-major order
+    ([totals.(task).(instance)], the order of the workspace's
+    [blk_off]/[blk_idx]). A single instance is the one-block index
+    [off = [|0; K|]], [idx = [|0; ..; K-1|]]. They are the library's
+    only implementation of the split and its derivative; the test
+    suite checks them bit for bit against a per-instance, allocating
+    oracle in its reference module. Both raise [Invalid_argument] on
+    a negative total or quota, an index that does not have one block
+    per total, or a buffer shorter than the index. *)
 
 val distribute_blocks :
   off:int array ->
@@ -61,5 +47,7 @@ val backward_add_blocks :
   into:float array ->
   unit
 (** [backward_add_blocks ~off ~idx ~totals ~quotas ~adjoint ~into]
-    {e adds} every block's vector-Jacobian product {!backward} to
-    [into] at the block's coordinates. *)
+    {e adds} every block's vector-Jacobian product [J^T adjoint] to
+    [into] at the block's coordinates, where [J] is the derivative of
+    the split with respect to the quotas. It takes the one-sided
+    derivative that treats boundary sub-instances as fully filled. *)

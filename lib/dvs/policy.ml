@@ -1,6 +1,4 @@
 module Model = Lepts_power.Model
-module Plan = Lepts_preempt.Plan
-module Sub = Lepts_preempt.Sub_instance
 module Static_schedule = Lepts_core.Static_schedule
 
 type t =
@@ -18,27 +16,6 @@ let pp ppf = function
   | Greedy_quantized levels ->
     Format.fprintf ppf "greedy-quantized(%d levels)"
       (Array.length (Lepts_power.Levels.levels levels))
-
-let worst_case_voltages (schedule : Static_schedule.t) =
-  let plan = schedule.Static_schedule.plan in
-  let power = schedule.Static_schedule.power in
-  let e = schedule.Static_schedule.end_times in
-  let q = schedule.Static_schedule.quotas in
-  let m = Array.length e in
-  let v = Array.make m 0. in
-  let cursor = ref 0. in
-  for k = 0 to m - 1 do
-    let sub = plan.Plan.order.(k) in
-    if q.(k) > 0. then begin
-      let start = Float.max sub.Sub.release !cursor in
-      let window = e.(k) -. start in
-      v.(k) <-
-        (if window <= 0. then power.Model.v_max
-         else Model.voltage_for_clamped power ~cycles:q.(k) ~duration:window);
-      cursor := e.(k)
-    end
-  done;
-  v
 
 let dispatch_voltage t ~schedule ~static_v ~sub ~now ~quota_remaining =
   let power = schedule.Static_schedule.power in

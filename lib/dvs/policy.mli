@@ -24,13 +24,6 @@ type t =
           the next available level, preserving every deadline
           guarantee at a small energy cost. *)
 
-val worst_case_voltages : Lepts_core.Static_schedule.t -> float array
-(** The per-sub-instance voltage of the worst-case execution: each
-    dispatched sub-instance stretches its full quota from its
-    worst-case start (previous end-time or release) to its end-time.
-    Sub-instances with zero quota get 0. Used by [Static_voltage] and
-    by reports. *)
-
 val dispatch_voltage :
   t ->
   schedule:Lepts_core.Static_schedule.t ->
@@ -43,7 +36,10 @@ val dispatch_voltage :
     [now] with [quota_remaining] of its worst-case quota not yet
     executed. Always within [[v_min, v_max]]; if the end-time is
     already past (only possible through floating-point corner cases)
-    the result is [v_max]. Requires [quota_remaining > 0.]. *)
+    the result is [v_max]. Requires [quota_remaining > 0.].
+
+    [static_v] is {!Lepts_core.Static_schedule.worst_case_voltages};
+    only [Static_voltage] reads it. *)
 
 val pp : Format.formatter -> t -> unit
 

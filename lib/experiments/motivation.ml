@@ -5,7 +5,6 @@ module Model = Lepts_power.Model
 module Solver = Lepts_core.Solver
 module Static_schedule = Lepts_core.Static_schedule
 module Objective = Lepts_core.Objective
-module Policy = Lepts_dvs.Policy
 
 type report = {
   wcs_end_times : float array;
@@ -50,7 +49,7 @@ let run () =
           acs_worst_energy = acs_worst;
           improvement_pct = 100. *. (wcs_avg -. acs_avg) /. wcs_avg;
           worst_penalty_pct = 100. *. (acs_worst -. wcs_worst) /. wcs_worst;
-          acs_worst_voltages = Policy.worst_case_voltages acs })
+          acs_worst_voltages = Static_schedule.worst_case_voltages acs })
 
 let to_table r =
   let table =

@@ -1,9 +1,5 @@
 module Runner = Lepts_sim.Runner
-module Sampler = Lepts_sim.Sampler
-module Event_sim = Lepts_sim.Event_sim
-module Outcome = Lepts_sim.Outcome
 module Static_schedule = Lepts_core.Static_schedule
-module Model = Lepts_power.Model
 module Rng = Lepts_prng.Xoshiro256
 module Table = Lepts_util.Table
 module Span = Lepts_obs.Span
@@ -68,39 +64,35 @@ let run ?(rounds = 500) ?(jobs = 1) ?on_stats ?dist
   let power = schedule.Static_schedule.power in
   let base = Rng.create ~seed in
   let stats_for label = Option.map (fun f s -> f ~label s) on_stats in
-  (* Each arm replays the identical workload draws (the per-round
-     generator is [Runner.round_rng ~rng:base], exactly what the clean
-     arm derives) and the identical fault scenarios (same injector spec
-     and per-round seeds); only the runtime response differs. Every
-     round gets its own fault/containment counters and containment
-     hook, so rounds are independent — safe to run on any domain — and
-     the totals are merged in round order. Rounds flow through
-     {!Checkpoint.map_indices}: without a session that is one pool run,
-     with one it reuses every round already on disk and persists new
-     rounds chunk by chunk — the merged report is bit-identical either
-     way, which is what makes kill-9-and-resume exact. *)
+  (* Each arm replays the identical workload draws (every round is a
+     [Runner.round] on [base], exactly what the clean arm runs) and the
+     identical fault scenarios (same injector spec and per-round
+     seeds); only the runtime response differs. Every round gets its
+     own fault/containment counters, captured by its [scenario] and
+     containment hooks, so rounds are independent — safe to run on any
+     domain — and the totals are merged in round order. Rounds flow
+     through {!Checkpoint.map_indices}: without a session that is one
+     pool run, with one it reuses every round already on disk and
+     persists new rounds chunk by chunk — the merged report is
+     bit-identical either way, which is what makes kill-9-and-resume
+     exact. *)
   (* Arms run on the caller's domain (only their rounds fan out), so a
      plain span per arm is enough for the campaign profile. *)
   let arm label ~section ~contained =
     Span.with_ ~name:("arm:" ^ label) @@ fun () ->
     let one_round r =
-      let rng = Runner.round_rng ~rng:base ~round:r in
-      let totals = Sampler.instance_totals ?dist plan ~rng in
       let fc = Fault_injector.fresh_counters () in
-      let s = Fault_injector.perturb spec ~counters:fc ~round:r plan ~totals in
+      let scenario ~round ~totals =
+        let s = Fault_injector.perturb spec ~counters:fc ~round plan ~totals in
+        (s.Fault_injector.totals, Some s.Fault_injector.faults)
+      in
       let cc, control =
         if not contained then (None, None)
         else
           let c = Containment.fresh_counters () in
           (Some c, Some (Containment.control ~config:containment ~power ~counters:c ()))
       in
-      let outcome =
-        Event_sim.run ~faults:s.Fault_injector.faults ?control ~schedule ~policy
-          ~totals:s.Fault_injector.totals ()
-      in
-      ( { Runner.energy = outcome.Outcome.energy;
-          misses = outcome.Outcome.deadline_misses;
-          shed = outcome.Outcome.shed_instances },
+      ( Runner.round ?dist ~scenario ?control ~schedule ~policy ~rng:base ~round:r (),
         fc, cc )
     in
     let results =

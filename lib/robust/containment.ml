@@ -24,15 +24,14 @@ let add_counters ~into c =
 
 let tiny = 1e-9
 
-let control ?(config = default_config) ?(epoch = fun () -> 0) ~power ~counters () =
+let control ?(config = default_config) ~power ~counters () =
   let v_max = power.Model.v_max in
   (* Track which instances have already been counted as escalated so
-     [escalated_instances] counts instances, not dispatches; the epoch
-     (simulation round) is part of the key so dedup resets per round. *)
+     [escalated_instances] counts instances, not dispatches. *)
   let escalated = Hashtbl.create 16 in
   let note_escalation (d : Event_sim.dispatch) =
     counters.escalated_dispatches <- counters.escalated_dispatches + 1;
-    let key = (epoch (), d.Event_sim.d_task, d.Event_sim.d_instance) in
+    let key = (d.Event_sim.d_task, d.Event_sim.d_instance) in
     if not (Hashtbl.mem escalated key) then begin
       Hashtbl.add escalated key ();
       counters.escalated_instances <- counters.escalated_instances + 1

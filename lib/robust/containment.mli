@@ -50,17 +50,15 @@ val add_counters : into:counters -> counters -> unit
 
 val control :
   ?config:config ->
-  ?epoch:(unit -> int) ->
   power:Lepts_power.Model.t ->
   counters:counters ->
   unit ->
   Lepts_sim.Event_sim.dispatch ->
   Lepts_sim.Event_sim.action
-(** [control ~power ~counters ()] builds a control hook for
-    {!Lepts_sim.Event_sim.run} / {!Lepts_sim.Runner.simulate}. The hook
-    is stateful (it deduplicates per-instance escalation counts); build
-    a fresh one per simulation campaign arm. [epoch] should return the
-    current simulation round when the hook is reused across rounds, so
-    the per-instance dedup resets each round (default: constant 0). *)
+(** [control ~power ~counters ()] builds a control hook for one
+    hyper-period of {!Lepts_sim.Event_sim.run} /
+    {!Lepts_sim.Runner.round}. The hook is stateful (it deduplicates
+    per-instance escalation counts by (task, instance)), so build a
+    fresh one per round, as {!Campaign} does. *)
 
 val pp_config : Format.formatter -> config -> unit

@@ -143,7 +143,12 @@ let run_with ~record ?transition ?faults ?control
   let last_voltage = ref Float.nan in
   let plan = schedule.Static_schedule.plan in
   let power = schedule.Static_schedule.power in
-  let static_v = Policy.worst_case_voltages schedule in
+  (* Only the static policy reads the worst-case voltage table. *)
+  let static_v =
+    match policy with
+    | Policy.Static_voltage -> Static_schedule.worst_case_voltages schedule
+    | Policy.Greedy | Policy.Max_speed | Policy.Greedy_quantized _ -> [||]
+  in
   let tasks = build_instances ?faults schedule ~totals in
   let n_tasks = Array.length tasks in
   let periods =

@@ -74,10 +74,9 @@ let record_metrics summary =
   Metrics.incr ~by:summary.deadline_misses m_misses;
   Metrics.incr ~by:summary.shed_instances m_shed
 
-let simulate ?(rounds = 1000) ?(jobs = 1) ?on_stats ?dist ?scenario ?control ~schedule
-    ~policy ~rng () =
+let simulate ?(rounds = 1000) ?(jobs = 1) ?on_stats ?dist ~schedule ~policy ~rng () =
   if rounds <= 0 then invalid_arg "Runner.simulate: rounds must be positive";
-  let one_round r = round ?dist ?scenario ?control ~schedule ~policy ~rng ~round:r () in
+  let one_round r = round ?dist ~schedule ~policy ~rng ~round:r () in
   let results, stats = Pool.run ~jobs ~n:rounds ~f:one_round in
   Option.iter (fun f -> f stats) on_stats;
   let summary = summarize results in

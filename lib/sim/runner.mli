@@ -38,11 +38,11 @@ type round_result = { energy : float; misses : int; shed : int }
 (** One round's contribution to a {!summary}. *)
 
 val round_rng : rng:Lepts_prng.Xoshiro256.t -> round:int -> Lepts_prng.Xoshiro256.t
-(** The generator {!simulate} gives round [round]:
+(** The generator {!round} (and so {!simulate}) gives round [round]:
     [Xoshiro256.split_key rng ~key:round], leaving [rng] untouched.
-    Exposed so campaign engines ({!Lepts_robust.Campaign}) can replay
-    exactly the draws a [simulate] call with the same [rng] would
-    make. *)
+    {!Lepts_robust.Campaign} replays these draws through {!round}'s
+    hooks; {!Lepts_robust.Adaptive}, which runs its own rounds, calls
+    this. *)
 
 val summarize : round_result array -> summary
 (** Ordered reduction of per-round outcomes (index = round) into a
@@ -61,13 +61,16 @@ val round :
   round:int ->
   unit ->
   round_result
-(** One hyper-period, exactly as {!simulate} would run round [round]:
-    a pure function of ([rng]'s state, arguments). Exposed so
-    checkpointed drivers ({!Lepts_robust.Checkpoint.map_indices}) can
-    compute individual rounds and resume a campaign from the units
-    already on disk. Does not touch the built-in metrics — callers
-    assembling a summary themselves should pass it to
-    {!record_metrics} once. *)
+(** One hyper-period, a pure function of ([rng]'s state, arguments);
+    without hooks it is exactly {!simulate}'s round [round]. Exposed
+    so checkpointed drivers ({!Lepts_robust.Checkpoint.map_indices})
+    can compute individual rounds and resume from the units already
+    on disk. [scenario] maps the sampled workloads to perturbed ones
+    plus an optional fault scenario; [control] goes to
+    {!Event_sim.run}. {!Lepts_robust.Campaign} is their user: it
+    builds both per round, over the round's own counters. Does not
+    touch the built-in metrics; pass the summary to {!record_metrics}
+    once. *)
 
 val record_metrics : summary -> unit
 (** Bump the built-in simulation counters ([lepts_sim_rounds_total],
@@ -81,11 +84,6 @@ val simulate :
   ?jobs:int ->
   ?on_stats:(Lepts_par.Pool.stats -> unit) ->
   ?dist:Sampler.distribution ->
-  ?scenario:
-    (round:int ->
-    totals:float array array ->
-    float array array * Event_sim.faults option) ->
-  ?control:(Event_sim.dispatch -> Event_sim.action) ->
   schedule:Lepts_core.Static_schedule.t ->
   policy:Lepts_dvs.Policy.t ->
   rng:Lepts_prng.Xoshiro256.t ->
@@ -97,16 +95,6 @@ val simulate :
 
     [jobs] (default 1) is the number of worker domains; the summary is
     bit-identical for every [jobs] value. [on_stats] receives the
-    pool's throughput/utilization report after the rounds complete.
-
-    [scenario] maps each round's sampled workloads to (possibly
-    perturbed) workloads plus an optional fault scenario — the hook
-    {!Lepts_robust.Fault_injector} plugs into; [control] is passed
-    through to {!Event_sim.run} (containment). With [jobs = 1] rounds
-    run in order on the calling domain, so stateful hooks behave as
-    they always have; with [jobs > 1] the hooks are called
-    concurrently and in no particular order, so they must be pure or
-    thread-safe — {!Lepts_robust.Campaign} builds per-round hooks
-    instead and merges their counters in round order. *)
+    pool's throughput/utilization report after the rounds complete. *)
 
 val pp_summary : Format.formatter -> summary -> unit

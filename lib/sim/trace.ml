@@ -1,5 +1,3 @@
-module Model = Lepts_power.Model
-
 type span = {
   task : int;
   instance : int;
@@ -9,18 +7,6 @@ type span = {
 }
 
 type t = { spans : span list; horizon : float }
-
-let busy_time t =
-  List.fold_left (fun acc s -> acc +. (s.to_time -. s.from_time)) 0. t.spans
-
-let energy t ~power =
-  List.fold_left
-    (fun acc s ->
-      let cycles = s.voltage *. (s.to_time -. s.from_time) /. power.Model.c0 in
-      acc +. Model.energy power ~v:s.voltage ~cycles)
-    0. t.spans
-
-let utilization t = if t.horizon <= 0. then 0. else busy_time t /. t.horizon
 
 let pp_gantt ?(width = 72) ~n_tasks ppf t =
   if t.horizon <= 0. then Format.fprintf ppf "(empty trace)@."

@@ -6,11 +6,18 @@
 
    - [simplex] / [simplex_ip]: sort-based simplex projection ordered by
      [Float.compare] (production: [Projection.simplex_blocks_ip]);
+   - [Waterfall.distribute] / [Waterfall.backward]: the split of one
+     instance's workload over its quotas and its vector-Jacobian
+     product, one allocating call per instance (production: the
+     plan-wide [Lepts_core.Waterfall.distribute_blocks] /
+     [backward_add_blocks]);
+   - [trace] / [eval]: the objective's recurrence replayed through the
+     model's functions on fresh arrays, returning start and finish
+     times, voltages and executed workloads as well as the energy
+     (production: [Objective.eval_ws], energy only);
    - [eval_with_gradient]: the list-based objective adjoint, which
-     splits and differentiates the waterfall per instance through the
-     allocating [Waterfall.distribute] / [Waterfall.backward]
-     (production: [Objective.eval_with_gradient_ws] over the plan-wide
-     [Waterfall.distribute_blocks] / [backward_add_blocks]);
+     splits and differentiates the waterfall per instance through
+     [Waterfall] above (production: [Objective.eval_with_gradient_ws]);
    - [solve] / [solve_warm] / [solve_stochastic]: the dense solve,
      with a nested per-instance projection, full forward and adjoint
      sweeps and a fresh waterfall split on every evaluation, and dense
@@ -112,12 +119,67 @@ let simplex_ip ~total ~scratch x =
     x.(i) <- fmax 0. (x.(i) -. tau)
   done
 
-(* --- Objective adjoint ---------------------------------------------------- *)
+(* --- Waterfall ---------------------------------------------------------- *)
+
+(* The split of one instance's actual workload over its quotas, in fill
+   order, and its vector-Jacobian product: one allocating call per
+   instance. *)
+module Waterfall = struct
+  let check quotas total =
+    if total < 0. then invalid_arg "Waterfall: negative total";
+    Array.iter (fun q -> if q < 0. then invalid_arg "Waterfall: negative quota") quotas
+
+  let distribute ~quotas ~total =
+    check quotas total;
+    let remaining = ref total in
+    Array.map
+      (fun q ->
+        let w = Float.min q !remaining in
+        remaining := !remaining -. w;
+        w)
+      quotas
+
+  (* Derivative structure: sub-instances before the partial one satisfy
+     w_k = q_k (dw_k/dq_k = 1); the partial one satisfies
+     w_p = total - sum_{l<p} q_l (dw_p/dq_l = -1 for l < p); later ones
+     are 0 with zero derivative. At kinks we take the fully-filled
+     branch. *)
+  let backward ~quotas ~total ~adjoint =
+    check quotas total;
+    let n = Array.length quotas in
+    if Array.length adjoint <> n then
+      invalid_arg "Waterfall.backward: adjoint length mismatch";
+    let out = Array.make n 0. in
+    let remaining = ref total in
+    (try
+       for k = 0 to n - 1 do
+         let q = quotas.(k) in
+         if !remaining >= q then begin
+           (* fully filled: w_k = q_k *)
+           out.(k) <- out.(k) +. adjoint.(k);
+           remaining := !remaining -. q
+         end
+         else begin
+           if !remaining > 0. then
+             (* partial: w_k = total - sum of earlier quotas *)
+             for l = 0 to k - 1 do
+               out.(l) <- out.(l) -. adjoint.(k)
+             done;
+           raise Exit
+         end
+       done
+     with Exit -> ());
+    out
+end
+
+(* --- Objective ------------------------------------------------------------ *)
 
 (* [Objective]'s dispatch threshold and window floor. *)
 let skip_eps = 1e-12
 let window_floor = 1e-12
 
+(* Waterfall split of the actual instance workloads onto sub-instances,
+   indexed by total-order position. [w_hat] must be non-negative. *)
 let split_workloads (plan : Plan.t) ~totals ~w_hat =
   let w = Array.make (Array.length plan.Plan.order) 0. in
   Array.iteri
@@ -130,6 +192,52 @@ let split_workloads (plan : Plan.t) ~totals ~w_hat =
         per_instance)
     plan.Plan.instance_subs;
   w
+
+type trace = {
+  start_times : float array;
+      (** dispatch time of each sub-instance (release time if never
+          dispatched) *)
+  voltages : float array;  (** 0 for sub-instances never dispatched *)
+  exec_workloads : float array;  (** waterfall split of the actual work *)
+  finish_times : float array;  (** equal to start time if not dispatched *)
+  energy : float;
+}
+
+(* The objective's recurrence replayed in full, through the model's own
+   functions: start, voltage, finish and executed workload of every
+   sub-instance. Negative quotas count as 0. *)
+let trace ~(plan : Plan.t) ~power ~totals ~e ~w_hat =
+  let m = Array.length plan.Plan.order in
+  if Array.length e <> m || Array.length w_hat <> m then
+    invalid_arg "Reference.trace: vector length";
+  let w_hat = Array.map (fun q -> Float.max 0. q) w_hat in
+  let w = split_workloads plan ~totals ~w_hat in
+  let starts = Array.make m 0. and volts = Array.make m 0. in
+  let finishes = Array.make m 0. in
+  let finish = ref 0. and energy = ref 0. in
+  for k = 0 to m - 1 do
+    let sub = plan.Plan.order.(k) in
+    if w.(k) > skip_eps then begin
+      let s = Float.max sub.Sub.release !finish in
+      let d = Float.max (e.(k) -. s) window_floor in
+      let v = Model.voltage_for_clamped power ~cycles:w_hat.(k) ~duration:d in
+      energy := !energy +. Model.energy power ~v ~cycles:w.(k);
+      finish := s +. Model.exec_time power ~v ~cycles:w.(k);
+      starts.(k) <- s;
+      volts.(k) <- v;
+      finishes.(k) <- !finish
+    end
+    else begin
+      starts.(k) <- Float.max sub.Sub.release !finish;
+      finishes.(k) <- starts.(k)
+    end
+  done;
+  { start_times = starts; voltages = volts; exec_workloads = w;
+    finish_times = finishes; energy = !energy }
+
+let eval ~plan ~power ~totals ~e ~w_hat = (trace ~plan ~power ~totals ~e ~w_hat).energy
+
+(* --- Objective adjoint ---------------------------------------------------- *)
 
 (* One dispatched step of the forward recurrence, with the branch
    choices needed to replay it backwards. *)
@@ -400,7 +508,7 @@ let solve_from ~max_outer ~totals_list ~(plan : Plan.t) ~power ~y0 =
       List.fold_left
         (fun acc totals ->
           acc
-          +. Objective.eval ~plan ~power ~totals ~e:schedule.Static_schedule.end_times
+          +. eval ~plan ~power ~totals ~e:schedule.Static_schedule.end_times
                ~w_hat:schedule.Static_schedule.quotas)
         0. totals_list
       /. scenario_count
@@ -488,7 +596,7 @@ let solve_warm ?(max_outer = 30) ~mode ~(prev : Static_schedule.t) ~(plan : Plan
   let totals_list = [ Objective.instance_totals mode plan ] in
   let mean_objective e q =
     List.fold_left
-      (fun acc totals -> acc +. Objective.eval ~plan ~power ~totals ~e ~w_hat:q)
+      (fun acc totals -> acc +. eval ~plan ~power ~totals ~e ~w_hat:q)
       0. totals_list
     /. float_of_int (List.length totals_list)
   in
@@ -629,7 +737,7 @@ module Event_sim = struct
     let last_voltage = ref Float.nan in
     let plan = schedule.Static_schedule.plan in
     let power = schedule.Static_schedule.power in
-    let static_v = Policy.worst_case_voltages schedule in
+    let static_v = Static_schedule.worst_case_voltages schedule in
     let states = build_instances ?faults schedule ~totals in
     let energy = ref 0. in
     let consumed = Array.make (Array.length plan.Plan.instance_subs) 0. in
@@ -762,7 +870,7 @@ module Sequence = struct
   let run ~(schedule : Static_schedule.t) ~totals =
     let plan = schedule.Static_schedule.plan in
     let trace =
-      Objective.trace ~plan ~power:schedule.Static_schedule.power ~totals
+      trace ~plan ~power:schedule.Static_schedule.power ~totals
         ~e:schedule.Static_schedule.end_times ~w_hat:schedule.Static_schedule.quotas
     in
     let ts = plan.Plan.task_set in
@@ -779,8 +887,8 @@ module Sequence = struct
               let finish =
                 Array.fold_left
                   (fun acc k ->
-                    if trace.Objective.exec_workloads.(k) > 0. then
-                      Float.max acc trace.Objective.finish_times.(k)
+                    if trace.exec_workloads.(k) > 0. then
+                      Float.max acc trace.finish_times.(k)
                     else acc)
                   release subs
               in
@@ -794,12 +902,12 @@ module Sequence = struct
         (Array.fold_left
            (fun acc subs ->
              Array.fold_left
-               (fun acc k -> acc +. trace.Objective.exec_workloads.(k))
+               (fun acc k -> acc +. trace.exec_workloads.(k))
                acc subs)
            0.)
         plan.Plan.instance_subs
     in
-    { Outcome.energy = trace.Objective.energy; deadline_misses = !misses;
+    { Outcome.energy = trace.energy; deadline_misses = !misses;
       shed_instances = 0; finish_times; consumed }
 end
 

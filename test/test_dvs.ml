@@ -19,7 +19,7 @@ let acs_schedule () =
     ~quotas:[| 20.; 20.; 20. |]
 
 let test_worst_case_voltages () =
-  let v = Policy.worst_case_voltages (acs_schedule ()) in
+  let v = Static_schedule.worst_case_voltages (acs_schedule ()) in
   (* 20 cycles in 10 ms -> 2 V; then 20 in 5 ms -> 4 V twice. *)
   Alcotest.(check (array (float 1e-9))) "2/4/4" [| 2.; 4.; 4. |] v
 
@@ -28,14 +28,14 @@ let test_worst_case_voltages_zero_quota () =
     Static_schedule.create ~plan:(plan3 ()) ~power ~end_times:[| 10.; 10.; 20. |]
       ~quotas:[| 20.; 0.; 20. |]
   in
-  let v = Policy.worst_case_voltages s in
+  let v = Static_schedule.worst_case_voltages s in
   Alcotest.(check (float 0.)) "zero for empty" 0. v.(1);
   (* Third sub chains from the first's end-time, not the empty one. *)
   Alcotest.(check (float 1e-9)) "20 cycles in [10,20]" 2. v.(2)
 
 let test_greedy_dispatch_full_window () =
   let s = acs_schedule () in
-  let static_v = Policy.worst_case_voltages s in
+  let static_v = Static_schedule.worst_case_voltages s in
   let v =
     Policy.dispatch_voltage Policy.Greedy ~schedule:s ~static_v ~sub:0 ~now:0.
       ~quota_remaining:20.
@@ -44,7 +44,7 @@ let test_greedy_dispatch_full_window () =
 
 let test_greedy_dispatch_with_slack () =
   let s = acs_schedule () in
-  let static_v = Policy.worst_case_voltages s in
+  let static_v = Static_schedule.worst_case_voltages s in
   (* Sub 1 (end 15) dispatched early at t=5 with full quota: stretches
      to 2 V instead of its worst-case 4 V. *)
   let v =
@@ -55,7 +55,7 @@ let test_greedy_dispatch_with_slack () =
 
 let test_greedy_clamps () =
   let s = acs_schedule () in
-  let static_v = Policy.worst_case_voltages s in
+  let static_v = Static_schedule.worst_case_voltages s in
   let low =
     Policy.dispatch_voltage Policy.Greedy ~schedule:s ~static_v ~sub:2 ~now:0.
       ~quota_remaining:0.1
@@ -69,7 +69,7 @@ let test_greedy_clamps () =
 
 let test_static_policy () =
   let s = acs_schedule () in
-  let static_v = Policy.worst_case_voltages s in
+  let static_v = Static_schedule.worst_case_voltages s in
   let v =
     Policy.dispatch_voltage Policy.Static_voltage ~schedule:s ~static_v ~sub:1
       ~now:2. ~quota_remaining:20.
@@ -78,7 +78,7 @@ let test_static_policy () =
 
 let test_max_speed_policy () =
   let s = acs_schedule () in
-  let static_v = Policy.worst_case_voltages s in
+  let static_v = Static_schedule.worst_case_voltages s in
   let v =
     Policy.dispatch_voltage Policy.Max_speed ~schedule:s ~static_v ~sub:2 ~now:0.
       ~quota_remaining:1.
@@ -87,7 +87,7 @@ let test_max_speed_policy () =
 
 let test_empty_quota_rejected () =
   let s = acs_schedule () in
-  let static_v = Policy.worst_case_voltages s in
+  let static_v = Static_schedule.worst_case_voltages s in
   Alcotest.check_raises "empty quota"
     (Invalid_argument "Policy.dispatch_voltage: empty quota") (fun () ->
       ignore

@@ -16,6 +16,10 @@ let motivation_plan () =
 
 let quotas3 = [| 20.; 20.; 20. |]
 
+(* The production objective on a fresh workspace. *)
+let eval ~plan ~power ~totals ~e ~w_hat =
+  Objective.eval_ws (Workspace.create plan) ~power ~totals ~e ~w_hat
+
 (* The production adjoint on a fresh workspace: [(energy, de, dw_hat)]. *)
 let adjoint ~plan ~power ~totals ~e ~w_hat =
   let m = Plan.size plan in
@@ -32,7 +36,7 @@ let test_wcs_schedule_average_energy () =
   let plan = motivation_plan () in
   let totals = Objective.instance_totals Objective.Average plan in
   let e = [| 20. /. 3.; 40. /. 3.; 20. |] in
-  let energy = Objective.eval ~plan ~power ~totals ~e ~w_hat:quotas3 in
+  let energy = eval ~plan ~power ~totals ~e ~w_hat:quotas3 in
   (* task1: v = 20/6.667 = 3, E = 10*9 = 90, finishes at 10/3.
      task2: v = 20/(13.33-3.33) = 2, E = 40, finishes at 8.33.
      task3: v = 20/(20-8.33) = 1.714, E = 29.39. *)
@@ -41,18 +45,16 @@ let test_wcs_schedule_average_energy () =
 let test_acs_schedule_average_energy () =
   let plan = motivation_plan () in
   let totals = Objective.instance_totals Objective.Average plan in
-  let energy =
-    Objective.eval ~plan ~power ~totals ~e:[| 10.; 15.; 20. |] ~w_hat:quotas3
-  in
+  let energy = eval ~plan ~power ~totals ~e:[| 10.; 15.; 20. |] ~w_hat:quotas3 in
   (* All three tasks run at 2 V on 10 Mcycles: 3 * 40 = 120 (Fig 2). *)
   Alcotest.(check (float 1e-6)) "Fig 2 energy" 120. energy
 
 let test_worst_case_energy () =
   let plan = motivation_plan () in
   let totals = Objective.instance_totals Objective.Worst plan in
-  let wcs = Objective.eval ~plan ~power ~totals ~e:[| 20. /. 3.; 40. /. 3.; 20. |] ~w_hat:quotas3 in
+  let wcs = eval ~plan ~power ~totals ~e:[| 20. /. 3.; 40. /. 3.; 20. |] ~w_hat:quotas3 in
   Alcotest.(check (float 1e-6)) "WCS worst = 3 * 20 * 9" 540. wcs;
-  let acs = Objective.eval ~plan ~power ~totals ~e:[| 10.; 15.; 20. |] ~w_hat:quotas3 in
+  let acs = eval ~plan ~power ~totals ~e:[| 10.; 15.; 20. |] ~w_hat:quotas3 in
   (* 20*4 + 20*16 + 20*16 = 720 (Fig 1(c)). *)
   Alcotest.(check (float 1e-6)) "ACS worst" 720. acs
 
@@ -60,14 +62,14 @@ let test_trace_consistency () =
   let plan = motivation_plan () in
   let totals = Objective.instance_totals Objective.Average plan in
   let e = [| 10.; 15.; 20. |] in
-  let tr = Objective.trace ~plan ~power ~totals ~e ~w_hat:quotas3 in
-  Alcotest.(check (float 1e-9)) "energy matches eval"
-    (Objective.eval ~plan ~power ~totals ~e ~w_hat:quotas3)
-    tr.Objective.energy;
+  let tr = Reference.trace ~plan ~power ~totals ~e ~w_hat:quotas3 in
+  Alcotest.(check (float 1e-9)) "energy matches eval_ws"
+    (eval ~plan ~power ~totals ~e ~w_hat:quotas3)
+    tr.Reference.energy;
   (* Greedy: each task starts when the previous finishes. *)
   Alcotest.(check (float 1e-9)) "t2 starts at t1 finish"
-    tr.Objective.finish_times.(0) tr.Objective.start_times.(1);
-  Alcotest.(check (float 1e-9)) "voltages 2V" 2. tr.Objective.voltages.(0)
+    tr.Reference.finish_times.(0) tr.Reference.start_times.(1);
+  Alcotest.(check (float 1e-9)) "voltages 2V" 2. tr.Reference.voltages.(0)
 
 let test_vmin_clamp () =
   (* Tiny average workload with a huge window: the voltage clamps at
@@ -77,9 +79,12 @@ let test_vmin_clamp () =
       (Task_set.create [ Task.create ~name:"t" ~period:100 ~wcec:1. ~acec:0.5 ~bcec:0. ])
   in
   let totals = Objective.instance_totals Objective.Average plan in
-  let tr = Objective.trace ~plan ~power ~totals ~e:[| 100. |] ~w_hat:[| 1. |] in
-  Alcotest.(check (float 1e-9)) "clamped" power.Model.v_min tr.Objective.voltages.(0);
-  Alcotest.(check bool) "finishes early" true (tr.Objective.finish_times.(0) < 100.)
+  (* 0.5 Mcycles at v_min = 1 V. *)
+  Alcotest.(check (float 1e-12)) "priced at v_min" 0.5
+    (eval ~plan ~power ~totals ~e:[| 100. |] ~w_hat:[| 1. |]);
+  let tr = Reference.trace ~plan ~power ~totals ~e:[| 100. |] ~w_hat:[| 1. |] in
+  Alcotest.(check (float 1e-9)) "clamped" power.Model.v_min tr.Reference.voltages.(0);
+  Alcotest.(check bool) "finishes early" true (tr.Reference.finish_times.(0) < 100.)
 
 let test_vmax_clamp_on_infeasible () =
   (* A window too small for the quota prices at v_max (bounded), like
@@ -90,7 +95,7 @@ let test_vmax_clamp_on_infeasible () =
   in
   let totals = Objective.instance_totals Objective.Worst plan in
   let e = [| 1. |] in
-  let energy = Objective.eval ~plan ~power ~totals ~e ~w_hat:[| 20. |] in
+  let energy = eval ~plan ~power ~totals ~e ~w_hat:[| 20. |] in
   Alcotest.(check (float 1e-6)) "priced at v_max" (20. *. 16.) energy
 
 let test_zero_quota_skipped () =
@@ -98,13 +103,16 @@ let test_zero_quota_skipped () =
   let totals = Objective.instance_totals Objective.Average plan in
   (* Give task2 zero quota: its ACEC cannot run, no energy charged for
      it, task3 starts after task1. *)
-  let tr =
-    Objective.trace ~plan ~power ~totals ~e:[| 10.; 15.; 20. |]
-      ~w_hat:[| 20.; 0.; 20. |]
-  in
-  Alcotest.(check (float 0.)) "no voltage for empty sub" 0. tr.Objective.voltages.(1);
+  let e = [| 10.; 15.; 20. |] and w_hat = [| 20.; 0.; 20. |] in
+  (* t1 runs 10 at 2 V (40) and finishes at 5; t3 then stretches its
+     quota over [5, 20] at 4/3 V: 10 * 16/9. *)
+  Alcotest.(check (float 1e-9)) "only t1 and t3 charged"
+    (40. +. (10. *. 16. /. 9.))
+    (eval ~plan ~power ~totals ~e ~w_hat);
+  let tr = Reference.trace ~plan ~power ~totals ~e ~w_hat in
+  Alcotest.(check (float 0.)) "no voltage for empty sub" 0. tr.Reference.voltages.(1);
   Alcotest.(check (float 1e-9)) "t3 starts at t1 finish"
-    tr.Objective.finish_times.(0) tr.Objective.start_times.(2)
+    tr.Reference.finish_times.(0) tr.Reference.start_times.(2)
 
 let test_gradient_matches_numdiff_interior () =
   (* At a clean interior point of the motivational example the adjoint
@@ -113,9 +121,7 @@ let test_gradient_matches_numdiff_interior () =
   let totals = Objective.instance_totals Objective.Average plan in
   let e = [| 8.; 14.; 19.5 |] in
   let m = 3 in
-  let f x =
-    Objective.eval ~plan ~power ~totals ~e:(Array.sub x 0 m) ~w_hat:(Array.sub x m m)
-  in
+  let f x = eval ~plan ~power ~totals ~e:(Array.sub x 0 m) ~w_hat:(Array.sub x m m) in
   let x = Array.append e quotas3 in
   let _, de, dq = adjoint ~plan ~power ~totals ~e ~w_hat:quotas3 in
   let num = Reference.Numdiff.gradient ~h:1e-7 ~f x in
@@ -151,9 +157,7 @@ let test_gradient_random_feasible_points () =
             ek +. (Lepts_prng.Xoshiro256.float rng *. 0.7 *. (b -. ek)))
           e0
       in
-      let f x =
-        Objective.eval ~plan ~power ~totals ~e:(Array.sub x 0 m) ~w_hat:(Array.sub x m m)
-      in
+      let f x = eval ~plan ~power ~totals ~e:(Array.sub x 0 m) ~w_hat:(Array.sub x m m) in
       let x = Array.append e q0 in
       let fx, de, dq = adjoint ~plan ~power ~totals ~e ~w_hat:q0 in
       Alcotest.(check (float 1e-9)) "value agrees" (f x) fx;
@@ -176,7 +180,10 @@ let test_length_mismatch () =
   let totals = Objective.instance_totals Objective.Average plan in
   Alcotest.check_raises "bad lengths"
     (Invalid_argument "Objective: vector length does not match plan size") (fun () ->
-      ignore (Objective.eval ~plan ~power ~totals ~e:[| 1. |] ~w_hat:[| 1. |]))
+      ignore (eval ~plan ~power ~totals ~e:[| 1. |] ~w_hat:[| 1. |]));
+  Alcotest.check_raises "bad quota length"
+    (Invalid_argument "Objective: vector length does not match plan size") (fun () ->
+      ignore (eval ~plan ~power ~totals ~e:[| 10.; 15.; 20. |] ~w_hat:[| 1. |]))
 
 let test_instance_totals () =
   let plan = motivation_plan () in
@@ -185,8 +192,8 @@ let test_instance_totals () =
   Alcotest.(check (float 0.)) "acec" 10. avg.(0).(0);
   Alcotest.(check (float 0.)) "wcec" 20. worst.(2).(0)
 
-(* --- Workspace kernels: bit-for-bit parity with the allocating path and
-   the dense reference adjoint ---------------------------------------- *)
+(* --- Workspace kernels: bit-for-bit parity with the allocating
+   reference trace and the dense reference adjoint --------------------- *)
 
 let check_bits msg expect got =
   if not (Int64.equal (Int64.bits_of_float expect) (Int64.bits_of_float got)) then
@@ -220,7 +227,7 @@ let test_ws_eval_bitwise () =
       List.iter
         (fun (mode, e, w_hat) ->
           let totals = Objective.instance_totals mode plan in
-          let expect = Objective.eval ~plan ~power ~totals ~e ~w_hat in
+          let expect = Reference.eval ~plan ~power ~totals ~e ~w_hat in
           check_bits "eval_ws" expect (Objective.eval_ws ws ~power ~totals ~e ~w_hat);
           (* Same workspace again: reuse must not leak state between calls. *)
           check_bits "eval_ws (reused)" expect
@@ -236,7 +243,7 @@ let test_ws_eval_bitwise () =
   let totals = Objective.instance_totals Objective.Average tiny in
   let ws = Workspace.create tiny in
   check_bits "eval_ws (v_min clamp)"
-    (Objective.eval ~plan:tiny ~power ~totals ~e:[| 100. |] ~w_hat:[| 1. |])
+    (Reference.eval ~plan:tiny ~power ~totals ~e:[| 100. |] ~w_hat:[| 1. |])
     (Objective.eval_ws ws ~power ~totals ~e:[| 100. |] ~w_hat:[| 1. |])
 
 let test_ws_gradient_bitwise_random () =
@@ -308,10 +315,7 @@ let test_ws_gradient_branch_points_numdiff () =
     check_bits "branch value" fx fx_ws;
     check_bits_arr "branch de" de_ref de;
     check_bits_arr "branch dwq" dq_ref dwq;
-    let f x =
-      Objective.eval ~plan ~power ~totals ~e:(Array.sub x 0 m)
-        ~w_hat:(Array.sub x m m)
-    in
+    let f x = eval ~plan ~power ~totals ~e:(Array.sub x 0 m) ~w_hat:(Array.sub x m m) in
     let num = Reference.Numdiff.gradient ~h:1e-7 ~f (Array.append e w_hat) in
     Array.iteri
       (fun i a ->

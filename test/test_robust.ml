@@ -135,14 +135,13 @@ let test_runner_zero_spec_identity () =
     let s = Fault_injector.perturb Fault_injector.zero ~round plan ~totals in
     (s.Fault_injector.totals, Some s.Fault_injector.faults)
   in
-  let plain =
-    Runner.simulate ~rounds:40 ~schedule:acs ~policy:Policy.Greedy
-      ~rng:(Rng.create ~seed:17) ()
+  let run ?scenario () =
+    let rng = Rng.create ~seed:17 in
+    Runner.summarize
+      (Array.init 40 (fun r ->
+           Runner.round ?scenario ~schedule:acs ~policy:Policy.Greedy ~rng ~round:r ()))
   in
-  let faulted =
-    Runner.simulate ~rounds:40 ~scenario ~schedule:acs ~policy:Policy.Greedy
-      ~rng:(Rng.create ~seed:17) ()
-  in
+  let plain = run () and faulted = run ~scenario () in
   Alcotest.(check (float 0.)) "mean identical" plain.Runner.mean_energy
     faulted.Runner.mean_energy;
   Alcotest.(check (float 0.)) "stddev identical" plain.Runner.stddev_energy

@@ -10,6 +10,28 @@ module Sampler = Lepts_sim.Sampler
 
 let power = Model.ideal ~v_min:0.5 ~v_max:4. ()
 
+(* Energy recomputed from the spans, as a cross-check of the
+   simulator's accounting: a span of length [dt] at voltage [v] runs
+   [v * dt / c0] megacycles, priced by [Model.energy]. Spans do not
+   record their cycle counts, so it matches the simulator only up to
+   rounding, and it excludes voltage-transition energy. *)
+let trace_energy (t : Trace.t) ~power =
+  List.fold_left
+    (fun acc (s : Trace.span) ->
+      let dt = s.Trace.to_time -. s.Trace.from_time in
+      let cycles = s.Trace.voltage *. dt /. power.Model.c0 in
+      acc +. Model.energy power ~v:s.Trace.voltage ~cycles)
+    0. t.Trace.spans
+
+(* Processor-busy time over the horizon; 0 on an empty horizon. *)
+let utilization (t : Trace.t) =
+  if t.Trace.horizon <= 0. then 0.
+  else
+    List.fold_left
+      (fun acc (s : Trace.span) -> acc +. (s.Trace.to_time -. s.Trace.from_time))
+      0. t.Trace.spans
+    /. t.Trace.horizon
+
 let fixture ?(power = power) () =
   let ts =
     Task_set.scale_wcec_to_utilization
@@ -58,14 +80,14 @@ let test_trace_energy_crosscheck () =
         Event_sim.run_traced ~schedule:acs ~policy:Policy.Greedy ~totals ()
       in
       Alcotest.(check (float 1e-6)) "energy recomputable"
-        outcome.Lepts_sim.Outcome.energy (Trace.energy trace ~power))
+        outcome.Lepts_sim.Outcome.energy (trace_energy trace ~power))
     [ power; Model.ideal ~c0:2. ~c_eff:0.5 () ]
 
 let test_busy_time_bounds () =
   let acs = fixture () in
   let totals = Sampler.fixed acs.Static_schedule.plan ~value:`Wcec in
   let _, trace = Event_sim.run_traced ~schedule:acs ~policy:Policy.Greedy ~totals () in
-  let u = Trace.utilization trace in
+  let u = utilization trace in
   Alcotest.(check bool) "utilization in (0, 1]" true (u > 0. && u <= 1. +. 1e-9)
 
 let test_gantt_rendering () =
@@ -123,7 +145,7 @@ let test_spans_well_formed_under_faults () =
 
 let test_empty_trace () =
   let t = { Trace.spans = []; horizon = 0. } in
-  Alcotest.(check (float 0.)) "utilization 0" 0. (Trace.utilization t);
+  Alcotest.(check (float 0.)) "utilization 0" 0. (utilization t);
   let out = Format.asprintf "%a" (Trace.pp_gantt ?width:None ~n_tasks:2) t in
   Alcotest.(check bool) "renders placeholder" true (String.length out > 0)
 

@@ -3,39 +3,58 @@ open Lepts_core
 let check_arr name expected actual =
   Alcotest.(check (array (float 1e-9))) name expected actual
 
+(* One instance through the plan-wide kernels: the one-block index over
+   its quotas in order. *)
+let one_block quotas =
+  let n = Array.length quotas in
+  ([| 0; n |], Array.init n Fun.id)
+
+let split ~quotas ~total =
+  let off, idx = one_block quotas in
+  let into = Array.make (Array.length quotas) nan in
+  Waterfall.distribute_blocks ~off ~idx ~totals:[| [| total |] |] ~quotas ~into;
+  into
+
+let backward ~quotas ~total ~adjoint =
+  let off, idx = one_block quotas in
+  let into = Array.make (Array.length quotas) 0. in
+  Waterfall.backward_add_blocks ~off ~idx ~totals:[| [| total |] |] ~quotas ~adjoint
+    ~into;
+  into
+
 (* The paper's Fig 5 example: ACEC 15, WCEC 30 split over three
    sub-instances of quota 10 each -> executed 10 / 5 / 0. *)
 let test_paper_fig5 () =
   check_arr "fig5" [| 10.; 5.; 0. |]
-    (Waterfall.distribute ~quotas:[| 10.; 10.; 10. |] ~total:15.)
+    (split ~quotas:[| 10.; 10.; 10. |] ~total:15.)
 
 let test_total_zero () =
-  check_arr "all zero" [| 0.; 0. |] (Waterfall.distribute ~quotas:[| 3.; 4. |] ~total:0.)
+  check_arr "all zero" [| 0.; 0. |] (split ~quotas:[| 3.; 4. |] ~total:0.)
 
 let test_total_equals_sum () =
-  check_arr "all full" [| 3.; 4. |] (Waterfall.distribute ~quotas:[| 3.; 4. |] ~total:7.)
+  check_arr "all full" [| 3.; 4. |] (split ~quotas:[| 3.; 4. |] ~total:7.)
 
 let test_total_exceeds_sum () =
   (* Overflow beyond the quota sum is dropped (callers bound totals by
      the WCEC). *)
-  check_arr "capped" [| 3.; 4. |] (Waterfall.distribute ~quotas:[| 3.; 4. |] ~total:100.)
+  check_arr "capped" [| 3.; 4. |] (split ~quotas:[| 3.; 4. |] ~total:100.)
 
 let test_zero_quotas_passthrough () =
   check_arr "zeros skipped" [| 0.; 5.; 0.; 2. |]
-    (Waterfall.distribute ~quotas:[| 0.; 5.; 0.; 3. |] ~total:7.)
+    (split ~quotas:[| 0.; 5.; 0.; 3. |] ~total:7.)
 
 let test_empty () =
-  check_arr "empty" [||] (Waterfall.distribute ~quotas:[||] ~total:0.)
+  check_arr "empty" [||] (split ~quotas:[||] ~total:0.)
 
 let test_invalid () =
   Alcotest.check_raises "negative total" (Invalid_argument "Waterfall: negative total")
-    (fun () -> ignore (Waterfall.distribute ~quotas:[| 1. |] ~total:(-1.)));
+    (fun () -> ignore (split ~quotas:[| 1. |] ~total:(-1.)));
   Alcotest.check_raises "negative quota" (Invalid_argument "Waterfall: negative quota")
-    (fun () -> ignore (Waterfall.distribute ~quotas:[| -1. |] ~total:1.))
+    (fun () -> ignore (split ~quotas:[| -1. |] ~total:1.))
 
-(* The plan-wide kernels against the per-instance oracles, bit for bit,
-   on random block layouts over a shuffled index: partial, exactly
-   filled and overflowing totals, zero totals and zero quotas, ties.
+(* The plan-wide kernels against the per-instance reference oracles, bit
+   for bit, on random block layouts over a shuffled index: partial,
+   exactly filled and overflowing totals, zero totals and zero quotas, ties.
    The adjoint kernel adds into a prefilled buffer (signed zeros
    included), so the expectation is that buffer plus [backward]. *)
 let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
@@ -102,8 +121,8 @@ let test_blocks_match_per_instance () =
     for b = 0 to n_blocks - 1 do
       let q = block_quotas b and total = total_of b in
       let a = Array.init lengths.(b) (fun p -> adjoint.(idx.(off.(b) + p))) in
-      let expect_split = Waterfall.distribute ~quotas:q ~total in
-      let expect_back = Waterfall.backward ~quotas:q ~total ~adjoint:a in
+      let expect_split = Reference.Waterfall.distribute ~quotas:q ~total in
+      let expect_back = Reference.Waterfall.backward ~quotas:q ~total ~adjoint:a in
       Array.iteri
         (fun p w ->
           let k = idx.(off.(b) + p) in
@@ -151,7 +170,7 @@ let qcheck_tests =
         let quotas = Array.of_list quotas_list in
         let quota_sum = Array.fold_left ( +. ) 0. quotas in
         let total = Float.min total quota_sum in
-        let dist = Waterfall.distribute ~quotas ~total in
+        let dist = split ~quotas ~total in
         let dist_sum = Array.fold_left ( +. ) 0. dist in
         (* conservation *)
         Float.abs (dist_sum -. total) < 1e-9
@@ -174,7 +193,7 @@ let qcheck_tests =
         let total = Float.min total (0.9 *. quota_sum) in
         let n = Array.length quotas in
         let adjoint = Array.init n (fun i -> 1. +. float_of_int i) in
-        let back = Waterfall.backward ~quotas ~total ~adjoint in
+        let back = backward ~quotas ~total ~adjoint in
         (* Compare against numerical J^T adjoint away from kinks. *)
         let h = 1e-6 in
         let ok = ref true in
@@ -182,7 +201,7 @@ let qcheck_tests =
           let bump delta =
             let q' = Array.copy quotas in
             q'.(l) <- Float.max 0. (q'.(l) +. delta);
-            let d = Waterfall.distribute ~quotas:q' ~total in
+            let d = split ~quotas:q' ~total in
             Array.to_list d
           in
           let plus = bump h and minus = bump (-.h) in
