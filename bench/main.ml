@@ -7,8 +7,7 @@
      and of small ACS solves;
    - the saturated CNC multi-start on the domain pool against the
      sequential solve;
-   - warm against cold: a CNC ratio continuation and a reduced
-     Fig 6(a) sweep;
+   - warm against cold: a CNC ratio continuation;
    - solver work: inner iterations and minor words of the 660- and
      1936-sub ACS solves, gated against counts recorded below;
    - the per-record cost of solver telemetry.
@@ -19,7 +18,7 @@
    Usage: main.exe [--json FILE] [--quick] [--max-telemetry-overhead-ns N]
                    [--min-vs-sequential X] [--min-warm-speedup X]
    --quick shortens every section (the CI smoke run); --json writes the
-   summary (schema lepts-bench-solver/9). A violated gate prints a FAIL
+   summary (schema lepts-bench-solver/10). A violated gate prints a FAIL
    line and exits 1. *)
 
 module Model = Lepts_power.Model
@@ -90,17 +89,6 @@ type json =
   | Obj of (string * json) list
   | List of json list
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Containers holding only scalars print on one line, others one
    member per line. *)
 let rec emit b indent = function
@@ -108,7 +96,7 @@ let rec emit b indent = function
   | Int x -> Buffer.add_string b (string_of_int x)
   | Num x when Float.is_finite x -> Printf.bprintf b "%.3f" x
   | Num _ -> Buffer.add_string b "null"
-  | Str s -> Printf.bprintf b "\"%s\"" (json_escape s)
+  | Str s -> Printf.bprintf b "\"%s\"" (Lepts_obs.Export.json_escape s)
   | Obj fields -> members b indent '{' '}' (List.map (fun (k, v) -> (Some k, v)) fields)
   | List items -> members b indent '[' ']' (List.map (fun v -> (None, v)) items)
 
@@ -122,7 +110,9 @@ and members b indent opening closing items =
     (fun i (key, v) ->
       if nested then Buffer.add_string b ((if i = 0 then "\n" else ",\n") ^ pad)
       else if i > 0 then Buffer.add_string b ", ";
-      Option.iter (fun k -> Printf.bprintf b "\"%s\": " (json_escape k)) key;
+      Option.iter
+        (fun k -> Printf.bprintf b "\"%s\": " (Lepts_obs.Export.json_escape k))
+        key;
       emit b (indent + 2) v)
     items;
   if nested then Buffer.add_string b ("\n" ^ String.make indent ' ');
@@ -324,33 +314,6 @@ let continuation_row ~quick ~min_warm_speedup =
     [ ("close_per_point", Bool close); ("total_never_worse", Bool never_worse);
       ("first_point_bit_identical", Bool first_identical) ]
 
-(* Cold against warm reduced Fig 6(a) sweep: with [~warm_start] each
-   set's ACS solve is one continuation descent from its WCS solution
-   instead of the full multi-start. Misses must stay zero either way. *)
-let fig6a_row ~quick =
-  let config =
-    { Experiments.Fig6a.paper_config with
-      task_counts = (if quick then [ 4 ] else [ 4; 6 ]);
-      ratios = [ 0.1 ];
-      sets_per_point = (if quick then 2 else 3);
-      rounds = (if quick then 30 else 50) }
-  in
-  let run warm_start () = Experiments.Fig6a.run ~warm_start config ~power in
-  let cold_s, warm_s, cold, warm =
-    pairs ~k:(if quick then 1 else 3) (run false) (run true)
-  in
-  let misses =
-    List.fold_left (fun acc (p : Experiments.Fig6a.point) -> acc + p.total_misses) 0
-  in
-  let plan = Printf.sprintf "fig6a reduced sweep (%d points)" (List.length cold) in
-  Printf.printf "  warm %s: cold %s, warm %s, cold/warm %s, misses %d/%d\n%!" plan
-    (show ~unit:"s" (spread cold_s)) (show ~unit:"s" (spread warm_s))
-    (show ~unit:"x" (speedup cold_s warm_s)) (misses cold) (misses warm);
-  check (misses cold = 0 && misses warm = 0)
-    "fig6a sweep produced deadline misses (%d cold, %d warm)" (misses cold) (misses warm);
-  warm_json ~plan ~cold_s ~warm_s
-    [ ("cold_misses", Int (misses cold)); ("warm_misses", Int (misses warm)) ]
-
 (* ----- solver work ------------------------------------------------------ *)
 
 (* The two largest plans, 660 subs under the default expansion cap and
@@ -493,7 +456,6 @@ let () =
   let continuation =
     continuation_row ~quick ~min_warm_speedup:(float_flag "--min-warm-speedup")
   in
-  let fig6a = fig6a_row ~quick in
   let work = work_section ~quick in
   let telemetry =
     telemetry_section ~quick
@@ -504,9 +466,9 @@ let () =
       let b = Buffer.create 4096 in
       emit b 0
         (Obj
-           [ ("schema", Str "lepts-bench-solver/9"); ("quick", Bool quick);
+           [ ("schema", Str "lepts-bench-solver/10"); ("quick", Bool quick);
              ("cores", Int cores); kernels; parallel;
-             ("warm_start", Obj [ ("continuation", continuation); ("fig6a", fig6a) ]);
+             ("warm_start", Obj [ ("continuation", continuation) ]);
              work; telemetry ]);
       Buffer.add_char b '\n';
       Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc b);

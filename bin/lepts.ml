@@ -49,16 +49,6 @@ let resolve_jobs jobs =
   else if jobs = 0 then Lepts_par.Pool.default_jobs ()
   else jobs
 
-let warm_start_arg =
-  Arg.(value & flag
-       & info [ "warm-start" ]
-           ~doc:"Run each ACS solve as one continuation descent seeded from \
-                 the WCS solution instead of the full multi-start. Faster on \
-                 sweeps and never worse than the seed, but it may settle in \
-                 a different local optimum than the cold multi-start, so the \
-                 flag is part of the checkpoint fingerprint. Results remain \
-                 bit-identical for every -j value.")
-
 let progress line =
   print_endline line;
   flush stdout
@@ -209,7 +199,7 @@ let motivation_cmd ~profile =
 (* --- fig6a ------------------------------------------------------------- *)
 
 let fig6a_cmd ~profile =
-  let run verbose sets rounds seed jobs warm_start v_min v_max checkpoint resume
+  let run verbose sets rounds seed jobs v_min v_max checkpoint resume
       telemetry_file =
     setup_logs verbose;
     let jobs = resolve_jobs jobs in
@@ -224,8 +214,8 @@ let fig6a_cmd ~profile =
       Checkpoint.fingerprint
         ~parts:
           [ "fig6a"; "layout:cells-largest-first"; string_of_int sets;
-            string_of_int rounds; string_of_int seed; string_of_bool warm_start;
-            string_of_float v_min; string_of_float v_max ]
+            string_of_int rounds; string_of_int seed; string_of_float v_min;
+            string_of_float v_max ]
     in
     with_observability ~command:"fig6a" ~profile ~telemetry_file
     @@ fun telemetry ->
@@ -233,8 +223,8 @@ let fig6a_cmd ~profile =
     @@ fun session should_stop ->
     let t0 = Unix.gettimeofday () in
     let points =
-      Experiments.Fig6a.run ~progress ~jobs ~warm_start ?telemetry
-        ?checkpoint:session ~should_stop config ~power
+      Experiments.Fig6a.run ~progress ~jobs ?telemetry ?checkpoint:session
+        ~should_stop config ~power
     in
     let elapsed = Unix.gettimeofday () -. t0 in
     print_endline "Fig 6(a): ACS improvement over WCS, random task sets:";
@@ -254,14 +244,13 @@ let fig6a_cmd ~profile =
   Cmd.v
     (Cmd.info "fig6a" ~doc:"Reproduce Fig 6(a): improvement vs task count and BCEC/WCEC ratio.")
     Term.(const run $ verbose_arg $ sets $ rounds_arg 1000 $ seed_arg $ jobs_arg
-          $ warm_start_arg $ v_min_arg $ v_max_arg $ checkpoint_arg $ resume_arg
-          $ telemetry_arg)
+          $ v_min_arg $ v_max_arg $ checkpoint_arg $ resume_arg $ telemetry_arg)
 
 (* --- fig6b ------------------------------------------------------------- *)
 
 let fig6b_cmd ~profile =
-  let run verbose rounds seed jobs warm_start v_min v_max no_gap checkpoint
-      resume telemetry_file =
+  let run verbose rounds seed jobs v_min v_max no_gap checkpoint resume
+      telemetry_file =
     setup_logs verbose;
     let jobs = resolve_jobs jobs in
     let power = power_of ~v_min ~v_max in
@@ -272,16 +261,16 @@ let fig6b_cmd ~profile =
       Checkpoint.fingerprint
         ~parts:
           [ "fig6b"; string_of_int rounds; string_of_int seed;
-            string_of_bool (not no_gap); string_of_bool warm_start;
-            string_of_float v_min; string_of_float v_max ]
+            string_of_bool (not no_gap); string_of_float v_min;
+            string_of_float v_max ]
     in
     with_observability ~command:"fig6b" ~profile ~telemetry_file
     @@ fun telemetry ->
     with_session ~checkpoint ~resume ~fingerprint
     @@ fun session should_stop ->
     let points =
-      Experiments.Fig6b.run ~progress ~jobs ~warm_start ?telemetry
-        ?checkpoint:session ~should_stop config ~power
+      Experiments.Fig6b.run ~progress ~jobs ?telemetry ?checkpoint:session
+        ~should_stop config ~power
     in
     print_endline "Fig 6(b): ACS improvement over WCS, real-life applications:";
     Lepts_util.Table.print (Experiments.Fig6b.to_table points);
@@ -293,8 +282,8 @@ let fig6b_cmd ~profile =
   Cmd.v
     (Cmd.info "fig6b" ~doc:"Reproduce Fig 6(b): improvement on the CNC and GAP task sets.")
     Term.(const run $ verbose_arg $ rounds_arg 1000 $ seed_arg $ jobs_arg
-          $ warm_start_arg $ v_min_arg $ v_max_arg $ no_gap $ checkpoint_arg
-          $ resume_arg $ telemetry_arg)
+          $ v_min_arg $ v_max_arg $ no_gap $ checkpoint_arg $ resume_arg
+          $ telemetry_arg)
 
 (* --- schedule ---------------------------------------------------------- *)
 
@@ -327,7 +316,7 @@ let schedule_cmd ~profile =
 (* --- random ------------------------------------------------------------ *)
 
 let random_cmd ~profile =
-  let run verbose n ratio rounds seed jobs warm_start v_min v_max checkpoint resume
+  let run verbose n ratio rounds seed jobs v_min v_max checkpoint resume
       telemetry_file =
     setup_logs verbose;
     let jobs = resolve_jobs jobs in
@@ -338,8 +327,7 @@ let random_cmd ~profile =
       Checkpoint.fingerprint
         ~parts:
           [ "random"; string_of_int n; string_of_float ratio;
-            string_of_int rounds; string_of_int seed;
-            string_of_bool warm_start; string_of_float v_min;
+            string_of_int rounds; string_of_int seed; string_of_float v_min;
             string_of_float v_max ]
     in
     with_observability ~command:"random" ~profile ~telemetry_file
@@ -353,8 +341,8 @@ let random_cmd ~profile =
     | Ok ts -> (
       Format.printf "task set: %a@." Task_set.pp ts;
       match
-        Experiments.Improvement.measure ~rounds ~jobs ~warm_start
-          ?telemetry ~telemetry_tag:"random" ?checkpoint:session ~should_stop
+        Experiments.Improvement.measure ~rounds ~jobs ?telemetry
+          ~telemetry_tag:"random" ?checkpoint:session ~should_stop
           ~task_set:ts ~power ~sim_seed:(seed + 1) ()
       with
       | Error e -> Format.printf "error: %a@." Solver.pp_error e
@@ -370,8 +358,7 @@ let random_cmd ~profile =
   Cmd.v
     (Cmd.info "random" ~doc:"Generate one random task set and measure ACS vs WCS.")
     Term.(const run $ verbose_arg $ n $ ratio $ rounds_arg 1000 $ seed_arg $ jobs_arg
-          $ warm_start_arg $ v_min_arg $ v_max_arg $ checkpoint_arg $ resume_arg
-          $ telemetry_arg)
+          $ v_min_arg $ v_max_arg $ checkpoint_arg $ resume_arg $ telemetry_arg)
 
 (* --- policies ---------------------------------------------------------- *)
 
@@ -397,7 +384,7 @@ let policies_cmd ~profile =
 (* --- ablations ---------------------------------------------------------- *)
 
 let ablations_cmd ~profile =
-  let run verbose rounds seed jobs warm_start v_min v_max =
+  let run verbose rounds seed jobs v_min v_max =
     setup_logs verbose;
     let jobs = resolve_jobs jobs in
     with_observability ~command:"ablations" ~profile ~telemetry_file:None
@@ -411,15 +398,13 @@ let ablations_cmd ~profile =
         Lepts_util.Table.print table
     in
     show "NLP formulations (slack vs paper-literal)"
-      (Experiments.Ablations.formulations ~jobs ~warm_start ~task_set:ts ~power ());
+      (Experiments.Ablations.formulations ~jobs ~task_set:ts ~power ());
     show "Objectives (WCS vs ACS vs stochastic)"
-      (Experiments.Ablations.objectives ~rounds ~jobs ~warm_start ~task_set:ts
-         ~power ~seed ());
+      (Experiments.Ablations.objectives ~rounds ~jobs ~task_set:ts ~power ~seed ());
     show "Voltage quantization"
-      (Experiments.Ablations.quantization ~rounds ~jobs ~warm_start ~task_set:ts
-         ~power ~seed ());
+      (Experiments.Ablations.quantization ~rounds ~jobs ~task_set:ts ~power ~seed ());
     show "Scheduling structures (preemptive vs non-preemptive vs YDS bound)"
-      (Experiments.Ablations.structures ~jobs ~warm_start ~task_set:ts ~power ());
+      (Experiments.Ablations.structures ~jobs ~task_set:ts ~power ());
     (match
        Experiments.Distribution_sweep.run ~rounds ~jobs ~task_set:ts ~power ~seed ()
      with
@@ -440,7 +425,7 @@ let ablations_cmd ~profile =
     (Cmd.info "ablations"
        ~doc:"Run the design-choice ablations from DESIGN.md on the CNC task set.")
     Term.(const run $ verbose_arg $ rounds_arg 500 $ seed_arg $ jobs_arg
-          $ warm_start_arg $ v_min_arg $ v_max_arg)
+          $ v_min_arg $ v_max_arg)
 
 (* --- utilization sweep --------------------------------------------------- *)
 
@@ -470,19 +455,14 @@ let utilization_cmd ~profile =
 let faults_cmd ~profile =
   let run verbose n ratio rounds seed jobs v_min v_max overrun_prob
       overrun_factor jitter_prob jitter_frac denial_prob no_shed no_escalate
-      adaptive estimator_kind ewma_alpha window drift_threshold hysteresis
+      adaptive ewma_alpha drift_threshold hysteresis
       resolve_every resolve_budget fail_on_degraded checkpoint resume
       telemetry_file =
     setup_logs verbose;
     let jobs = resolve_jobs jobs in
     let adaptive_config =
-      let predictor =
-        match estimator_kind with
-        | `Ewma -> Lepts_sim.Estimator.Ewma { alpha = ewma_alpha }
-        | `Linear -> Lepts_sim.Estimator.Linear_rate { window }
-      in
       { Lepts_robust.Adaptive.estimator =
-          { Lepts_sim.Estimator.predictor; drift_threshold; hysteresis;
+          { Lepts_sim.Estimator.alpha = ewma_alpha; drift_threshold; hysteresis;
             resolve_budget };
         resolve_every }
     in
@@ -660,22 +640,10 @@ let faults_cmd ~profile =
                    bit-identical for every -j value (CI-gated). The sweep \
                    is a chained unit of work and is not checkpointed.")
   in
-  let estimator_kind =
-    Arg.(value & opt (enum [ ("ewma", `Ewma); ("linear", `Linear) ]) `Ewma
-         & info [ "estimator" ] ~docv:"KIND"
-             ~doc:"ACEC predictor: $(b,ewma) (exponentially weighted moving \
-                   average) or $(b,linear) (linear-rate extrapolation over \
-                   the last --estimator-window observations).")
-  in
   let ewma_alpha =
     Arg.(value & opt float 0.2
          & info [ "ewma-alpha" ] ~docv:"A"
              ~doc:"EWMA smoothing factor in (0, 1]; larger forgets faster.")
-  in
-  let window =
-    Arg.(value & opt int 8
-         & info [ "estimator-window" ] ~docv:"N"
-             ~doc:"Observation window of the linear-rate predictor (>= 1).")
   in
   let drift_threshold =
     Arg.(value & opt float 0.1
@@ -712,8 +680,8 @@ let faults_cmd ~profile =
     Term.(const run $ verbose_arg $ n $ ratio $ rounds_arg 500 $ seed_arg
           $ jobs_arg $ v_min_arg $ v_max_arg $ overrun_prob
           $ overrun_factor $ jitter_prob $ jitter_frac $ denial_prob $ no_shed
-          $ no_escalate $ adaptive $ estimator_kind $ ewma_alpha $ window
-          $ drift_threshold $ hysteresis $ resolve_every $ resolve_budget
+          $ no_escalate $ adaptive $ ewma_alpha $ drift_threshold $ hysteresis
+          $ resolve_every $ resolve_budget
           $ fail_on_degraded $ checkpoint_arg $ resume_arg $ telemetry_arg)
 
 (* --- serve --------------------------------------------------------------- *)
@@ -790,46 +758,36 @@ let serve_cmd ~profile =
       let source =
         match (socket_path, spool_dir, replay_path) with
         | Some path, _, _ ->
-          Some
-            (Lepts_serve.Transport.socket ~accept_backlog ~read_timeout_ms
-               ~max_line_bytes ~idle_exit_ms ?chaos ~path ())
+          Lepts_serve.Transport.socket ~accept_backlog ~read_timeout_ms
+            ~max_line_bytes ~idle_exit_ms ?chaos ~path ()
         | None, Some dir, _ ->
-          Some
-            (Lepts_serve.Transport.spool ~max_line_bytes ~idle_exit_ms ?chaos
-               ~dir ())
-        | None, None, Some path -> Some (Lepts_serve.Transport.replay ~path)
-        | None, None, None -> None
+          Lepts_serve.Transport.spool ~max_line_bytes ~idle_exit_ms ?chaos ~dir ()
+        | None, None, Some path -> Lepts_serve.Transport.replay ~path
+        | None, None, None -> (
+          let read ic = String.split_on_char '\n' (In_channel.input_all ic) in
+          let lines () =
+            match input with
+            | None -> read stdin
+            | Some path -> In_channel.with_open_bin path read
+          in
+          match lines () with
+          | exception Sys_error msg -> Error msg
+          | lines ->
+            Ok
+              (Lepts_serve.Transport.of_lines ?chaos
+                 (List.filter (fun l -> String.trim l <> "") lines)))
       in
       match source with
-      | Some (Error msg) ->
+      | Error msg ->
         prerr_endline ("lepts serve: " ^ msg);
         2
-      | Some (Ok source) ->
-        let result =
-          Fun.protect
-            ~finally:(fun () -> Lepts_serve.Transport.close source)
-            (fun () ->
-              Lepts_serve.Daemon.run_source ~config ~power ?chaos
-                ~should_stop:Drain.requested ~source ())
-        in
-        finish result
-      | None ->
-        let lines =
-          let ic =
-            match input with None -> stdin | Some path -> open_in path
-          in
-          let rec read acc =
-            match input_line ic with
-            | line -> read (line :: acc)
-            | exception End_of_file -> List.rev acc
-          in
-          let lines = read [] in
-          (match input with Some _ -> close_in ic | None -> ());
-          List.filter (fun l -> String.trim l <> "") lines
-        in
+      | Ok source ->
         finish
-          (Lepts_serve.Daemon.run ~config ~power ?chaos
-             ~should_stop:Drain.requested ~lines ()))
+          (Fun.protect
+             ~finally:(fun () -> Lepts_serve.Transport.close source)
+             (fun () ->
+               Lepts_serve.Daemon.run_source ~config ~power ?chaos
+                 ~should_stop:Drain.requested ~source ())))
   in
   let input =
     Arg.(value & opt (some string) None

@@ -196,9 +196,7 @@ val solve_warm :
     [jobs] parallelises only the two cold branches; the continuation
     itself is a single descent, so its result is the same for every
     [jobs] value. Note the warm pick may differ from the cold
-    multi-start's (fewer basins explored), so callers that persist
-    results must treat warm-started runs as a distinct configuration
-    (the CLI puts [--warm-start] in the checkpoint fingerprint). *)
+    multi-start's (fewer basins explored). *)
 
 val solve_stochastic :
   ?jobs:int ->

@@ -115,4 +115,3 @@ let create (plan : Plan.t) =
     pen_valid = false }
 
 let plan t = t.plan
-let size t = t.m

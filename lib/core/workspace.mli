@@ -76,4 +76,3 @@ val create : Lepts_preempt.Plan.t -> t
     objective evaluation, so create once per solve and reuse). *)
 
 val plan : t -> Lepts_preempt.Plan.t
-val size : t -> int

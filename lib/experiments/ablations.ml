@@ -9,68 +9,43 @@ module Runner = Lepts_sim.Runner
 module Rng = Lepts_prng.Xoshiro256
 module Table = Lepts_util.Table
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-(* The ACS arm shared by the ablations: the cold multi-start, or — with
-   [warm_start] — one {!Solver.solve_warm} continuation seeded from a
-   fresh WCS solve (the same reduction {!objectives} uses). *)
-let solve_acs_arm ~jobs ~warm_start ~plan ~power () =
-  if warm_start then
-    match Solver.solve_wcs ~jobs ~plan ~power () with
-    | Error _ as err -> err
-    | Ok (wcs, _) ->
-      Solver.solve_warm ~jobs ~mode:Objective.Average ~prev:wcs ~plan ~power ()
-  else Solver.solve_acs ~jobs ~plan ~power ()
-
-let formulations ?(jobs = 1) ?(warm_start = false) ~task_set ~power () =
+let formulations ?(jobs = 1) ~task_set ~power () =
   let plan = Plan.expand task_set in
-  let slack, slack_t =
-    time (fun () -> solve_acs_arm ~jobs ~warm_start ~plan ~power ())
-  in
-  match slack with
+  match Solver.solve_acs ~jobs ~plan ~power () with
   | Error _ as err -> err
   | Ok (_, slack_stats) -> (
-    let literal, literal_t =
-      time (fun () -> Literal_nlp.solve ~mode:Objective.Average ~plan ~power ())
-    in
-    match literal with
+    (* Solve times go to the span profile ([lepts profile ablations]
+       shows [solve:acs] and [solve:literal] on stderr), not into the
+       table: stdout stays byte-identical across runs and [-j]. *)
+    match
+      Lepts_obs.Span.with_ ~name:"solve:literal" (fun () ->
+          Literal_nlp.solve ~mode:Objective.Average ~plan ~power ())
+    with
     | Error _ as err -> err
     | Ok (_, literal_stats) ->
       let table =
-        Table.create ~header:[ "formulation"; "avg energy"; "violation"; "time (s)" ]
+        Table.create ~header:[ "formulation"; "avg energy"; "violation" ]
       in
       Table.add_row table
         [ "slack (production)";
           Table.float_cell slack_stats.Solver.objective;
-          Printf.sprintf "%.1e" slack_stats.Solver.max_violation;
-          Table.float_cell slack_t ];
+          Printf.sprintf "%.1e" slack_stats.Solver.max_violation ];
       Table.add_row table
         [ "literal (paper eqns)";
           Table.float_cell literal_stats.Solver.objective;
-          Printf.sprintf "%.1e" literal_stats.Solver.max_violation;
-          Table.float_cell literal_t ];
+          Printf.sprintf "%.1e" literal_stats.Solver.max_violation ];
       Ok table)
 
 let simulate ?(jobs = 1) ~rounds ~schedule ~policy ~seed () =
   Runner.simulate ~rounds ~jobs ~schedule ~policy ~rng:(Rng.create ~seed) ()
 
-let objectives ?(rounds = 500) ?(jobs = 1) ?(warm_start = false) ~task_set
-    ~power ~seed () =
+let objectives ?(rounds = 500) ?(jobs = 1) ~task_set ~power ~seed () =
   let plan = Plan.expand task_set in
   match Solver.solve_wcs ~jobs ~plan ~power () with
   | Error _ as err -> err
   | Ok (wcs, _) -> (
     let warm = [ (wcs.Static_schedule.end_times, wcs.Static_schedule.quotas) ] in
-    let acs_result =
-      if warm_start then
-        Solver.solve_warm ~jobs ~mode:Lepts_core.Objective.Average ~prev:wcs
-          ~plan ~power ()
-      else Solver.solve_acs ~jobs ~warm_starts:warm ~plan ~power ()
-    in
-    match acs_result with
+    match Solver.solve_acs ~jobs ~warm_starts:warm ~plan ~power () with
     | Error _ as err -> err
     | Ok (acs, _) -> (
       match
@@ -94,10 +69,10 @@ let objectives ?(rounds = 500) ?(jobs = 1) ?(warm_start = false) ~task_set
             ("stochastic (12 scenarios)", stochastic) ];
         Ok table))
 
-let quantization ?(rounds = 500) ?(steps = [ 4; 8; 16 ]) ?(jobs = 1)
-    ?(warm_start = false) ~task_set ~power ~seed () =
+let quantization ?(rounds = 500) ?(steps = [ 4; 8; 16 ]) ?(jobs = 1) ~task_set
+    ~power ~seed () =
   let plan = Plan.expand task_set in
-  match solve_acs_arm ~jobs ~warm_start ~plan ~power () with
+  match Solver.solve_acs ~jobs ~plan ~power () with
   | Error _ as err -> err
   | Ok (acs, _) ->
     let table = Table.create ~header:[ "voltage levels"; "sim mean energy"; "overhead" ] in
@@ -123,9 +98,9 @@ let quantization ?(rounds = 500) ?(steps = [ 4; 8; 16 ]) ?(jobs = 1)
       steps;
     Ok table
 
-let structures ?(jobs = 1) ?(warm_start = false) ~task_set ~power () =
+let structures ?(jobs = 1) ~task_set ~power () =
   let preemptive = Plan.expand task_set in
-  match solve_acs_arm ~jobs ~warm_start ~plan:preemptive ~power () with
+  match Solver.solve_acs ~jobs ~plan:preemptive ~power () with
   | Error _ as err -> err
   | Ok (p_acs, p_stats) ->
     let table =
@@ -136,8 +111,7 @@ let structures ?(jobs = 1) ?(warm_start = false) ~task_set ~power () =
         string_of_int (Plan.size preemptive);
         Table.float_cell p_stats.Solver.objective ];
     (match
-       solve_acs_arm ~jobs ~warm_start
-         ~plan:(Plan.expand_nonpreemptive task_set) ~power ()
+       Solver.solve_acs ~jobs ~plan:(Plan.expand_nonpreemptive task_set) ~power ()
      with
     | Error _ ->
       Table.add_row table [ "non-preemptive"; "-"; "unschedulable" ]

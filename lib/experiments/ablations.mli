@@ -5,7 +5,8 @@
 
     - {!formulations}: the production slack-parametrised NLP vs the
       paper-literal constrained formulation (predicted energy and
-      solve time);
+      constraint violation; the solve times are the [solve:acs] and
+      [solve:literal] spans of [lepts profile ablations]);
     - {!objectives}: ACS (ACEC point) vs the stochastic
       probability-weighted objective vs WCS, judged by simulated mean
       energy;
@@ -17,19 +18,10 @@
 
     Every comparison accepts [jobs] (default 1): it parallelises the
     solver's multi-start and, where a simulation is involved, the
-    simulation rounds — tables are bit-identical for every value.
-
-    Every comparison also accepts [warm_start] (default [false]): each
-    ACS-style solve becomes one continuation descent from a fresh WCS
-    solution ({!Lepts_core.Solver.solve_warm}) instead of the cold
-    multi-start — faster, never worse than the WCS seed, but a distinct
-    configuration (fewer basins explored), so persisted results must
-    key on the flag (the CLI folds [--warm-start] into its checkpoint
-    fingerprint). *)
+    simulation rounds — tables are bit-identical for every value. *)
 
 val formulations :
   ?jobs:int ->
-  ?warm_start:bool ->
   task_set:Lepts_task.Task_set.t ->
   power:Lepts_power.Model.t ->
   unit ->
@@ -38,20 +30,16 @@ val formulations :
 val objectives :
   ?rounds:int ->
   ?jobs:int ->
-  ?warm_start:bool ->
   task_set:Lepts_task.Task_set.t ->
   power:Lepts_power.Model.t ->
   seed:int ->
   unit ->
   (Lepts_util.Table.t, Lepts_core.Solver.error) result
-(** [warm_start] here reuses the WCS arm the table already solves as the
-    continuation seed, so it costs nothing extra. *)
 
 val quantization :
   ?rounds:int ->
   ?steps:int list ->
   ?jobs:int ->
-  ?warm_start:bool ->
   task_set:Lepts_task.Task_set.t ->
   power:Lepts_power.Model.t ->
   seed:int ->
@@ -60,7 +48,6 @@ val quantization :
 
 val structures :
   ?jobs:int ->
-  ?warm_start:bool ->
   task_set:Lepts_task.Task_set.t ->
   power:Lepts_power.Model.t ->
   unit ->

@@ -42,20 +42,3 @@ let run ?(warm = false) ?jobs ?(mode = Lepts_core.Objective.Average) ~ratios
   match go None [] ratios with
   | Error _ as err -> err
   | Ok points -> Ok { points; total_s = Unix.gettimeofday () -. t0; warm }
-
-let to_table r =
-  let table =
-    Lepts_util.Table.create
-      ~header:[ "BCEC/WCEC"; "energy"; "solve (s)"; "outer"; "inner"; "seeded" ]
-  in
-  List.iter
-    (fun p ->
-      Lepts_util.Table.add_row table
-        [ Lepts_util.Table.float_cell ~decimals:1 p.ratio;
-          Lepts_util.Table.float_cell p.predicted_energy;
-          Lepts_util.Table.float_cell p.solve_s;
-          string_of_int p.outer_iterations;
-          string_of_int p.inner_iterations;
-          string_of_bool p.continued ])
-    r.points;
-  table

@@ -43,5 +43,3 @@ val run :
     branches); warm continuations are a single descent. [mode]
     defaults to {!Lepts_core.Objective.Average} (ACS). Fails with the
     first point's solver error, if any. *)
-
-val to_table : t -> Lepts_util.Table.t

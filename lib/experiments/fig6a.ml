@@ -60,7 +60,7 @@ let set_of_fields = function
 (* One set: generate → solve → simulate, from seeds that depend only on
    its (task count, ratio, set) triple, so sets are independent and
    reproducible whichever domain runs them and in whatever order. *)
-let measure_set ~jobs ~warm_start ?telemetry config ~power ~n_tasks ~ratio set =
+let measure_set ~jobs ?telemetry config ~power ~n_tasks ~ratio set =
   let gen_seed =
     config.seed + (1_000_000 * n_tasks) + (10_000 * int_of_float (ratio *. 100.)) + set
   in
@@ -70,7 +70,7 @@ let measure_set ~jobs ~warm_start ?telemetry config ~power ~n_tasks ~ratio set =
   | Error msg -> Error ("generation failed: " ^ msg)
   | Ok task_set ->
     Result.map_error (Format.asprintf "%a" Lepts_core.Solver.pp_error)
-      (Improvement.measure ~rounds:config.rounds ~jobs ~warm_start ?telemetry
+      (Improvement.measure ~rounds:config.rounds ~jobs ?telemetry
          ~telemetry_tag:(Printf.sprintf "fig6a:n%d:r%.1f:set%d" n_tasks ratio set)
          ~task_set ~power ~sim_seed:(gen_seed + 7919) ())
 
@@ -89,8 +89,8 @@ let reduce ~n_tasks ~ratio sets =
     sets_measured = Array.length arr;
     total_misses = misses }
 
-let run ?(progress = fun _ -> ()) ?(jobs = 1) ?(warm_start = false) ?telemetry
-    ?checkpoint ?should_stop config ~power =
+let run ?(progress = fun _ -> ()) ?(jobs = 1) ?telemetry ?checkpoint ?should_stop
+    config ~power =
   let points =
     Array.of_list
       (List.concat_map
@@ -120,7 +120,7 @@ let run ?(progress = fun _ -> ()) ?(jobs = 1) ?(warm_start = false) ?telemetry
       Lepts_obs.Span.with_ ~parent:span_parent ~name:"set" @@ fun () ->
       let c = order.(i) in
       let n_tasks, ratio = points.(c / sets) in
-      measure_set ~jobs ~warm_start ?telemetry config ~power ~n_tasks ~ratio (c mod sets)
+      measure_set ~jobs ?telemetry config ~power ~n_tasks ~ratio (c mod sets)
     in
     (* Each measurement gets the same [jobs]: on a pool worker its
        solves and rounds run sequentially, so only a cell that runs

@@ -33,7 +33,6 @@ type point = {
 val run :
   ?progress:(string -> unit) ->
   ?jobs:int ->
-  ?warm_start:bool ->
   ?telemetry:Lepts_obs.Telemetry.collector ->
   ?checkpoint:Lepts_robust.Checkpoint.session ->
   ?should_stop:(unit -> bool) ->
@@ -59,15 +58,6 @@ val run :
     with one [Logs.warn] naming its task count, ratio, set index and
     error, from the calling domain. A set read back from a checkpoint
     as dropped says "dropped in an earlier session".
-
-    [warm_start] (default false) runs each set's ACS solve as one
-    continuation descent from its WCS solution instead of the full
-    multi-start ({!Improvement.measure}) — measurably faster, never
-    worse than the WCS seed, but a different configuration: include
-    the flag in checkpoint fingerprints. Warm chains never cross sets
-    or ratios here — each (count, ratio, set) triple generates a
-    different task set, so there is nothing valid to continue from
-    (see EXPERIMENTS.md on continuation order).
 
     [telemetry] captures convergence traces of the per-set NLP solves
     (labels like [acs:fig6a:n4:r0.5:set2]). A collector keeps the first

@@ -40,8 +40,8 @@ let point_of_fields = function
     failwith
       (Printf.sprintf "Fig6b: point entry has %d fields" (List.length fields))
 
-let run ?(progress = fun _ -> ()) ?(jobs = 1) ?(warm_start = false) ?telemetry
-    ?checkpoint ?should_stop config ~power =
+let run ?(progress = fun _ -> ()) ?(jobs = 1) ?telemetry ?checkpoint ?should_stop
+    config ~power =
   (* Few points here (two applications, three ratios): parallelism
      lives inside each measurement, across its simulation rounds — the
      cell map itself stays sequential. Cells flow through the
@@ -60,7 +60,7 @@ let run ?(progress = fun _ -> ()) ?(jobs = 1) ?(warm_start = false) ?telemetry
     Lepts_obs.Span.with_ ~name:"fig6b:point" @@ fun () ->
     let task_set = build ~power ~ratio in
     match
-      Improvement.measure ~rounds:config.rounds ~jobs ~warm_start ?telemetry
+      Improvement.measure ~rounds:config.rounds ~jobs ?telemetry
         ~telemetry_tag:(Printf.sprintf "fig6b:%s:r%.1f" name ratio)
         ~task_set ~power
         ~sim_seed:(config.seed + int_of_float (ratio *. 1000.)) ()

@@ -23,7 +23,6 @@ type point = {
 val run :
   ?progress:(string -> unit) ->
   ?jobs:int ->
-  ?warm_start:bool ->
   ?telemetry:Lepts_obs.Telemetry.collector ->
   ?checkpoint:Lepts_robust.Checkpoint.session ->
   ?should_stop:(unit -> bool) ->
@@ -31,13 +30,7 @@ val run :
   power:Lepts_power.Model.t ->
   point list
 (** [jobs] (default 1) parallelises each measurement's simulation
-    rounds; results are bit-identical for every value. [warm_start]
-    (default false) runs each cell's ACS solve as a continuation from
-    its WCS solution ({!Improvement.measure}); the flag changes
-    results, so checkpoint fingerprints must include it. Within a
-    cell the WCS→ACS continuation is the only warm chain — cells stay
-    independent so checkpointed cells resume bit-identically (see
-    EXPERIMENTS.md on continuation order). [telemetry]
+    rounds; results are bit-identical for every value. [telemetry]
     captures convergence traces of the NLP solves (labels like
     [acs:fig6b:CNC:r0.5]); points run under [fig6b:point] spans.
 

@@ -30,9 +30,8 @@ let refine_with_literal ~mode ~plan ~power (best : Lepts_core.Static_schedule.t)
       then candidate
       else best
 
-let measure ?(rounds = 1000) ?(jobs = 1) ?(warm_start = false)
-    ?telemetry ?(telemetry_tag = "") ?checkpoint ?should_stop
-    ~task_set ~power ~sim_seed () =
+let measure ?(rounds = 1000) ?(jobs = 1) ?telemetry ?(telemetry_tag = "")
+    ?checkpoint ?should_stop ~task_set ~power ~sim_seed () =
   if rounds <= 0 then invalid_arg "Improvement.measure: rounds must be positive";
   (* One convergence sink per NLP this measurement runs, labelled by
      the caller's tag so a sweep's solves stay distinguishable. *)
@@ -52,17 +51,8 @@ let measure ?(rounds = 1000) ?(jobs = 1) ?(warm_start = false)
       [ (wcs.Static_schedule.end_times, wcs.Static_schedule.quotas) ]
     in
     match
-      (* [warm_start] trades the three-start ACS multi-start for one
-         continuation descent from the WCS solution — faster on
-         sweeps, never worse than that seed, but possibly a different
-         local optimum than the cold pick, so callers fingerprint the
-         flag. *)
-      if warm_start then
-        Solver.solve_warm ?telemetry:(sink "acs") ~jobs
-          ~mode:Lepts_core.Objective.Average ~prev:wcs ~plan ~power ()
-      else
-        Solver.solve_acs ?telemetry:(sink "acs") ~jobs
-          ~warm_starts:warm ~plan ~power ()
+      Solver.solve_acs ?telemetry:(sink "acs") ~jobs ~warm_starts:warm ~plan
+        ~power ()
     with
     | Error _ as err -> err
     | Ok (acs, _) ->

@@ -18,7 +18,6 @@ type t = {
 val measure :
   ?rounds:int ->
   ?jobs:int ->
-  ?warm_start:bool ->
   ?telemetry:Lepts_obs.Telemetry.collector ->
   ?telemetry_tag:string ->
   ?checkpoint:Lepts_robust.Checkpoint.session ->
@@ -37,14 +36,6 @@ val measure :
     {!Lepts_par.Pool} worker (a sweep that already parallelises its
     sets), both run sequentially. The result is bit-identical for
     every [jobs] value (see {!Lepts_sim.Runner.simulate}).
-
-    [warm_start] (default false) replaces the three-start ACS
-    multi-start with one {!Lepts_core.Solver.solve_warm} continuation
-    descent from the WCS solution — measurably faster on sweeps and
-    never worse than that seed, but it may settle in a different local
-    optimum than the cold multi-start, so results are comparable only
-    within one setting of the flag (sweep checkpoints fingerprint
-    it). Still bit-identical for every [jobs] value.
 
     [telemetry] registers one convergence sink per NLP solve this
     measurement runs (labels ["wcs"] / ["acs"], suffixed with

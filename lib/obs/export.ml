@@ -27,7 +27,8 @@ let report ~command ?(argv = []) ~elapsed_s ~metrics ?telemetry () =
 (* JSON helpers — same conventions as bench/main.ml: shortest
    round-trippable floats, non-finite values as null. *)
 
-let buf_escape b s =
+let json_escape s =
+  let b = Buffer.create (String.length s + 2) in
   String.iter
     (fun c ->
       match c with
@@ -39,11 +40,12 @@ let buf_escape b s =
       | c when Char.code c < 0x20 ->
         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
-    s
+    s;
+  Buffer.contents b
 
 let add_string b s =
   Buffer.add_char b '"';
-  buf_escape b s;
+  Buffer.add_string b (json_escape s);
   Buffer.add_char b '"'
 
 let add_float b v =

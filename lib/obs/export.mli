@@ -30,6 +30,13 @@ val report :
 (** Snapshot [metrics] and the global span profile ({!Span.report})
     into a report. Call after all pools have joined. *)
 
+val json_escape : string -> string
+(** [s] ready to sit between the quotes of a JSON string: ['"'] and
+    ['\\'] are backslash-escaped, and so is every byte below 0x20
+    ([\n], [\r] and [\t] by name, the rest as [\u00XX]), since JSON
+    forbids them raw. The serve report, the request encoder and the
+    solver bench use it too. *)
+
 val to_json : report -> string
 (** The full report as one JSON object (schema
     ["lepts-obs-report/1"]): metrics (with histogram buckets), span

@@ -72,5 +72,3 @@ let int t ~bound =
     if v < bound then v else draw ()
   in
   draw ()
-
-let bool t = Int64.compare (Int64.logand (next_int64 t) 1L) 0L <> 0

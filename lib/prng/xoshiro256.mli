@@ -42,5 +42,3 @@ val int : t -> bound:int -> int
 (** Uniform integer in [[0, bound)]. Requires [bound > 0]. Uses
     rejection sampling, so the distribution is exactly uniform. *)
 
-val bool : t -> bool
-(** Fair coin flip. *)

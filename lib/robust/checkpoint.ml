@@ -24,14 +24,14 @@ let fnv_prime = 0x100000001b3L
 
 let fnv_byte h b = Int64.mul (Int64.logxor h (Int64.of_int b)) fnv_prime
 
-let fnv_string h s =
-  let h = ref h in
+let fnv1a s =
+  let h = ref fnv_offset in
   String.iter (fun c -> h := fnv_byte !h (Char.code c)) s;
   !h
 
 let hex64 h = Printf.sprintf "%016Lx" h
 
-let fingerprint ~parts = hex64 (fnv_string fnv_offset (String.concat "\n" parts))
+let fingerprint ~parts = hex64 (fnv1a (String.concat "\n" parts))
 
 (* --- snapshot framing ------------------------------------------------------ *)
 
@@ -69,7 +69,7 @@ module Snapshot = struct
         Buffer.add_char buf '\n')
       body;
     let payload = Buffer.contents buf in
-    payload ^ "checksum " ^ hex64 (fnv_string fnv_offset payload) ^ "\n"
+    payload ^ "checksum " ^ hex64 (fnv1a payload) ^ "\n"
 
   let write ~path contents =
     let tmp = path ^ ".tmp" in
@@ -105,7 +105,7 @@ module Snapshot = struct
               let payload =
                 String.concat "\n" (header :: List.rev body_rev) ^ "\n"
               in
-              let computed = hex64 (fnv_string fnv_offset payload) in
+              let computed = hex64 (fnv1a payload) in
               if computed <> given then
                 fail Checksum "stored %s, computed %s (file corrupt or truncated)"
                   given computed

@@ -91,6 +91,11 @@ exception Drained
     drain request: completed chunks are on disk, the run can be resumed
     later. The CLI maps this to exit code 3. *)
 
+val fnv1a : string -> int64
+(** 64-bit FNV-1a hash of a string: the one hash behind fingerprints,
+    snapshot checksums, serve shard assignment and chaos decision
+    keys. *)
+
 val fingerprint : parts:string list -> string
 (** Canonical fingerprint of a parameter list: FNV-1a over the parts
     joined with ['\n']. Order matters; include every parameter that

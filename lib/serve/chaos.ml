@@ -122,15 +122,10 @@ let profile t = t.profile
    (profile.seed, tag) — independent of arrival order, worker domain
    and core count — so a fixed-seed chaos run is reproducible. *)
 let fnv tag =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h :=
-        Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    tag;
   (* Mask to 62 bits: [logand max_int] can still exceed OCaml's native
      int range, and a negative key would crash the modulo users. *)
-  Int64.to_int (Int64.logand !h 0x3FFFFFFFFFFFFFFFL)
+  Int64.to_int
+    (Int64.logand (Lepts_robust.Checkpoint.fnv1a tag) 0x3FFFFFFFFFFFFFFFL)
 
 let draw t tag = Rng.float (Rng.split_key t.rng ~key:(fnv tag))
 
@@ -145,10 +140,6 @@ let drop_line t ~index =
        Log.info (fun f -> f "chaos: dropped request line %d" (index + 1));
        true
      end
-
-let filter_lines t lines =
-  if t.profile.drop_prob <= 0. then lines
-  else List.filteri (fun i _ -> not (drop_line t ~index:i)) lines
 
 (* Transport ingress injections. Decisions are keyed by the arrival
    sequence number — the same key the journal records — so a fixed-seed

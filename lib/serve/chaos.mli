@@ -65,15 +65,13 @@ val create : profile:profile -> t
 val profile : t -> profile
 (** The (validated) profile this harness injects from. *)
 
-val filter_lines : t -> string list -> string list
-(** Drop injection, keyed by line index. Identity when
-    [drop_prob = 0]. *)
-
 val drop_line : t -> index:int -> bool
-(** One drop decision (the primitive {!filter_lines} folds): [true]
-    means the line at [index] vanishes before admission — the live
-    transports apply it per arrival, before a sequence number is
-    assigned, so a dropped line never reaches the journal. *)
+(** Drop injection, keyed by line index: [true] means the line at
+    [index] vanishes before admission. Never true when
+    [drop_prob = 0]. Every transport applies it at ingress, before a
+    sequence number is assigned ({!Transport.of_lines} to its batch,
+    the live sources per arrival), so a dropped line never reaches the
+    journal. *)
 
 val cut_line : t -> seq:int -> len:int -> int option
 (** Connection-cut injection for arrival [seq] carrying a [len]-byte
@@ -91,8 +89,8 @@ val flip_spool : t -> name:string -> string -> string
 
 val before_solve : t -> attempt:int -> Request.t -> unit
 (** Worker-side injection hook, composed into
-    {!Service.run}'s [before_solve]: may sleep [slow_ms] and may raise
-    to simulate a worker crash. Domain-safe. *)
+    {!Service.run_source}'s [before_solve]: may sleep [slow_ms] and may
+    raise to simulate a worker crash. Domain-safe. *)
 
 val corrupt_file : t -> path:string -> (int, string) result
 (** Flip one bit of [path] at a seed-keyed offset (atomically, via a

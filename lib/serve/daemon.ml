@@ -196,11 +196,5 @@ let run_source ?(config = default_config) ?(power = Model.ideal ()) ?chaos
   { report; start; cache; chaos_line }
 
 let run ?config ?power ?chaos ?before_solve ?should_stop ~lines () =
-  (* Chaos line drops happen here, before the transport, exactly as
-     earlier releases did for batch mode; live transports instead take
-     a [?chaos] at construction and drop at ingress. *)
-  let lines =
-    match chaos with None -> lines | Some ch -> Chaos.filter_lines ch lines
-  in
   run_source ?config ?power ?chaos ?before_solve ?should_stop
-    ~source:(Transport.of_lines lines) ()
+    ~source:(Transport.of_lines ?chaos lines) ()

@@ -102,11 +102,10 @@ val run_source :
     strikes, snapshot (and journal) periodically and at the end. The
     cache fingerprint pins the [power] model (exact voltage rail bits),
     so a snapshot written under another model is refused.
-    [before_solve] composes after chaos injection. Note that a live
-    source takes its own [?chaos] at construction for transport-level
-    faults — this function's [chaos] drives only solve-time and
-    snapshot-corruption injection (and, through {!run}, batch-mode
-    line drops). *)
+    [before_solve] composes after chaos injection. Note that every
+    source takes its own [?chaos] at construction for line drops and
+    transport-level faults — this function's [chaos] drives only
+    solve-time and snapshot-corruption injection. *)
 
 val run :
   ?config:config ->
@@ -117,9 +116,5 @@ val run :
   lines:string list ->
   unit ->
   result
-(** One daemon run over a fixed batch of NDJSON lines: chaos line drops
-    (when configured), then {!run_source} over {!Transport.of_lines}.
-    Kept as a thin replay wrapper so existing batch callers and tests
-    are unaffected; new long-running deployments should prefer
-    {!run_source} with a socket transport, or the CLI's [--spool] mode
-    for file-fed batch work. *)
+(** One daemon run over a fixed batch of NDJSON lines:
+    {!run_source} over [Transport.of_lines ?chaos lines]. *)

@@ -1,6 +1,6 @@
 (** Graceful-drain flag: the bridge between POSIX signals and the
     cooperative [should_stop] hooks of the long-running engines
-    ({!Lepts_robust.Checkpoint.map_indices}, {!Service.run}).
+    ({!Lepts_robust.Checkpoint.map_indices}, {!Service.run_source}).
 
     A signal handler may only do async-signal-safe work, so the handler
     installed here just sets an atomic flag; the engines poll it at

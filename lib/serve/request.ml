@@ -52,6 +52,8 @@ let of_json line =
         | c -> err "unsupported escape '\\%c'" c);
         incr pos;
         go ()
+      | c when Char.code c < 0x20 ->
+        err "raw control byte 0x%02x in string at position %d" (Char.code c) !pos
       | c ->
         Buffer.add_char buf c;
         incr pos;
@@ -149,19 +151,6 @@ let of_json line =
         acs_max_outer = !acs_max_outer }
   with Bad msg -> Error msg
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Shortest decimal rendering that parses back to the exact same
    IEEE-754 value: [%g] alone loses bits (e.g. 0.1 +. 0.2), which
    would break the of_json∘to_json round-trip the cache key relies
@@ -177,7 +166,7 @@ let float_json x =
 let to_json r =
   let fields = ref [] in
   let add s = fields := s :: !fields in
-  add (Printf.sprintf "\"id\":\"%s\"" (escape r.id));
+  add (Printf.sprintf "\"id\":\"%s\"" (Lepts_obs.Export.json_escape r.id));
   if r.tasks <> 0 then add (Printf.sprintf "\"tasks\":%d" r.tasks);
   if r.ratio <> 0.1 then add (Printf.sprintf "\"ratio\":%s" (float_json r.ratio));
   if r.seed <> 0 then add (Printf.sprintf "\"seed\":%d" r.seed);
@@ -187,5 +176,3 @@ let to_json r =
     (fun m -> add (Printf.sprintf "\"acs_max_outer\":%d" m))
     r.acs_max_outer;
   "{" ^ String.concat "," (List.rev !fields) ^ "}"
-
-let pp ppf r = Format.pp_print_string ppf (to_json r)

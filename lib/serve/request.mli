@@ -11,8 +11,10 @@
     v}
 
     Unknown fields are rejected (a typo must not silently change a
-    job), as are duplicate fields and values out of range — malformed
-    lines are shed at admission and counted, never guessed at. *)
+    job), as are duplicate fields, values out of range and raw bytes
+    below 0x20 inside a string (JSON admits them only escaped; the
+    parser reads the escapes [\n] and [\t]) — malformed lines are
+    shed at admission and counted, never guessed at. *)
 
 type t = {
   id : string;  (** request identifier, echoed in the response *)
@@ -42,6 +44,3 @@ val of_json : string -> (t, string) result
 val to_json : t -> string
 (** Canonical one-line re-encoding (defaults omitted); [of_json] of
     the result round-trips. *)
-
-val pp : Format.formatter -> t -> unit
-(** Debug rendering (the canonical JSON form, via {!to_json}). *)

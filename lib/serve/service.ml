@@ -7,6 +7,7 @@ module Robust_solver = Lepts_robust.Robust_solver
 module Static_schedule = Lepts_core.Static_schedule
 module Metrics = Lepts_obs.Metrics
 module Span = Lepts_obs.Span
+module Export = Lepts_obs.Export
 
 let log_src = Logs.Src.create "lepts.serve" ~doc:"scheduling service engine"
 
@@ -317,15 +318,15 @@ type queued = {
 let run_source ?(config = default_config) ?(power = Model.ideal ()) ?cache
     ?journal ?before_solve ?after_wave ?(should_stop = fun () -> false)
     ~source () =
-  if config.jobs < 1 then invalid_arg "Service.run: jobs must be >= 1";
-  if config.shards < 1 then invalid_arg "Service.run: shards must be >= 1";
+  if config.jobs < 1 then invalid_arg "Service.run_source: jobs must be >= 1";
+  if config.shards < 1 then invalid_arg "Service.run_source: shards must be >= 1";
   if config.high_water < 1 then
-    invalid_arg "Service.run: high_water must be >= 1";
-  if config.wave < 1 then invalid_arg "Service.run: wave must be >= 1";
+    invalid_arg "Service.run_source: high_water must be >= 1";
+  if config.wave < 1 then invalid_arg "Service.run_source: wave must be >= 1";
   if config.max_retries < 0 then
-    invalid_arg "Service.run: max_retries must be >= 0";
+    invalid_arg "Service.run_source: max_retries must be >= 0";
   if config.max_worker_crashes < 0 then
-    invalid_arg "Service.run: max_worker_crashes must be >= 0";
+    invalid_arg "Service.run_source: max_worker_crashes must be >= 0";
   Span.with_ ~name:"serve:batch" @@ fun () ->
   (* One long-lived pool serves every wave of this run (and, being the
      process-wide shared pool for this worker count, every later run
@@ -675,11 +676,6 @@ let run_source ?(config = default_config) ?(power = Model.ideal ()) ?cache
     drained = !drained; degraded = !degraded_service;
     shards = Array.to_list (Array.map Shard.stat shards) }
 
-let run ?config ?power ?cache ?before_solve ?after_wave ?should_stop ~lines ()
-    =
-  run_source ?config ?power ?cache ?before_solve ?after_wave ?should_stop
-    ~source:(Transport.of_lines lines) ()
-
 let pp_status ppf = function
   | Done { stage; mean_energy } ->
     Format.fprintf ppf "done (%s%t)" stage (fun ppf ->
@@ -690,22 +686,9 @@ let pp_status ppf = function
   | Expired -> Format.pp_print_string ppf "expired"
   | Drained -> Format.pp_print_string ppf "drained"
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let outcome_json (o : outcome) =
   let b = Buffer.create 96 in
-  Buffer.add_string b (Printf.sprintf "{\"id\":\"%s\"" (json_escape o.id));
+  Buffer.add_string b (Printf.sprintf "{\"id\":\"%s\"" (Export.json_escape o.id));
   (match o.status with
   | Done { stage; mean_energy } ->
     Buffer.add_string b (Printf.sprintf ",\"status\":\"done\",\"stage\":\"%s\"" stage);
@@ -714,10 +697,12 @@ let outcome_json (o : outcome) =
       mean_energy
   | Failed msg ->
     Buffer.add_string b
-      (Printf.sprintf ",\"status\":\"failed\",\"reason\":\"%s\"" (json_escape msg))
+      (Printf.sprintf ",\"status\":\"failed\",\"reason\":\"%s\""
+         (Export.json_escape msg))
   | Rejected msg ->
     Buffer.add_string b
-      (Printf.sprintf ",\"status\":\"rejected\",\"reason\":\"%s\"" (json_escape msg))
+      (Printf.sprintf ",\"status\":\"rejected\",\"reason\":\"%s\""
+         (Export.json_escape msg))
   | Shed -> Buffer.add_string b ",\"status\":\"shed\""
   | Expired -> Buffer.add_string b ",\"status\":\"expired\""
   | Drained -> Buffer.add_string b ",\"status\":\"drained\"");

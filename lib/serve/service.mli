@@ -186,24 +186,6 @@ val run_source :
     [lepts_breaker_transitions_total{to}] and the cache's
     [lepts_cache_*] family. *)
 
-val run :
-  ?config:config ->
-  ?power:Lepts_power.Model.t ->
-  ?cache:Cache.t ->
-  ?before_solve:(attempt:int -> Request.t -> unit) ->
-  ?after_wave:(progress -> unit) ->
-  ?should_stop:(unit -> bool) ->
-  lines:string list ->
-  unit ->
-  report
-(** [run ~lines ()] serves one fixed batch of NDJSON request lines:
-    {!run_source} over {!Transport.of_lines}. All lines arrive in one
-    batch stamped at time zero, so no deadline can expire — batch-mode
-    reports are unchanged from previous releases. Kept as the
-    replay-friendly entry point for tests and one-shot CLI batches;
-    long-running callers should prefer {!run_source} with a socket or
-    spool transport. *)
-
 val print_report : ?oc:out_channel -> report -> unit
 (** NDJSON: one object per outcome in arrival order, then one
     [{"summary": ...}] trailer with the admission counts (including

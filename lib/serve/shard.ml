@@ -36,9 +36,5 @@ let stat t =
    service semantics, not an artifact of arrival order or core count. *)
 let of_id ~shards id =
   if shards < 1 then invalid_arg "Shard.of_id: shards must be >= 1";
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    id;
-  Int64.to_int (Int64.rem (Int64.logand !h Int64.max_int) (Int64.of_int shards))
+  let h = Lepts_robust.Checkpoint.fnv1a id in
+  Int64.to_int (Int64.rem (Int64.logand h Int64.max_int) (Int64.of_int shards))

@@ -150,7 +150,13 @@ type source =
   | Replay of { mutable rest : batch list; mutable last_now : int }
   | Live of live
 
-let of_lines lines = Lines { sent = false; lines }
+let of_lines ?chaos lines =
+  let lines =
+    match chaos with
+    | None -> lines
+    | Some ch -> List.filteri (fun index _ -> not (Chaos.drop_line ch ~index)) lines
+  in
+  Lines { sent = false; lines }
 
 let now_ms l = int_of_float ((Unix.gettimeofday () -. l.t0) *. 1000.)
 
@@ -469,6 +475,7 @@ let spool ?(poll_ms = 50) ?(max_line_bytes = 65536) ?(idle_exit_ms = 0) ?chaos
 
 let replay ~path =
   match Journal.load ~path with
+  | exception Sys_error msg -> Error msg
   | Error _ as e -> e
   | Ok batches -> Ok (Replay { rest = batches; last_now = 0 })
 

@@ -11,10 +11,10 @@
 
     {2 Sources}
 
-    - {!of_lines} — the batch compatibility path: every line arrives at
-      once, at time zero ({!Service.run} and {!Daemon.run} are thin
-      wrappers over it; new deployments should prefer [--spool] or
-      [--socket]).
+    - {!of_lines} — a fixed batch (the CLI's stdin or [--input] file):
+      every line arrives at once, at time zero ({!Daemon.run} is a thin
+      wrapper over it; long-running deployments should prefer
+      [--spool] or [--socket]).
     - {!socket} — NDJSON over a Unix-domain stream socket, with a
       bounded accept backlog, per-connection read timeouts, and
       partial-line / oversized-line rejection with diagnostics.
@@ -58,10 +58,11 @@ type batch = {
 
 type source
 
-val of_lines : string list -> source
-(** All lines arrive in one batch at time zero, already closed —
-    the batch compatibility source. Sequence numbers are line numbers
-    (from 1). *)
+val of_lines : ?chaos:Chaos.t -> string list -> source
+(** All lines arrive in one batch at time zero, already closed. With
+    [chaos], each line may first be dropped ({!Chaos.drop_line}, keyed
+    by its 0-based index in [lines]), as the live sources drop at
+    ingress. Sequence numbers count the surviving lines from 1. *)
 
 val socket :
   ?accept_backlog:int ->
@@ -105,7 +106,8 @@ val spool :
 val replay : path:string -> (source, string) result
 (** Re-produce the batches recorded in the arrival journal at [path]
     ([lepts-arrivals/1] snapshot framing). [Error] names the failed
-    framing check or malformed body line. *)
+    framing check or malformed body line, or says why the file could
+    not be read. *)
 
 val poll : source -> pending:bool -> batch
 (** Produce the next batch. [pending] is whether the engine already

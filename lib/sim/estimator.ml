@@ -4,17 +4,15 @@ module Task_set = Lepts_task.Task_set
 
 let eps = 1e-12
 
-type predictor = Ewma of { alpha : float } | Linear_rate of { window : int }
-
 type config = {
-  predictor : predictor;
+  alpha : float;
   drift_threshold : float;
   hysteresis : float;
   resolve_budget : int;
 }
 
 let default_config =
-  { predictor = Ewma { alpha = 0.2 };
+  { alpha = 0.2;
     drift_threshold = 0.10;
     hysteresis = 0.5;
     resolve_budget = 8 }
@@ -23,11 +21,7 @@ let validate c =
   let bad field v =
     invalid_arg (Printf.sprintf "Estimator.config: %s = %g out of range" field v)
   in
-  (match c.predictor with
-  | Ewma { alpha } ->
-    if Float.is_nan alpha || alpha <= 0. || alpha > 1. then bad "alpha" alpha
-  | Linear_rate { window } ->
-    if window < 1 then bad "window" (float_of_int window));
+  if Float.is_nan c.alpha || c.alpha <= 0. || c.alpha > 1. then bad "alpha" c.alpha;
   if
     Float.is_nan c.drift_threshold
     || (not (Float.is_finite c.drift_threshold))
@@ -37,18 +31,15 @@ let validate c =
     bad "hysteresis" c.hysteresis;
   if c.resolve_budget < 0 then bad "resolve_budget" (float_of_int c.resolve_budget)
 
-(* Per-task predictor state. [ewma] doubles as the seed (the offline
-   ACEC) before the first observation; [window] is a ring of the last
-   N per-instance samples, oldest at [(count - n_kept) mod cap]. *)
+(* Per-task state. [ewma] starts at the offline ACEC, so with no
+   observation folded the estimate is the static configuration. *)
 type t = {
   config : config;
   bcec : float array;
   wcec : float array;
-  initial : float array;  (* the plan's configured ACECs *)
   instances : float array;  (* per-task instance count in the hyper-period *)
   applied : float array;  (* drift baseline: ACECs of the current schedule *)
   ewma : float array;
-  window : float array array;  (* task-major rings, length = window cap *)
   count : int;  (* observations folded *)
   resolves_done : int;
   armed : bool;
@@ -59,17 +50,14 @@ let create config ~plan =
   let ts = plan.Plan.task_set in
   let n = Task_set.size ts in
   let stat f = Array.init n (fun i -> f (Task_set.task ts i)) in
-  let cap = match config.predictor with Ewma _ -> 1 | Linear_rate { window } -> window in
   { config;
     bcec = stat (fun t -> t.Task.bcec);
     wcec = stat (fun t -> t.Task.wcec);
-    initial = stat (fun t -> t.Task.acec);
     instances =
       Array.init n (fun i ->
           float_of_int (Array.length plan.Plan.instance_subs.(i)));
     applied = stat (fun t -> t.Task.acec);
     ewma = stat (fun t -> t.Task.acec);
-    window = Array.init n (fun _ -> Array.make cap 0.);
     count = 0;
     resolves_done = 0;
     armed = true }
@@ -77,7 +65,6 @@ let create config ~plan =
 let observations t = t.count
 let resolves_done t = t.resolves_done
 let armed t = t.armed
-let applied t = Array.copy t.applied
 
 let observe t ~consumed =
   let n = Array.length t.applied in
@@ -85,52 +72,23 @@ let observe t ~consumed =
     invalid_arg
       (Printf.sprintf "Estimator.observe: %d consumed entries for %d tasks"
          (Array.length consumed) n);
-  let sample i = consumed.(i) /. t.instances.(i) in
-  match t.config.predictor with
-  | Ewma { alpha } ->
-    let ewma =
-      Array.mapi
-        (fun i s -> (alpha *. sample i) +. ((1. -. alpha) *. s))
-        t.ewma
-    in
-    { t with ewma; count = t.count + 1 }
-  | Linear_rate { window = cap } ->
-    let window =
-      Array.mapi
-        (fun i ring ->
-          let ring = Array.copy ring in
-          ring.(t.count mod cap) <- sample i;
-          ring)
-        t.window
-    in
-    { t with window; count = t.count + 1 }
+  let alpha = t.config.alpha in
+  let ewma =
+    Array.mapi
+      (fun i s -> (alpha *. (consumed.(i) /. t.instances.(i))) +. ((1. -. alpha) *. s))
+      t.ewma
+  in
+  { t with ewma; count = t.count + 1 }
 
 let clamp t i v = Float.min t.wcec.(i) (Float.max t.bcec.(i) v)
 
-let raw_estimate t i =
-  match t.config.predictor with
-  | Ewma _ -> if t.count = 0 then t.initial.(i) else t.ewma.(i)
-  | Linear_rate { window = cap } ->
-    let n_kept = min t.count cap in
-    if n_kept = 0 then t.initial.(i)
-    else
-      let ring = t.window.(i) in
-      let last = ring.((t.count - 1) mod cap) in
-      if n_kept = 1 then last
-      else
-        let oldest = ring.((t.count - n_kept) mod cap) in
-        (* One-step linear-rate extrapolation: continue the window's
-           mean slope for one more round. A single observation has no
-           slope, so the predictor is last-value there. *)
-        last +. ((last -. oldest) /. float_of_int (n_kept - 1))
-
-let estimates t = Array.init (Array.length t.applied) (fun i -> clamp t i (raw_estimate t i))
+let estimates t = Array.mapi (clamp t) t.ewma
 
 let drift t =
   let d = ref 0. in
   Array.iteri
     (fun i a ->
-      let e = clamp t i (raw_estimate t i) in
+      let e = clamp t i t.ewma.(i) in
       d := Float.max !d (Float.abs (e -. a) /. Float.max a eps))
     t.applied;
   !d
@@ -177,8 +135,3 @@ let plan_with_acecs plan ~acecs =
      the rebuilt set keeps the exact order — the expansion is
      structurally identical to [plan]'s. *)
   Plan.expand (Task_set.of_array tasks)
-
-let pp ppf t =
-  Format.fprintf ppf "obs=%d drift=%.4f resolves=%d%s" t.count (drift t)
-    t.resolves_done
-    (if t.armed then "" else " (disarmed)")

@@ -7,22 +7,15 @@
     ACEC — that offline point grows stale and the schedule stretches
     the wrong segments. This module closes the loop: it folds the
     per-task cycles actually consumed in each simulated hyper-period
-    ({!Outcome.t}'s [consumed] field) into a per-task predictor, and tells the
-    caller when the predicted ACEC has drifted far enough from the one
-    the current schedule was solved with to be worth an incremental
-    re-solve ({!Lepts_core.Solver.solve_warm}).
+    ({!Outcome.t}'s [consumed] field) into a per-task exponentially
+    weighted moving average (EWMA), and tells the caller when the
+    predicted ACEC has drifted far enough from the one the current
+    schedule was solved with to be worth an incremental re-solve
+    ({!Lepts_core.Solver.solve_warm}).
 
-    Two predictors are provided, in the style of the Dysta scheduler's
-    [*_pred_linear_rate] hooks (SNIPPETS.md §3):
-
-    - {e EWMA}: [s <- alpha * x + (1 - alpha) * s], seeded with the
-      offline ACEC so a zero-observation estimator predicts exactly
-      the static configuration;
-    - {e linear rate over the last N}: a one-step linear extrapolation
-      from the window's endpoints,
-      [last + (last - oldest) / (n - 1)]; with a single observation
-      the slope is zero and the predictor degenerates to
-      last-value.
+    The EWMA is [s <- alpha * x + (1 - alpha) * s], seeded with the
+    offline ACEC, so a zero-observation estimator predicts exactly the
+    static configuration.
 
     Estimates are always clamped into the task's [[BCEC, WCEC]]
     interval — the invariant {!Lepts_task.Task.create} enforces — so a
@@ -41,16 +34,10 @@
     adaptive run is bit-identical for every [-j], which CI gates.
     See doc/ADAPTATION.md. *)
 
-type predictor =
-  | Ewma of { alpha : float }
-      (** exponentially weighted moving average with smoothing factor
-          [alpha] in (0, 1]; larger alpha forgets faster *)
-  | Linear_rate of { window : int }
-      (** one-step linear extrapolation over the last [window >= 1]
-          observations *)
-
 type config = {
-  predictor : predictor;
+  alpha : float;
+      (** EWMA smoothing factor in (0, 1]; larger alpha forgets
+          faster *)
   drift_threshold : float;
       (** relative drift (vs the ACEC the current schedule was solved
           with) that triggers a re-solve; strictly greater-than, so
@@ -71,7 +58,7 @@ val default_config : config
 
 val validate : config -> unit
 (** Raises [Invalid_argument] naming the offending field: [alpha] must
-    lie in (0, 1], [window >= 1], [drift_threshold > 0] and finite,
+    lie in (0, 1], [drift_threshold > 0] and finite,
     [hysteresis] in [[0, 1]], [resolve_budget >= 0]. Rejects NaN. *)
 
 type t
@@ -86,8 +73,8 @@ val observe : t -> consumed:float array -> t
 (** Fold one round's observation. [consumed.(i)] is the total cycles
     task [i] actually executed during the round
     ({!Outcome.t}'s [consumed]); the per-task sample fed to the
-    predictor is
-    [consumed.(i) / instances_i], the mean per-instance cycles.
+    EWMA is [consumed.(i) / instances_i], the mean per-instance
+    cycles.
     Raises [Invalid_argument] when the array length does not match the
     task count. *)
 
@@ -99,14 +86,12 @@ val estimates : t -> float array
     [[BCEC, WCEC]]. With zero observations this is the plan's
     configured ACECs. Fresh array, caller-owned. *)
 
-val applied : t -> float array
-(** The per-task ACECs the current schedule was solved with (the
-    drift baseline). Fresh array, caller-owned. *)
-
 val drift : t -> float
 (** Maximum over tasks of
-    [|estimate - applied| / max applied eps] — the relative deviation
-    the threshold is compared against. *)
+    [|estimate - applied| / max applied eps], where [applied] is the
+    per-task ACECs the current schedule was solved with (the drift
+    baseline) — the relative deviation the threshold is compared
+    against. *)
 
 val armed : t -> bool
 (** Whether the drift trigger is armed (see [hysteresis]). *)
@@ -142,6 +127,3 @@ val plan_with_acecs :
     WCEC and BCEC are untouched, so the result is structurally
     identical to [plan] (same sub-instance order and windows) — the
     precondition for [Solver.solve_warm]'s continuation path. *)
-
-val pp : Format.formatter -> t -> unit
-(** One line: observations, drift, resolves done, armed flag. *)

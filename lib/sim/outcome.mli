@@ -20,5 +20,3 @@ type t = {
           WCEC overrun's residue is counted exactly once, as it
           executes at [v_max]. *)
 }
-
-val pp : Format.formatter -> t -> unit

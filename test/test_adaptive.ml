@@ -1,4 +1,4 @@
-(* The online estimator/re-solve loop (doc/ADAPTATION.md): predictor
+(* The online estimator/re-solve loop (doc/ADAPTATION.md): estimator
    edge cases, the consumed-cycle accounting it observes, and the
    determinism of the full adaptive campaign. *)
 
@@ -35,14 +35,13 @@ let three_task_set =
 
 let acs_schedule plan = fst (Result.get_ok (Solver.solve_acs ~plan ~power ()))
 
-let config ?(predictor = Estimator.Ewma { alpha = 1.0 }) ?(threshold = 0.1)
-    ?(hysteresis = 0.) ?(budget = 8) () =
-  { Estimator.predictor; drift_threshold = threshold; hysteresis;
+let config ?(alpha = 1.0) ?(threshold = 0.1) ?(hysteresis = 0.) ?(budget = 8) () =
+  { Estimator.alpha; drift_threshold = threshold; hysteresis;
     resolve_budget = budget }
 
 let check_floats = Alcotest.(check (array (float 1e-9)))
 
-(* --- predictor edge cases ------------------------------------------------ *)
+(* --- estimator edge cases ------------------------------------------------ *)
 
 let test_zero_observation_start () =
   let est = Estimator.create (config ()) ~plan:single_plan in
@@ -53,24 +52,8 @@ let test_zero_observation_start () =
   | _, Estimator.Keep -> ()
   | _ -> Alcotest.fail "zero observations must keep the plan"
 
-let test_single_observation_linear_is_last_value () =
-  let est =
-    Estimator.create
-      (config ~predictor:(Estimator.Linear_rate { window = 5 }) ())
-      ~plan:single_plan
-  in
-  let est = Estimator.observe est ~consumed:[| 14. |] in
-  (* One point has no slope: the prediction is the observation. *)
-  check_floats "last-value" [| 14. |] (Estimator.estimates est);
-  (* A second point turns on the extrapolation: 16 + (16 - 14) / 1. *)
-  let est = Estimator.observe est ~consumed:[| 16. |] in
-  check_floats "one-step extrapolation" [| 18. |] (Estimator.estimates est)
-
 let test_ewma_fold_and_clamp () =
-  let est =
-    Estimator.create (config ~predictor:(Estimator.Ewma { alpha = 0.5 }) ())
-      ~plan:single_plan
-  in
+  let est = Estimator.create (config ~alpha:0.5 ()) ~plan:single_plan in
   (* Seeded at the offline ACEC: 10 -> 0.5*14 + 0.5*10 = 12. *)
   let est = Estimator.observe est ~consumed:[| 14. |] in
   check_floats "ewma step" [| 12. |] (Estimator.estimates est);
@@ -248,7 +231,7 @@ let drifting_spec =
 
 let adaptive_config ?(budget = 8) () =
   { Adaptive.estimator =
-      { Estimator.predictor = Estimator.Ewma { alpha = 0.3 };
+      { Estimator.alpha = 0.3;
         drift_threshold = 0.05; hysteresis = 0.; resolve_budget = budget };
     resolve_every = 10 }
 
@@ -307,9 +290,8 @@ let test_config_validation () =
     Alcotest.check_raises "rejected" (Invalid_argument "x") (fun () ->
         try Estimator.validate c with Invalid_argument _ -> raise (Invalid_argument "x"))
   in
-  bad (config ~predictor:(Estimator.Ewma { alpha = 0. }) ());
-  bad (config ~predictor:(Estimator.Ewma { alpha = Float.nan }) ());
-  bad (config ~predictor:(Estimator.Linear_rate { window = 0 }) ());
+  bad (config ~alpha:0. ());
+  bad (config ~alpha:Float.nan ());
   bad (config ~threshold:0. ());
   bad (config ~hysteresis:1.5 ());
   bad (config ~budget:(-1) ());
@@ -318,8 +300,6 @@ let test_config_validation () =
 let suite =
   [ Alcotest.test_case "zero-observation start predicts offline ACEC" `Quick
       test_zero_observation_start;
-    Alcotest.test_case "single observation: linear rate = last value" `Quick
-      test_single_observation_linear_is_last_value;
     Alcotest.test_case "EWMA fold, clamping, purity" `Quick test_ewma_fold_and_clamp;
     Alcotest.test_case "drift exactly at threshold keeps the plan" `Quick
       test_drift_exactly_at_threshold_keeps;

@@ -2,6 +2,7 @@ module Model = Lepts_power.Model
 module Breaker = Lepts_serve.Breaker
 module Request = Lepts_serve.Request
 module Service = Lepts_serve.Service
+module Transport = Lepts_serve.Transport
 module Shard = Lepts_serve.Shard
 module Drain = Lepts_serve.Drain
 
@@ -170,7 +171,10 @@ let test_service_breaker_sequence () =
       {|{"id": "ok5"}|};
       {|{"id": "ok6"}|} ]
   in
-  let r = Service.run ~config:quick_config ~power ~lines () in
+  let r =
+    Service.run_source ~config:quick_config ~power
+      ~source:(Transport.of_lines lines) ()
+  in
   Alcotest.(check bool) "transition sequence pinned" true
     (match r.Service.shards with
     | [ s ] ->
@@ -195,7 +199,7 @@ let test_service_admission_shed () =
   let lines =
     [ "nonsense"; {|{"id": "a"}|}; {|{"id": "b"}|}; {|{"id": "c"}|} ]
   in
-  let r = Service.run ~config ~power ~lines () in
+  let r = Service.run_source ~config ~power ~source:(Transport.of_lines lines) () in
   Alcotest.(check int) "rejected" 1 r.Service.rejected;
   Alcotest.(check int) "admitted" 2 r.Service.admitted;
   Alcotest.(check int) "shed" 1 r.Service.shed;
@@ -211,6 +215,45 @@ let test_service_admission_shed () =
       (c.Service.status = Service.Shed && c.Service.attempts = 0)
   | _ -> Alcotest.fail "expected one outcome per input line")
 
+let test_control_bytes_rejected_report_stays_json () =
+  (* JSON forbids raw bytes below 0x20 inside a string. A request
+     carrying one is rejected with a named reason, a reason quoting one
+     is escaped, and the escapes the parser reads ("\t" here) still
+     round-trip — so every report line stays valid JSON. *)
+  let lines = [ "{\"id\": \"a\001b\"}"; "{\001}"; {|{"id": "tab\tbed"}|} ] in
+  let r =
+    Service.run_source ~config:quick_config ~power
+      ~source:(Transport.of_lines lines) ()
+  in
+  (match r.Service.outcomes with
+  | [ raw; debris; escaped ] ->
+    (match raw.Service.status with
+    | Service.Rejected msg ->
+      Alcotest.(check bool) "reason names the control byte" true
+        (contains ~sub:"control byte 0x01" msg)
+    | _ -> Alcotest.fail "raw control byte in a string accepted");
+    Alcotest.(check bool) "control byte outside a string rejected" true
+      (match debris.Service.status with Service.Rejected _ -> true | _ -> false);
+    Alcotest.(check string) "escaped tab accepted" "tab\tbed" escaped.Service.id
+  | _ -> Alcotest.fail "expected three outcomes");
+  let path = Filename.temp_file "lepts-test" ".report" in
+  let report =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_bin path (fun oc -> Service.print_report ~oc r);
+        In_channel.with_open_bin path In_channel.input_all)
+  in
+  List.iter
+    (fun line ->
+      String.iter
+        (fun c ->
+          if Char.code c < 0x20 then
+            Alcotest.failf "report line holds raw byte 0x%02x: %S" (Char.code c)
+              line)
+        line)
+    (String.split_on_char '\n' report)
+
 let test_service_jobs_bit_identical () =
   let lines =
     [ {|{"id": "f1", "acs_max_outer": 0}|};
@@ -219,9 +262,9 @@ let test_service_jobs_bit_identical () =
       {|{"id": "sim4", "rounds": 5, "seed": 4}|} ]
   in
   let run jobs =
-    Service.run
+    Service.run_source
       ~config:{ quick_config with Service.jobs; shards = 3; wave = 2 }
-      ~power ~lines ()
+      ~power ~source:(Transport.of_lines lines) ()
   in
   let seq = run 1 in
   (* The simulated requests exercise the mean-energy path too. *)
@@ -254,7 +297,10 @@ let test_service_span_names_bounded () =
     (fun () ->
       Span.set_enabled true;
       Span.reset ();
-      let r = Service.run ~config:quick_config ~power ~lines () in
+      let r =
+        Service.run_source ~config:quick_config ~power
+          ~source:(Transport.of_lines lines) ()
+      in
       Alcotest.(check int) "both processed" 2 r.Service.processed;
       let paths = List.map (fun (a : Span.agg) -> a.Span.path) (Span.report ()) in
       Alcotest.(check bool) "requests spanned" true
@@ -277,8 +323,9 @@ let test_service_retries_then_fails () =
   in
   let config = { quick_config with Service.max_retries = 2 } in
   let r =
-    Service.run ~config ~power ~before_solve
-      ~lines:[ {|{"id": "doomed", "tasks": 64, "seed": 1}|} ] ()
+    Service.run_source ~config ~power ~before_solve
+      ~source:(Transport.of_lines [ {|{"id": "doomed", "tasks": 64, "seed": 1}|} ])
+      ()
   in
   (match r.Service.outcomes with
   | [ o ] ->
@@ -301,8 +348,8 @@ let test_service_worker_restart_recovers () =
     if req.Request.id = "crashy" && attempt <= 2 then failwith "induced crash"
   in
   let r =
-    Service.run ~config:quick_config ~power ~before_solve
-      ~lines:[ {|{"id": "crashy"}|} ] ()
+    Service.run_source ~config:quick_config ~power ~before_solve
+      ~source:(Transport.of_lines [ {|{"id": "crashy"}|} ]) ()
   in
   match r.Service.outcomes with
   | [ o ] ->
@@ -316,7 +363,8 @@ let test_service_worker_crashout_degrades () =
   let before_solve ~attempt:_ (_ : Request.t) = failwith "always crashes" in
   let config = { quick_config with Service.max_worker_crashes = 1 } in
   let r =
-    Service.run ~config ~power ~before_solve ~lines:[ {|{"id": "hopeless"}|} ] ()
+    Service.run_source ~config ~power ~before_solve
+      ~source:(Transport.of_lines [ {|{"id": "hopeless"}|} ]) ()
   in
   match r.Service.outcomes with
   | [ o ] ->
@@ -335,7 +383,10 @@ let test_service_drain_keeps_tail () =
   let lines =
     [ {|{"id": "a"}|}; {|{"id": "b"}|}; {|{"id": "c"}|}; {|{"id": "d"}|} ]
   in
-  let r = Service.run ~config ~power ~should_stop ~lines () in
+  let r =
+    Service.run_source ~config ~power ~should_stop
+      ~source:(Transport.of_lines lines) ()
+  in
   Alcotest.(check bool) "drain recorded" true r.Service.drained;
   Alcotest.(check int) "first wave processed" 2 r.Service.processed;
   Alcotest.(check (list bool)) "tail drained, in order"
@@ -368,7 +419,8 @@ let test_service_probe_drain_completes_fold () =
       {|{"id": "tail6"}|} ]
   in
   let r =
-    Service.run ~config:quick_config ~power ~before_solve ~should_stop ~lines ()
+    Service.run_source ~config:quick_config ~power ~before_solve ~should_stop
+      ~source:(Transport.of_lines lines) ()
   in
   Alcotest.(check bool) "drain recorded" true r.Service.drained;
   Alcotest.(check int) "probe wave folded before draining" 5
@@ -428,7 +480,7 @@ let test_service_shard_isolation () =
     @ List.map (fun id -> Printf.sprintf {|{"id": "%s"}|} id) good
   in
   let config = { quick_config with Service.shards = 2; wave = 8 } in
-  let r = Service.run ~config ~power ~lines () in
+  let r = Service.run_source ~config ~power ~source:(Transport.of_lines lines) () in
   (match r.Service.shards with
   | [ s0; s1 ] ->
     Alcotest.(check bool) "failing shard tripped" true
@@ -459,7 +511,7 @@ let test_service_per_shard_shed () =
   let config =
     { quick_config with Service.shards = 2; high_water = 1; wave = 8 }
   in
-  let r = Service.run ~config ~power ~lines () in
+  let r = Service.run_source ~config ~power ~source:(Transport.of_lines lines) () in
   Alcotest.(check int) "admitted one per shard" 2 r.Service.admitted;
   Alcotest.(check int) "one shed" 1 r.Service.shed;
   (match r.Service.shards with
@@ -499,6 +551,8 @@ let suite =
      test_request_rejections_name_the_field);
     ("service breaker sequence", `Quick, test_service_breaker_sequence);
     ("service admission shed", `Quick, test_service_admission_shed);
+    ("control bytes rejected, report stays JSON", `Quick,
+     test_control_bytes_rejected_report_stays_json);
     ("service jobs bit-identical", `Quick, test_service_jobs_bit_identical);
     ("service span names bounded", `Quick, test_service_span_names_bounded);
     ("service retries then fails", `Quick, test_service_retries_then_fails);

@@ -99,11 +99,16 @@ let test_journal_refuses_foreign_file () =
   let oc = open_out path in
   output_string oc "not a journal\n";
   close_out oc;
-  match Transport.replay ~path with
+  (match Transport.replay ~path with
   | Ok _ -> Alcotest.fail "accepted a non-journal file"
   | Error msg ->
     Alcotest.(check bool) "names a failed check" true
-      (contains ~sub:"check failed" msg)
+      (contains ~sub:"check failed" msg));
+  let missing = path ^ ".missing" in
+  match Transport.replay ~path:missing with
+  | Ok _ -> Alcotest.fail "accepted a missing file"
+  | Error msg ->
+    Alcotest.(check bool) "names the missing file" true (contains ~sub:missing msg)
 
 (* --- deadline-aware admission ---------------------------------------------- *)
 
@@ -334,11 +339,12 @@ let test_spool_chaos_flip_deterministic () =
 let test_coalescing_single_solve_fans_out () =
   let solves = Atomic.make 0 in
   let r =
-    Service.run ~power
+    Service.run_source ~power
       ~before_solve:(fun ~attempt:_ _ -> Atomic.incr solves)
-      ~lines:
-        [ {|{"id":"cx1","seed":5,"rounds":3}|};
-          {|{"id":"cx2","seed":5,"rounds":3}|} ]
+      ~source:
+        (Transport.of_lines
+           [ {|{"id":"cx1","seed":5,"rounds":3}|};
+             {|{"id":"cx2","seed":5,"rounds":3}|} ])
       ()
   in
   Alcotest.(check int) "one solve for two identical requests" 1
@@ -359,8 +365,8 @@ let test_warm_chain_bit_identical () =
       {|{"id":"w2","tasks":3,"seed":7,"ratio":0.8,"rounds":3}|} ]
   in
   let run jobs =
-    Service.run ~config:{ Service.default_config with Service.jobs } ~power
-      ~lines ()
+    Service.run_source ~config:{ Service.default_config with Service.jobs } ~power
+      ~source:(Transport.of_lines lines) ()
   in
   let r1 = run 1 in
   Alcotest.(check int) "chained requests are not coalesced" 0
