@@ -79,29 +79,24 @@ let resume_arg =
                  checkpointing to it. The completed run's output is \
                  bit-identical to an uninterrupted one's.")
 
-(* Open the checkpoint session a command's [--checkpoint]/[--resume]
-   flags ask for. The fingerprint pins every result-affecting
-   parameter, so [--resume] with different flags is refused instead of
-   splicing incompatible result streams. Returns the session (if any)
-   paired with its path, for the drain message. *)
-let session_of ~checkpoint ~resume ~fingerprint =
-  match (checkpoint, resume) with
-  | None, None -> Ok None
-  | Some _, Some _ ->
-    Error "--checkpoint and --resume are mutually exclusive (--resume \
-           alone both loads and keeps saving)"
-  | Some path, None ->
-    Result.map (fun s -> Some (s, path))
-      (Checkpoint.start ~path ~resume:false ~fingerprint)
-  | None, Some path ->
-    Result.map (fun s -> Some (s, path))
-      (Checkpoint.start ~path ~resume:true ~fingerprint)
-
-(* Run a checkpointable command body: open the session, arm the drain
-   flag when checkpointing, and map a graceful drain to exit 3. The
+(* Run a checkpointable command body: open the session its
+   [--checkpoint]/[--resume] flags ask for, arm the drain flag when
+   checkpointing, and map a graceful drain to exit 3. The fingerprint
+   pins every result-affecting parameter, so [--resume] with different
+   flags is refused instead of splicing incompatible result streams. The
    body receives the optional session and a [should_stop] poll. *)
 let with_session ~checkpoint ~resume ~fingerprint body =
-  match session_of ~checkpoint ~resume ~fingerprint with
+  let session =
+    match (checkpoint, resume) with
+    | None, None -> Ok None
+    | Some _, Some _ ->
+      Error "--checkpoint and --resume are mutually exclusive (--resume \
+             alone both loads and keeps saving)"
+    | Some path, None | None, Some path ->
+      Result.map (fun s -> Some (s, path))
+        (Checkpoint.start ~path ~resume:(resume <> None) ~fingerprint)
+  in
+  match session with
   | Error msg ->
     Printf.eprintf "checkpoint: %s\n%!" msg;
     2
@@ -316,24 +311,14 @@ let schedule_cmd ~profile =
 (* --- random ------------------------------------------------------------ *)
 
 let random_cmd ~profile =
-  let run verbose n ratio rounds seed jobs v_min v_max checkpoint resume
-      telemetry_file =
+  let run verbose n ratio rounds seed jobs v_min v_max telemetry_file =
     setup_logs verbose;
     let jobs = resolve_jobs jobs in
     let power = power_of ~v_min ~v_max in
     let rng = Lepts_prng.Xoshiro256.create ~seed in
     let config = Lepts_workloads.Random_gen.default_config ~n_tasks:n ~ratio in
-    let fingerprint =
-      Checkpoint.fingerprint
-        ~parts:
-          [ "random"; string_of_int n; string_of_float ratio;
-            string_of_int rounds; string_of_int seed; string_of_float v_min;
-            string_of_float v_max ]
-    in
     with_observability ~command:"random" ~profile ~telemetry_file
     @@ fun telemetry ->
-    with_session ~checkpoint ~resume ~fingerprint
-    @@ fun session should_stop ->
     (* No timing in this output on purpose: CI diffs [-j 1] against
        [-j 4] to enforce the bit-identity guarantee. *)
     (match Lepts_workloads.Random_gen.generate config ~power ~rng with
@@ -342,8 +327,7 @@ let random_cmd ~profile =
       Format.printf "task set: %a@." Task_set.pp ts;
       match
         Experiments.Improvement.measure ~rounds ~jobs ?telemetry
-          ~telemetry_tag:"random" ?checkpoint:session ~should_stop
-          ~task_set:ts ~power ~sim_seed:(seed + 1) ()
+          ~telemetry_tag:"random" ~task_set:ts ~power ~sim_seed:(seed + 1) ()
       with
       | Error e -> Format.printf "error: %a@." Solver.pp_error e
       | Ok r -> Format.printf "%a@." Experiments.Improvement.pp r));
@@ -358,7 +342,7 @@ let random_cmd ~profile =
   Cmd.v
     (Cmd.info "random" ~doc:"Generate one random task set and measure ACS vs WCS.")
     Term.(const run $ verbose_arg $ n $ ratio $ rounds_arg 1000 $ seed_arg $ jobs_arg
-          $ v_min_arg $ v_max_arg $ checkpoint_arg $ resume_arg $ telemetry_arg)
+          $ v_min_arg $ v_max_arg $ telemetry_arg)
 
 (* --- policies ---------------------------------------------------------- *)
 
@@ -689,7 +673,7 @@ let faults_cmd ~profile =
 let serve_cmd ~profile =
   let run verbose input socket_path spool_dir replay_path journal_path
       accept_backlog read_timeout_ms max_line_bytes idle_exit_ms jobs shards
-      high_water wave max_retries backoff max_crashes threshold cooldown probes
+      high_water wave max_crashes threshold cooldown probes
       v_min v_max cache_path snapshot_every health_every max_cache_entries
       cache_stats chaos_spec fail_on_degraded telemetry_file =
     setup_logs verbose;
@@ -707,32 +691,30 @@ let serve_cmd ~profile =
       List.length
         (List.filter Option.is_some [ socket_path; spool_dir; replay_path ])
     in
-    match chaos with
-    | Error msg ->
+    let config =
+      { Lepts_serve.Daemon.service =
+          { Lepts_serve.Service.jobs; shards; high_water; wave;
+            max_worker_crashes = max_crashes;
+            breaker =
+              { Lepts_serve.Breaker.failure_threshold = threshold; cooldown;
+                probes } };
+        cache_path; snapshot_every; health_every; journal_path;
+        max_cache_entries =
+          (if max_cache_entries = 0 then None else Some max_cache_entries) }
+    in
+    let usage_error =
+      if modes > 1 then Some "--socket, --spool and --replay are mutually exclusive"
+      else if max_cache_entries < 0 then Some "--max-cache-entries must be >= 0"
+      else Lepts_serve.Daemon.refused_path config
+    in
+    match (chaos, usage_error) with
+    | Error msg, _ | Ok _, Some msg ->
       prerr_endline ("lepts serve: " ^ msg);
       2
-    | Ok _ when modes > 1 ->
-      prerr_endline
-        "lepts serve: --socket, --spool and --replay are mutually exclusive";
-      2
-    | Ok _ when max_cache_entries < 0 ->
-      prerr_endline "lepts serve: --max-cache-entries must be >= 0";
-      2
-    | Ok chaos -> (
+    | Ok chaos, None -> (
       with_observability ~command:"serve" ~profile ~telemetry_file
       @@ fun _telemetry ->
       Drain.install ();
-      let config =
-        { Lepts_serve.Daemon.service =
-            { Lepts_serve.Service.jobs; shards; high_water; wave; max_retries;
-              backoff_base = backoff; max_worker_crashes = max_crashes;
-              breaker =
-                { Lepts_serve.Breaker.failure_threshold = threshold; cooldown;
-                  probes } };
-          cache_path; snapshot_every; health_every; journal_path;
-          max_cache_entries =
-            (if max_cache_entries = 0 then None else Some max_cache_entries) }
-      in
       let finish (result : Lepts_serve.Daemon.result) =
         prerr_endline
           ("lepts serve: "
@@ -881,17 +863,6 @@ let serve_cmd ~profile =
                    the service semantics, so results are identical for \
                    every -j value.")
   in
-  let max_retries =
-    Arg.(value & opt int 1
-         & info [ "max-retries" ] ~docv:"N"
-             ~doc:"Solver-failure retries per request.")
-  in
-  let backoff =
-    Arg.(value & opt float 0.
-         & info [ "backoff" ] ~docv:"SECONDS"
-             ~doc:"Base retry delay, doubled per retry with deterministic \
-                   per-request jitter; 0 disables sleeping.")
-  in
   let max_crashes =
     Arg.(value & opt int 2
          & info [ "max-crashes" ] ~docv:"N"
@@ -981,7 +952,7 @@ let serve_cmd ~profile =
              end-to-end request deadlines (budget_ms, charged while \
              queued), coalescing of identical in-flight requests, a \
              persistent bounded content-addressed schedule cache with warm \
-             restart, bounded retries with backoff, optional chaos \
+             restart, worker-crash supervision, optional chaos \
              injection, an arrival journal for byte-identical offline \
              replay (--journal/--replay), and graceful drain on \
              SIGTERM/SIGINT (exit 3; bind failure exits 2). Output is one \
@@ -990,7 +961,7 @@ let serve_cmd ~profile =
     Term.(const run $ verbose_arg $ input $ socket_path $ spool_dir
           $ replay_path $ journal_path $ accept_backlog $ read_timeout_ms
           $ max_line_bytes $ idle_exit_ms $ jobs_arg $ shards $ high_water
-          $ wave $ max_retries $ backoff $ max_crashes $ threshold $ cooldown
+          $ wave $ max_crashes $ threshold $ cooldown
           $ probes $ v_min_arg $ v_max_arg $ cache_path $ snapshot_every
           $ health_every $ max_cache_entries $ cache_stats $ chaos_spec
           $ fail_on_degraded $ telemetry_arg)

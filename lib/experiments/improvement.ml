@@ -31,7 +31,7 @@ let refine_with_literal ~mode ~plan ~power (best : Lepts_core.Static_schedule.t)
       else best
 
 let measure ?(rounds = 1000) ?(jobs = 1) ?telemetry ?(telemetry_tag = "")
-    ?checkpoint ?should_stop ~task_set ~power ~sim_seed () =
+    ~task_set ~power ~sim_seed () =
   if rounds <= 0 then invalid_arg "Improvement.measure: rounds must be positive";
   (* One convergence sink per NLP this measurement runs, labelled by
      the caller's tag so a sweep's solves stay distinguishable. *)
@@ -59,29 +59,13 @@ let measure ?(rounds = 1000) ?(jobs = 1) ?telemetry ?(telemetry_tag = "")
       let acs =
         refine_with_literal ~mode:Lepts_core.Objective.Average ~plan ~power acs
       in
-      (* Both simulations flow through the checkpointable driver: with
-         a session, completed rounds land on disk per chunk (sections
-         "wcs-rounds" / "acs-rounds") and a resumed measurement reuses
-         them; without one this is exactly {!Runner.simulate}. The
-         solves above rerun on resume — they are deterministic, so the
-         resumed result is still bit-identical. *)
-      let simulate ~section schedule =
-        let rng = Rng.create ~seed:sim_seed in
-        let results =
-          Lepts_robust.Checkpoint.map_indices ?session:checkpoint ?should_stop
-            ~section ~encode:Lepts_robust.Checkpoint.round_result_fields
-            ~decode:Lepts_robust.Checkpoint.round_result_of_fields ~jobs
-            ~n:rounds
-            ~f:(fun r ->
-              Runner.round ~schedule ~policy:Policy.Greedy ~rng ~round:r ())
-            ()
-        in
-        let summary = Runner.summarize results in
-        Runner.record_metrics summary;
-        summary
+      (* Paired comparison: both schedules see the same workload draws. *)
+      let simulate schedule =
+        Runner.simulate ~rounds ~jobs ~schedule ~policy:Policy.Greedy
+          ~rng:(Rng.create ~seed:sim_seed) ()
       in
-      let sw = simulate ~section:"wcs-rounds" wcs in
-      let sa = simulate ~section:"acs-rounds" acs in
+      let sw = simulate wcs in
+      let sa = simulate acs in
       Ok
         { wcs_energy = sw.Runner.mean_energy;
           acs_energy = sa.Runner.mean_energy;

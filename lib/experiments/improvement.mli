@@ -20,8 +20,6 @@ val measure :
   ?jobs:int ->
   ?telemetry:Lepts_obs.Telemetry.collector ->
   ?telemetry_tag:string ->
-  ?checkpoint:Lepts_robust.Checkpoint.session ->
-  ?should_stop:(unit -> bool) ->
   task_set:Lepts_task.Task_set.t ->
   power:Lepts_power.Model.t ->
   sim_seed:int ->
@@ -43,13 +41,8 @@ val measure :
     their solves apart). Strictly observational — results are
     bit-identical with or without it.
 
-    [checkpoint] persists completed simulation rounds (sections
-    ["wcs-rounds"] / ["acs-rounds"]) so a killed measurement resumes
-    without recomputing them; the NLP solves rerun on resume but are
-    deterministic, so the resumed result is bit-identical. Do {e not}
-    share one session between several [measure] calls — the sections
-    would collide; sweeps checkpoint at their own unit instead
-    ({!Fig6a}, {!Fig6b}). [should_stop] is polled between chunks and
-    raises {!Lepts_robust.Checkpoint.Drained} after saving. *)
+    A measurement is not checkpointed: its two solves take most of its
+    time and would rerun on any resume. Sweeps checkpoint whole
+    measurements instead ({!Fig6a}, {!Fig6b}). *)
 
 val pp : Format.formatter -> t -> unit

@@ -19,11 +19,25 @@ type report = {
   rounds : int;
 }
 
-(* Checkpoint codecs: one entry per round per arm. The fault and
-   containment counters are part of the entry — a resumed campaign must
-   restore them exactly, not only the energy figures. *)
-let encode_arm ~contained ((r : Runner.round_result), (fc : Fault_injector.counters), cc) =
-  Checkpoint.round_result_fields r
+(* Checkpoint codecs: one entry per round per arm, its energy bits,
+   misses and shed count. The faulted arms append their fault and
+   containment counters — a resumed campaign must restore them exactly,
+   not only the energy figures. *)
+let round_fields (r : Runner.round_result) =
+  [ Checkpoint.float_field r.Runner.energy; string_of_int r.Runner.misses;
+    string_of_int r.Runner.shed ]
+
+let round_of e m s =
+  { Runner.energy = Checkpoint.float_of_field e; misses = int_of_string m;
+    shed = int_of_string s }
+
+let decode_round = function
+  | [ e; m; s ] -> round_of e m s
+  | fields ->
+    failwith (Printf.sprintf "Campaign: round entry has %d fields" (List.length fields))
+
+let encode_arm ~contained (r, (fc : Fault_injector.counters), cc) =
+  round_fields r
   @ [ string_of_int fc.Fault_injector.overruns;
       string_of_int fc.Fault_injector.jitters;
       string_of_int fc.Fault_injector.denials ]
@@ -40,12 +54,12 @@ let encode_arm ~contained ((r : Runner.round_result), (fc : Fault_injector.count
 let decode_arm ~contained fields =
   match (contained, fields) with
   | false, [ e; m; s; ov; ji; de ] ->
-    ( Checkpoint.round_result_of_fields [ e; m; s ],
+    ( round_of e m s,
       { Fault_injector.overruns = int_of_string ov; jitters = int_of_string ji;
         denials = int_of_string de },
       None )
   | true, [ e; m; s; ov; ji; de; ed; ei; si ] ->
-    ( Checkpoint.round_result_of_fields [ e; m; s ],
+    ( round_of e m s,
       { Fault_injector.overruns = int_of_string ov; jitters = int_of_string ji;
         denials = int_of_string de },
       Some
@@ -120,8 +134,7 @@ let run ?(rounds = 500) ?(jobs = 1) ?on_stats ?dist
         let results =
           Checkpoint.map_indices ?session:checkpoint ?should_stop
             ?on_stats:(stats_for "fault-free") ~section:"clean"
-            ~encode:Checkpoint.round_result_fields
-            ~decode:Checkpoint.round_result_of_fields ~jobs ~n:rounds
+            ~encode:round_fields ~decode:decode_round ~jobs ~n:rounds
             ~f:one_round ()
         in
         let summary = Runner.summarize results in

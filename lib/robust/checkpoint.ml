@@ -120,11 +120,13 @@ module Snapshot = struct
           | _ -> fail Checksum "missing checksum trailer (file truncated?)"))
 
   let read ~path ~magic ~version =
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let contents = really_input_string ic len in
-    close_in ic;
-    parse ~path ~magic ~version contents
+    match In_channel.with_open_bin path In_channel.input_all with
+    | contents -> parse ~path ~magic ~version contents
+    | exception Sys_error msg ->
+      (* A failed open names the path; a failed read (a directory, say)
+         does not. *)
+      if String.starts_with ~prefix:(path ^ ": ") msg then Error msg
+      else Error (path ^ ": " ^ msg)
 
   let mismatch ~path ~file_fp ~run_fp =
     Printf.sprintf
@@ -154,25 +156,6 @@ let float_of_field s =
   match Int64.of_string_opt ("0x" ^ s) with
   | Some bits -> Int64.float_of_bits bits
   | None -> failwith (Printf.sprintf "Checkpoint: malformed float field %S" s)
-
-let int_of_field s =
-  match int_of_string_opt s with
-  | Some i -> i
-  | None -> failwith (Printf.sprintf "Checkpoint: malformed int field %S" s)
-
-let round_result_fields (r : Lepts_sim.Runner.round_result) =
-  [ float_field r.Lepts_sim.Runner.energy;
-    string_of_int r.Lepts_sim.Runner.misses;
-    string_of_int r.Lepts_sim.Runner.shed ]
-
-let round_result_of_fields = function
-  | [ energy; misses; shed ] ->
-    { Lepts_sim.Runner.energy = float_of_field energy;
-      misses = int_of_field misses; shed = int_of_field shed }
-  | fields ->
-    failwith
-      (Printf.sprintf "Checkpoint: round entry has %d fields, expected 3"
-         (List.length fields))
 
 (* --- store ---------------------------------------------------------------- *)
 

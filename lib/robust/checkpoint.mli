@@ -74,7 +74,9 @@ module Snapshot : sig
     magic:string ->
     version:int ->
     (string * string list, string) result
-  (** {!parse} applied to the file at [path]. *)
+  (** {!parse} applied to the file at [path]. A path that cannot be
+      read (missing, a directory, unreadable) is an [Error] naming it,
+      never an exception. *)
 
   val mismatch : path:string -> file_fp:string -> run_fp:string -> string
   (** The canonical fingerprint-check-failed message, naming both
@@ -169,9 +171,3 @@ val float_field : float -> string
 
 val float_of_field : string -> float
 (** Inverse of {!float_field}; raises [Failure] on malformed input. *)
-
-val round_result_fields : Lepts_sim.Runner.round_result -> string list
-(** Codec for one simulation round — shared by the campaign and
-    experiment checkpoints. *)
-
-val round_result_of_fields : string list -> Lepts_sim.Runner.round_result

@@ -56,31 +56,19 @@ let add_counters ~into c =
   into.jitters <- into.jitters + c.jitters;
   into.denials <- into.denials + c.denials
 
-type event =
-  | Overrun of { task : int; instance : int; actual : float; wcec : float }
-  | Jitter of { task : int; instance : int; delay : float }
-  | Denial of { task : int; instance : int; sub : int; time : float; requested : float }
-
-type scenario = {
-  totals : float array array;
-  faults : Event_sim.faults;
-  events : event list ref;
-}
-
-let trace scenario = List.rev !(scenario.events)
+type scenario = { totals : float array array; faults : Event_sim.faults }
 
 (* All randomness flows through one generator seeded from
    [spec.seed + round] (SplitMix64 expansion makes consecutive integer
    seeds independent streams): upfront per-instance overrun and jitter
    draws in task/instance order, then a split stream for the per-
    dispatch denial decisions. The simulator's dispatch sequence is
-   itself deterministic, so the whole fault trace is a pure function of
-   (spec, round, totals). *)
+   itself deterministic, so every fault, and so every counter, is a pure
+   function of (spec, round, totals). *)
 let perturb spec ?counters ~round (plan : Plan.t) ~totals =
   validate spec;
   let rng = Rng.create ~seed:(spec.seed + round) in
   let c = match counters with Some c -> c | None -> fresh_counters () in
-  let events = ref [] in
   let ts = plan.Plan.task_set in
   let totals' = Array.map Array.copy totals in
   let offsets = Array.map (Array.map (fun _ -> 0.)) totals in
@@ -90,28 +78,21 @@ let perturb spec ?counters ~round (plan : Plan.t) ~totals =
       Array.iteri
         (fun j _ ->
           if spec.overrun_prob > 0. && Rng.float rng < spec.overrun_prob then begin
-            let actual = task.Task.wcec *. spec.overrun_factor in
-            totals'.(i).(j) <- actual;
-            c.overruns <- c.overruns + 1;
-            events :=
-              Overrun { task = i; instance = j; actual; wcec = task.Task.wcec }
-              :: !events
+            totals'.(i).(j) <- task.Task.wcec *. spec.overrun_factor;
+            c.overruns <- c.overruns + 1
           end;
           if spec.jitter_prob > 0. && Rng.float rng < spec.jitter_prob then begin
             let hi = spec.jitter_frac *. float_of_int task.Task.period in
-            let delay = Rng.uniform rng ~lo:0. ~hi in
-            offsets.(i).(j) <- delay;
-            c.jitters <- c.jitters + 1;
-            events := Jitter { task = i; instance = j; delay } :: !events
+            offsets.(i).(j) <- Rng.uniform rng ~lo:0. ~hi;
+            c.jitters <- c.jitters + 1
           end)
         per_instance)
     totals;
   let denial_rng = Rng.split rng in
-  let deny_transition ~task ~instance ~sub ~now ~requested =
+  let deny_transition ~task:_ ~instance:_ ~sub:_ ~now:_ ~requested:_ =
     if spec.denial_prob <= 0. then false
     else if Rng.float denial_rng < spec.denial_prob then begin
       c.denials <- c.denials + 1;
-      events := Denial { task; instance; sub; time = now; requested } :: !events;
       true
     end
     else false
@@ -120,5 +101,4 @@ let perturb spec ?counters ~round (plan : Plan.t) ~totals =
     faults =
       { Event_sim.release_offsets = offsets;
         enforce_budget = spec.overrun_prob <= 0.;
-        deny_transition };
-    events }
+        deny_transition } }

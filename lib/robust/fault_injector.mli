@@ -19,8 +19,10 @@
       stays at the previous level for that dispatch.
 
     Everything is driven by one generator seeded from
-    [seed + round], so a fixed (spec, round, workload) triple yields an
-    identical fault trace and simulation outcome on every run. *)
+    [seed + round], so a fixed (spec, round, workload) triple yields
+    identical faults, {!counters} and simulation outcome on every run.
+    The injector keeps counts, not a log of each fault: campaigns and
+    the adaptive sweep read only the counts. *)
 
 type spec = {
   seed : int;
@@ -51,17 +53,9 @@ val add_counters : into:counters -> counters -> unit
 (** [add_counters ~into c] accumulates [c] into [into] — used to merge
     per-round counters in round order after a parallel campaign. *)
 
-type event =
-  | Overrun of { task : int; instance : int; actual : float; wcec : float }
-  | Jitter of { task : int; instance : int; delay : float }
-  | Denial of { task : int; instance : int; sub : int; time : float; requested : float }
-
 type scenario = {
   totals : float array array;  (** perturbed per-instance workloads *)
   faults : Lepts_sim.Event_sim.faults;  (** hand to {!Lepts_sim.Event_sim.run} *)
-  events : event list ref;
-      (** fault log; overrun/jitter events are recorded up front,
-          denial events as the simulation consults the scenario *)
 }
 
 val perturb :
@@ -74,10 +68,6 @@ val perturb :
 (** [perturb spec ~round plan ~totals] draws one fault scenario for the
     given hyper-period round. Deterministic in (spec, round, totals).
     Raises [Invalid_argument] on out-of-range spec fields. *)
-
-val trace : scenario -> event list
-(** The fault log in injection order (call after simulating to include
-    denial events). *)
 
 val validate : spec -> unit
 (** Per-field range checks. Raises [Invalid_argument] naming the

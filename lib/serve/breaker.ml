@@ -71,28 +71,28 @@ let trip t ~now =
   t.consecutive_failures <- 0;
   transition t ~now Open
 
-let observe t ~now ~routed_acs ~ok =
-  if routed_acs then
-    match t.state with
-    | Closed ->
-      if ok then t.consecutive_failures <- 0
-      else begin
-        t.consecutive_failures <- t.consecutive_failures + 1;
-        if t.consecutive_failures >= t.config.failure_threshold then
-          trip t ~now
-      end
-    | Half_open ->
-      (* One verdict decides the episode: a failed probe re-opens even
-         if sibling probes are still in flight; a successful probe
-         closes. *)
-      if ok then begin
-        t.consecutive_failures <- 0;
-        transition t ~now Closed
-      end
-      else trip t ~now
-    | Open ->
-      (* A probe that was planned in Half_open but folded after a
-         sibling re-opened the circuit: already accounted for. *)
-      ()
+let observe t ~now ~ok =
+  match t.state with
+  | Closed ->
+    if ok then t.consecutive_failures <- 0
+    else begin
+      t.consecutive_failures <- t.consecutive_failures + 1;
+      if t.consecutive_failures >= t.config.failure_threshold then trip t ~now
+    end
+  | Half_open ->
+    (* One verdict decides the episode: a failed probe re-opens even if
+       sibling probes are still in flight; a successful probe closes. *)
+    if ok then begin
+      t.consecutive_failures <- 0;
+      transition t ~now Closed
+    end
+    else trip t ~now
+  | Open ->
+    (* A probe that was planned in Half_open but folded after a sibling
+       re-opened the circuit: already accounted for. *)
+    ()
+
+let release t =
+  if t.state = Half_open then t.probes_left <- t.probes_left + 1
 
 let transitions t = List.rev t.log

@@ -15,6 +15,13 @@
       Half_open --[probe fails]------------------> Open
     v}
 
+    Every [true] from {!plan_route} is settled once: by {!observe}
+    with a verdict on the ACS stage alone when the stage saw the
+    request, or by {!release} when there was nothing to solve (the
+    task set could not be generated — a bad request is not a sick
+    stage). A request routed around ACS holds no slot and settles
+    nothing.
+
     Time is a {e logical clock} supplied by the caller — the service
     engine uses its processed-request count — so breaker behaviour is a
     pure function of the observation sequence, never of wall time.
@@ -64,12 +71,15 @@ val plan_route : t -> now:int -> bool
     probe slot in [Half_open], so call it exactly once per request, in
     request order. *)
 
-val observe : t -> now:int -> routed_acs:bool -> ok:bool -> unit
-(** [observe t ~now ~routed_acs ~ok] folds one request outcome into the
-    breaker. [ok] means the ACS stage itself produced the schedule.
-    Outcomes of requests that were routed around ACS
-    ([routed_acs = false]) carry no information about the stage and
-    leave the state untouched. *)
+val observe : t -> now:int -> ok:bool -> unit
+(** [observe t ~now ~ok] folds one ACS verdict into the breaker: [ok]
+    means the ACS stage itself produced the schedule. *)
+
+val release : t -> unit
+(** [release t] hands back a slot {!plan_route} granted to a request
+    that folds no verdict: in [Half_open] the probe returns to the
+    episode's budget, so the next request probes instead; in [Closed]
+    (no budget) and [Open] (episode over) it does nothing. *)
 
 val transitions : t -> (int * state) list
 (** Chronological transition log [(logical time, new state)], the

@@ -109,12 +109,27 @@ let cache_stats_line ~cache =
     s.Cache.entries s.Cache.s_hits s.Cache.s_misses s.Cache.s_stale
     s.Cache.s_inserts s.Cache.s_upgrades s.Cache.s_evictions
 
+(* A snapshot save writes [path ^ ".tmp"] and renames it onto [path],
+   which fails on a directory or under a missing parent — after the
+   whole run has been served, at the final save. *)
+let refused_path config =
+  List.find_map
+    (fun path ->
+      let dir = Filename.dirname path in
+      if Sys.file_exists path && not (Sys.is_regular_file path) then
+        Some (path ^ ": not a regular file")
+      else if Sys.file_exists dir && Sys.is_directory dir then None
+      else Some (path ^ ": no directory " ^ dir))
+    (List.filter_map Fun.id [ config.cache_path; config.journal_path ])
+
 let run_source ?(config = default_config) ?(power = Model.ideal ()) ?chaos
     ?before_solve ?(should_stop = fun () -> false) ~source () =
   if config.snapshot_every < 1 then
     invalid_arg "Daemon.run: snapshot_every must be >= 1";
   if config.health_every < 0 then
     invalid_arg "Daemon.run: health_every must be >= 0";
+  Option.iter (fun msg -> invalid_arg ("Daemon.run: " ^ msg))
+    (refused_path config);
   let fingerprint = cache_fingerprint ~power in
   let start, cache =
     start_cache ~path_opt:config.cache_path

@@ -64,6 +64,12 @@ val default_config : config
 (** {!Service.default_config}, no cache path, [snapshot_every = 8],
     [health_every = 0], no journal, unbounded cache. *)
 
+val refused_path : config -> string option
+(** [Some "PATH: ..."] when a snapshot path ([cache_path] or
+    [journal_path]) exists but is not a regular file, or its parent is
+    not a directory: a save, which renames a temporary file onto the
+    path, would fail only after the run has been served. *)
+
 type start =
   | Cold
   | Warm of int  (** entries loaded from the snapshot *)
@@ -105,7 +111,9 @@ val run_source :
     [before_solve] composes after chaos injection. Note that every
     source takes its own [?chaos] at construction for line drops and
     transport-level faults — this function's [chaos] drives only
-    solve-time and snapshot-corruption injection. *)
+    solve-time and snapshot-corruption injection. Raises
+    [Invalid_argument], before serving, on a config with a
+    {!refused_path}. *)
 
 val run :
   ?config:config ->

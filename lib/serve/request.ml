@@ -10,6 +10,12 @@ type t = {
 
 exception Bad of string
 
+(* A byte as a diagnostic shows it: quoted when printable ASCII, else
+   0xNN, so a reason echoed into the report stays valid UTF-8. *)
+let show_byte c =
+  if c >= ' ' && c <= '~' then Printf.sprintf "'%c'" c
+  else Printf.sprintf "0x%02x" (Char.code c)
+
 (* A strict parser for one flat JSON object — the only shape the wire
    format admits. Strictness is the point: a typoed key or an
    out-of-range value must reject the request at admission, not mutate
@@ -30,7 +36,7 @@ let of_json line =
     skip_ws ();
     match peek () with
     | Some d when d = c -> incr pos
-    | Some d -> err "expected '%c' at position %d, found '%c'" c !pos d
+    | Some d -> err "expected '%c' at position %d, found %s" c !pos (show_byte d)
     | None -> err "expected '%c' at position %d, found end of line" c !pos
   in
   let parse_string () =
@@ -49,11 +55,19 @@ let of_json line =
         | '/' -> Buffer.add_char buf '/'
         | 'n' -> Buffer.add_char buf '\n'
         | 't' -> Buffer.add_char buf '\t'
-        | c -> err "unsupported escape '\\%c'" c);
+        | c -> err "unsupported escape: backslash then %s" (show_byte c));
         incr pos;
         go ()
       | c when Char.code c < 0x20 ->
         err "raw control byte 0x%02x in string at position %d" (Char.code c) !pos
+      | c when Char.code c >= 0x80 ->
+        let d = String.get_utf_8_uchar line !pos in
+        if not (Uchar.utf_decode_is_valid d) then
+          err "malformed UTF-8 in string at position %d" !pos;
+        let len = Uchar.utf_decode_length d in
+        Buffer.add_string buf (String.sub line !pos len);
+        pos := !pos + len;
+        go ()
       | c ->
         Buffer.add_char buf c;
         incr pos;
@@ -119,7 +133,8 @@ let of_json line =
            skip_ws ();
            members ()
          | Some '}' -> incr pos
-         | Some c -> err "expected ',' or '}' at position %d, found '%c'" !pos c
+         | Some c ->
+           err "expected ',' or '}' at position %d, found %s" !pos (show_byte c)
          | None -> err "unterminated object"
        in
        members ());

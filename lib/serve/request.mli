@@ -11,10 +11,12 @@
     v}
 
     Unknown fields are rejected (a typo must not silently change a
-    job), as are duplicate fields, values out of range and raw bytes
+    job), as are duplicate fields, values out of range, raw bytes
     below 0x20 inside a string (JSON admits them only escaped; the
-    parser reads the escapes [\n] and [\t]) — malformed lines are
-    shed at admission and counted, never guessed at. *)
+    parser reads the escapes [\n] and [\t]) and strings that are not
+    well-formed UTF-8 — malformed lines are shed at admission and
+    counted, never guessed at. A reason shows any byte outside
+    printable ASCII as [0xNN], so the report stays UTF-8. *)
 
 type t = {
   id : string;  (** request identifier, echoed in the response *)

@@ -18,15 +18,12 @@ type config = {
   shards : int;
   high_water : int;
   wave : int;
-  max_retries : int;
-  backoff_base : float;
   max_worker_crashes : int;
   breaker : Breaker.config;
 }
 
 let default_config =
-  { jobs = 1; shards = 1; high_water = 64; wave = 8; max_retries = 1;
-    backoff_base = 0.; max_worker_crashes = 2;
+  { jobs = 1; shards = 1; high_water = 64; wave = 8; max_worker_crashes = 2;
     breaker = Breaker.default_config }
 
 type status =
@@ -89,10 +86,6 @@ let m_processed =
   Metrics.counter ~help:"requests processed to completion" Metrics.default
     "lepts_serve_processed_total"
 
-let m_retries =
-  Metrics.counter ~help:"solver-failure retries" Metrics.default
-    "lepts_serve_retries_total"
-
 let m_restarts =
   Metrics.counter ~help:"worker restarts after a crash" Metrics.default
     "lepts_serve_worker_restarts_total"
@@ -131,27 +124,15 @@ type exec = {
   e_status : status;
   e_attempts : int;
   e_crashes : int;
-  e_acs_ok : bool;  (* the ACS stage itself produced the schedule *)
+  e_verdict : bool option;
+      (* [Some ok]: the solve ran or a worker crashed ([ok]: the ACS
+         stage produced the schedule); [None]: no task set was generated *)
   e_degraded : bool;
   e_crashed_out : bool;  (* exhausted its worker restarts *)
   e_schedule : (float array * float array) option;
       (* solved (end_times, quotas), for the cache and warm chains *)
   e_ms : float;  (* worker wall ms — observability only, never reported *)
 }
-
-let backoff ~config ~attempt (req : Request.t) =
-  if config.backoff_base > 0. then begin
-    (* Exponential backoff with deterministic jitter: the jitter stream
-       is keyed off the request id and attempt number, so two runs of
-       the same batch sleep identically — and distinct requests never
-       thunder in lockstep. *)
-    let rng = Rng.split_key (Rng.create ~seed:(Hashtbl.hash req.Request.id)) ~key:attempt in
-    let scale = 0.5 +. Rng.float rng in
-    let delay =
-      config.backoff_base *. (2. ** float_of_int (attempt - 1)) *. scale
-    in
-    Unix.sleepf (Float.min delay 5.)
-  end
 
 let workload_of ~power (req : Request.t) =
   if req.Request.tasks = 0 then
@@ -163,11 +144,13 @@ let workload_of ~power (req : Request.t) =
          ~ratio:req.Request.ratio)
       ~power ~rng
 
+(* One solve attempt. Both failures are pure functions of the request:
+   its task set cannot be generated, or every pipeline stage failed. *)
 let solve_once ~power ~before_solve ~skip_acs ~prev ~wait_ms ~attempt
     (req : Request.t) =
   Option.iter (fun f -> f ~attempt req) before_solve;
   match workload_of ~power req with
-  | Error msg -> Error ("generation failed: " ^ msg)
+  | Error msg -> `Ungenerated ("generation failed: " ^ msg)
   | Ok ts -> (
     let plan = Plan.expand ts in
     (* [budget_ms] is an end-to-end deadline: the time this request
@@ -190,8 +173,7 @@ let solve_once ~power ~before_solve ~skip_acs ~prev ~wait_ms ~attempt
     match
       Robust_solver.solve ~config:solver_config ~skip_acs ?prev ~plan ~power ()
     with
-    | Error e ->
-      Error (Format.asprintf "%a" Lepts_core.Solver.pp_error e)
+    | Error e -> `Unsolved (Format.asprintf "%a" Lepts_core.Solver.pp_error e)
     | Ok (schedule, diagnostics) ->
       let mean_energy =
         if req.Request.rounds = 0 then None
@@ -203,58 +185,48 @@ let solve_once ~power ~before_solve ~skip_acs ~prev ~wait_ms ~attempt
           in
           Some summary.Runner.mean_energy
       in
-      Ok (schedule, diagnostics, mean_energy))
+      `Solved (schedule, diagnostics, mean_energy))
 
 (* Process one request on a worker domain. Returns the exec record plus
    the solved schedule object, which a warm chain threads into the next
-   near-identical solve. *)
+   near-identical solve. Only a worker crash runs the request again: a
+   failed solve would fail the same way on every attempt. *)
 let process ~config ~power ~before_solve ~skip_acs ~prev ~wait_ms
     (req : Request.t) =
   (* One constant name: a request id in it would add a span path per
      request, and build a string per request even with spans off. *)
   Span.with_ ~name:"serve:request" @@ fun () ->
   let t0 = Unix.gettimeofday () in
+  let failed ~attempt ~crashes ?(crashed_out = false) ~verdict msg =
+    ( { e_status = Failed msg; e_attempts = attempt; e_crashes = crashes;
+        e_verdict = verdict; e_degraded = true; e_crashed_out = crashed_out;
+        e_schedule = None; e_ms = 0. },
+      None )
+  in
   let rec go ~attempt ~crashes =
-    let result =
-      try
-        `R (solve_once ~power ~before_solve ~skip_acs ~prev ~wait_ms ~attempt
-              req)
-      with e -> `Crash (Printexc.to_string e)
-    in
-    match result with
-    | `Crash msg ->
+    match
+      solve_once ~power ~before_solve ~skip_acs ~prev ~wait_ms ~attempt req
+    with
+    | exception e ->
+      let msg = Printexc.to_string e in
       Log.warn (fun f ->
           f "%s: worker crashed on attempt %d: %s" req.Request.id attempt msg);
       if crashes >= config.max_worker_crashes then
-        ( { e_status = Failed ("worker crashed: " ^ msg); e_attempts = attempt;
-            e_crashes = crashes + 1; e_acs_ok = false; e_degraded = true;
-            e_crashed_out = true; e_schedule = None; e_ms = 0. },
-          None )
+        failed ~attempt ~crashes:(crashes + 1) ~crashed_out:true
+          ~verdict:(Some false) ("worker crashed: " ^ msg)
       else begin
         Metrics.incr m_restarts;
         go ~attempt:(attempt + 1) ~crashes:(crashes + 1)
       end
-    | `R (Error msg) ->
-      if attempt <= config.max_retries then begin
-        Metrics.incr m_retries;
-        Log.info (fun f ->
-            f "%s: attempt %d failed (%s), retrying" req.Request.id attempt msg);
-        backoff ~config ~attempt req;
-        go ~attempt:(attempt + 1) ~crashes
-      end
-      else
-        ( { e_status = Failed msg; e_attempts = attempt; e_crashes = crashes;
-            e_acs_ok = false; e_degraded = true; e_crashed_out = false;
-            e_schedule = None; e_ms = 0. },
-          None )
-    | `R (Ok (schedule, diagnostics, mean_energy)) ->
+    | `Ungenerated msg -> failed ~attempt ~crashes ~verdict:None msg
+    | `Unsolved msg -> failed ~attempt ~crashes ~verdict:(Some false) msg
+    | `Solved (schedule, diagnostics, mean_energy) ->
       let chosen = diagnostics.Robust_solver.chosen in
-      let degraded = chosen <> Robust_solver.Acs in
       ( { e_status =
             Done { stage = Robust_solver.stage_name chosen; mean_energy };
           e_attempts = attempt; e_crashes = crashes;
-          e_acs_ok = (chosen = Robust_solver.Acs); e_degraded = degraded;
-          e_crashed_out = false;
+          e_verdict = Some (chosen = Robust_solver.Acs);
+          e_degraded = chosen <> Robust_solver.Acs; e_crashed_out = false;
           e_schedule =
             Some
               ( schedule.Static_schedule.end_times,
@@ -266,7 +238,7 @@ let process ~config ~power ~before_solve ~skip_acs ~prev ~wait_ms
   ({ e with e_ms = (Unix.gettimeofday () -. t0) *. 1000. }, sched)
 
 let no_exec = (* placeholder for requests a drain left unprocessed *)
-  { e_status = Drained; e_attempts = 0; e_crashes = 0; e_acs_ok = false;
+  { e_status = Drained; e_attempts = 0; e_crashes = 0; e_verdict = None;
     e_degraded = false; e_crashed_out = false; e_schedule = None; e_ms = 0. }
 
 let exec_of_entry (e : Cache.entry) =
@@ -274,7 +246,7 @@ let exec_of_entry (e : Cache.entry) =
      construction a non-degraded ACS result. *)
   { e_status = Done { stage = e.Cache.stage; mean_energy = e.Cache.mean_energy };
     e_attempts = e.Cache.attempts; e_crashes = e.Cache.crashes;
-    e_acs_ok = true; e_degraded = false; e_crashed_out = false;
+    e_verdict = Some true; e_degraded = false; e_crashed_out = false;
     e_schedule = e.Cache.schedule; e_ms = 0. }
 
 (* Rebuild a cached schedule object to seed a warm chain: regenerate
@@ -323,8 +295,6 @@ let run_source ?(config = default_config) ?(power = Model.ideal ()) ?cache
   if config.high_water < 1 then
     invalid_arg "Service.run_source: high_water must be >= 1";
   if config.wave < 1 then invalid_arg "Service.run_source: wave must be >= 1";
-  if config.max_retries < 0 then
-    invalid_arg "Service.run_source: max_retries must be >= 0";
   if config.max_worker_crashes < 0 then
     invalid_arg "Service.run_source: max_worker_crashes must be >= 0";
   Span.with_ ~name:"serve:batch" @@ fun () ->
@@ -544,7 +514,7 @@ let run_source ?(config = default_config) ?(power = Model.ideal ()) ?cache
                 ~prev:(if l_route then !prev else None)
                 ~wait_ms:(wait_of slots.(l_slot)) l_req
             in
-            prev := (if e.e_acs_ok then sched else None);
+            prev := (if e.e_verdict = Some true then sched else None);
             out := (l_slot, e) :: !out)
         links;
       List.rev !out
@@ -560,7 +530,16 @@ let run_source ?(config = default_config) ?(power = Model.ideal ()) ?cache
     (* Fold phase: sequential, in slot order. Cache hits fold as
        successful ACS observations; fresh [Done] results are stored
        with their provenance and schedule; coalesced followers fold
-       their leader's signal into their own shard. *)
+       their leader's verdict into their own shard. Each ACS slot
+       [plan_route] granted is settled once: a verdict, or the slot
+       handed back when no task set was generated. A request routed
+       around ACS holds no slot and folds nothing. *)
+    let settle sh ~routed e =
+      if routed then
+        match e.e_verdict with
+        | Some ok -> Breaker.observe sh.Shard.breaker ~now:sh.Shard.clock ~ok
+        | None -> Breaker.release sh.Shard.breaker
+    in
     for k = 0 to w - 1 do
       let q = slots.(k) in
       let sh = shards.(q.q_shard) in
@@ -570,8 +549,7 @@ let run_source ?(config = default_config) ?(power = Model.ideal ()) ?cache
         sh.Shard.clock <- sh.Shard.clock + 1;
         sh.Shard.processed <- sh.Shard.processed + 1;
         let e = exec_of_entry entry in
-        Breaker.observe sh.Shard.breaker ~now:sh.Shard.clock ~routed_acs:true
-          ~ok:true;
+        settle sh ~routed:true e;
         incr processed;
         record q.q_seq
           { id = q.q_req.Request.id; status = e.e_status;
@@ -590,7 +568,8 @@ let run_source ?(config = default_config) ?(power = Model.ideal ()) ?cache
               { Cache.stage; mean_energy; attempts = e.e_attempts;
                 crashes = e.e_crashes;
                 provenance =
-                  (if e.e_acs_ok then Cache.Authoritative else Cache.Fallback);
+                  (if e.e_verdict = Some true then Cache.Authoritative
+                   else Cache.Fallback);
                 schedule = e.e_schedule }
           | _ -> ()
         end
@@ -598,8 +577,7 @@ let run_source ?(config = default_config) ?(power = Model.ideal ()) ?cache
           incr coalesced_total;
           Metrics.incr m_coalesced
         end;
-        Breaker.observe sh.Shard.breaker ~now:sh.Shard.clock ~routed_acs:route
-          ~ok:e.e_acs_ok;
+        settle sh ~routed:route e;
         if e.e_degraded && not e.e_crashed_out then Metrics.incr m_degraded;
         if e.e_crashed_out then degraded_service := true;
         incr processed;
@@ -675,16 +653,6 @@ let run_source ?(config = default_config) ?(power = Model.ideal ()) ?cache
     expired = !expired_total; coalesced = !coalesced_total;
     drained = !drained; degraded = !degraded_service;
     shards = Array.to_list (Array.map Shard.stat shards) }
-
-let pp_status ppf = function
-  | Done { stage; mean_energy } ->
-    Format.fprintf ppf "done (%s%t)" stage (fun ppf ->
-        Option.iter (fun e -> Format.fprintf ppf ", mean %.6g" e) mean_energy)
-  | Failed msg -> Format.fprintf ppf "failed: %s" msg
-  | Rejected msg -> Format.fprintf ppf "rejected: %s" msg
-  | Shed -> Format.pp_print_string ppf "shed"
-  | Expired -> Format.pp_print_string ppf "expired"
-  | Drained -> Format.pp_print_string ppf "drained"
 
 let outcome_json (o : outcome) =
   let b = Buffer.create 96 in

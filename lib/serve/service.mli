@@ -30,9 +30,12 @@
       domains — each unit is a pure function of its (requests, routes);
     + outcomes are folded back into the shard breakers in request
       order, one shard-clock tick per dispatched request; a cache hit
-      folds as a successful ACS observation, and fresh schedules are
-      stored back with their provenance and exact solution vectors
-      (never overwriting an authoritative entry with a degraded one).
+      folds as a successful ACS observation, a request the ACS stage
+      never saw (routed around it, or whose task set could not be
+      generated) folds no verdict — the latter hands its ACS slot back
+      ({!Breaker.release}) — and fresh schedules are stored back
+      with their provenance and exact solution vectors (never
+      overwriting an authoritative entry with a degraded one).
 
     Because routing reads only pre-wave breaker state, cache traffic is
     confined to the sequential plan/fold phases, folding is sequential,
@@ -44,14 +47,14 @@
     diff for.
 
     Supervision: a worker exception (the solve must never take the
-    service down) is caught, counted, and the request retried up to
+    service down) is caught, counted, and the request run again up to
     [max_worker_crashes] times before it is failed and the service
-    marked degraded. Solver-level failures are retried up to
-    [max_retries] times with exponential backoff and deterministic
-    per-request jitter. A drain request ([should_stop], typically
-    {!Drain.requested}, or the transport's drain flag) is honoured at
-    the next poll; the unprocessed tail is reported as such, never
-    silently dropped. *)
+    marked degraded. A failed solve is not run again: its task set
+    could not be generated or every pipeline stage failed, and both
+    are pure functions of the request. A drain request ([should_stop],
+    typically {!Drain.requested}, or the transport's drain flag) is
+    honoured at the next poll; the unprocessed tail is reported as
+    such, never silently dropped. *)
 
 type config = {
   jobs : int;  (** worker domains per wave; >= 1 *)
@@ -65,11 +68,6 @@ type config = {
       (** wave size — requests solved between breaker folds; >= 1.
           Part of the service semantics (routes are planned per wave),
           so it is {e not} derived from [jobs]. *)
-  max_retries : int;  (** solver-failure retries per request; >= 0 *)
-  backoff_base : float;
-      (** base retry delay, seconds; doubled per retry, scaled by a
-          deterministic per-request jitter in [[0.5, 1.5)]. [0]
-          disables sleeping (tests, CI). *)
   max_worker_crashes : int;
       (** worker restarts granted per request before it is failed and
           the service marked degraded; >= 0 *)
@@ -78,14 +76,14 @@ type config = {
 
 val default_config : config
 (** [jobs = 1], [shards = 1], [high_water = 64], [wave = 8],
-    [max_retries = 1], [backoff_base = 0.], [max_worker_crashes = 2],
-    {!Breaker.default_config}. *)
+    [max_worker_crashes = 2], {!Breaker.default_config}. *)
 
 type status =
   | Done of { stage : string; mean_energy : float option }
       (** solved; [stage] is the winning pipeline stage, [mean_energy]
           the post-solve simulation mean when [rounds > 0] *)
-  | Failed of string  (** all retries/restarts exhausted *)
+  | Failed of string
+      (** the solve failed, or the worker restarts ran out *)
   | Rejected of string
       (** malformed NDJSON line, or a transport-level rejection
           (partial line at connection close, oversized line, read
@@ -100,7 +98,9 @@ type outcome = {
   id : string;
       (** request id, or ["line-<n>"] for lines that did not parse *)
   status : status;
-  attempts : int;  (** solve attempts made; 0 when never processed *)
+  attempts : int;
+      (** solve attempts made (only a worker crash causes a second);
+          0 when never processed *)
   crashes : int;  (** worker crashes absorbed by this request *)
   routed_acs : bool;  (** whether the wave plan routed it to ACS *)
   degraded : bool;
@@ -157,7 +157,7 @@ val run_source :
     polled, so {!Transport.replay} reproduces the run's wave boundaries
     and arrival stamps byte-identically. [before_solve] is the
     supervision test hook, called on the worker domain before every
-    solve attempt (attempts count from 1 across retries and restarts);
+    solve attempt (attempts count from 1 across worker restarts);
     an exception it raises is handled exactly like a worker crash, so
     it must be domain-safe. It is never called for expired, cache-hit
     or coalesced-follower requests. [after_wave] (default: none) is
@@ -178,7 +178,7 @@ val run_source :
     Counters in {!Lepts_obs.Metrics.default}:
     [lepts_serve_requests_total], [..._rejected_total],
     [..._admitted_total], [..._shed_total], [..._processed_total],
-    [..._retries_total], [..._worker_restarts_total],
+    [..._worker_restarts_total],
     [..._degraded_total], [..._drained_total], [..._expired_total],
     [..._coalesced_total]; histograms
     [lepts_serve_admission_to_dispatch_ms] and
@@ -195,7 +195,3 @@ val print_report : ?oc:out_channel -> report -> unit
     them, and the trailer must stay byte-identical across that
     difference), so two runs over the same arrivals are byte-identical
     whatever [jobs] was — and whether the cache was cold or warm. *)
-
-val pp_status : Format.formatter -> status -> unit
-(** Human-readable status — the winning stage and simulated mean for
-    [Done], the reason for [Failed] — for logs and test messages. *)

@@ -475,7 +475,6 @@ let spool ?(poll_ms = 50) ?(max_line_bytes = 65536) ?(idle_exit_ms = 0) ?chaos
 
 let replay ~path =
   match Journal.load ~path with
-  | exception Sys_error msg -> Error msg
   | Error _ as e -> e
   | Ok batches -> Ok (Replay { rest = batches; last_now = 0 })
 

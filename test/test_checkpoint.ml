@@ -374,6 +374,27 @@ let test_fig6a_checkpoint_parallel_bit_identical () =
   let session3 = session_ok (Checkpoint.start ~path ~resume:true ~fingerprint:fp) in
   Alcotest.(check int) "every set on disk" 6 (Checkpoint.entries session3 ~section:"set")
 
+let test_directory_path_refused () =
+  (* A directory is not a snapshot: reading one is an error naming the
+     path, never an exception, and a --checkpoint DIR exits 2. *)
+  let dir = Filename.temp_dir "lepts-test" ".ckpt" in
+  Fun.protect ~finally:(fun () -> Unix.rmdir dir) @@ fun () ->
+  let refused what = function
+    | Ok _ -> Alcotest.failf "%s accepted a directory" what
+    | Error msg ->
+      Alcotest.(check bool) (Printf.sprintf "%s names the path in %S" what msg) true
+        (contains ~sub:(dir ^ ": ") msg)
+  in
+  refused "Snapshot.read"
+    (Checkpoint.Snapshot.read ~path:dir ~magic:"lepts-checkpoint" ~version:1);
+  refused "start" (Checkpoint.start ~path:dir ~resume:false ~fingerprint:"aa");
+  let code, err =
+    Test_golden.lepts_status [ "faults"; "--rounds"; "10"; "--checkpoint"; dir ]
+  in
+  Alcotest.(check int) "faults --checkpoint DIR exits 2" 2 code;
+  Alcotest.(check bool) (Printf.sprintf "diagnostic %S" err) true
+    (contains ~sub:("checkpoint: " ^ dir ^ ": ") err)
+
 let suite =
   [ ("fingerprint canonical", `Quick, test_fingerprint_canonical);
     ("float field exact", `Quick, test_float_field_exact);
@@ -389,4 +410,5 @@ let suite =
     ("campaign drain/resume bit-identical", `Quick,
      test_campaign_drain_resume_bit_identical);
     ("fig6a checkpoint at jobs 2 bit-identical", `Slow,
-     test_fig6a_checkpoint_parallel_bit_identical) ]
+     test_fig6a_checkpoint_parallel_bit_identical);
+    ("directory path refused", `Quick, test_directory_path_refused) ]

@@ -495,6 +495,35 @@ let test_chaos_snapshot_corruption_refused_and_restored () =
   | Ok c -> Alcotest.(check bool) "snapshot restored" true (Cache.size c > 0)
   | Error msg -> Alcotest.failf "restored snapshot unreadable: %s" msg
 
+let test_serve_refuses_unwritable_snapshot_paths () =
+  (* A snapshot save renames its temporary file onto the path, which
+     fails on a directory or under a missing parent, and only after the
+     run has been served: the daemon refuses such a path up front, for
+     the CLI (exit 2) and a library caller (Invalid_argument) alike. *)
+  let dir = Filename.temp_dir "lepts-test" ".cache" in
+  Fun.protect ~finally:(fun () -> Unix.rmdir dir) @@ fun () ->
+  let orphan = Filename.concat (Filename.concat dir "missing") "x.cache" in
+  List.iter
+    (fun (flag, path, diagnostic) ->
+      let code, err = Test_golden.lepts_status [ "serve"; flag; path ] in
+      Alcotest.(check int) (flag ^ " exits 2") 2 code;
+      Alcotest.(check bool) (Printf.sprintf "%s diagnostic %S" flag err) true
+        (contains ~sub:diagnostic err))
+    [ ("--cache", dir, dir ^ ": not a regular file");
+      ("--journal", dir, dir ^ ": not a regular file");
+      ("--cache", orphan, orphan ^ ": no directory");
+      ("--journal", orphan, orphan ^ ": no directory") ];
+  let solved = ref 0 in
+  Alcotest.(check bool) "library caller refused before serving" true
+    (try
+       ignore
+         (Daemon.run
+            ~config:{ Daemon.default_config with Daemon.cache_path = Some orphan }
+            ~before_solve:(fun ~attempt:_ _ -> incr solved)
+            ~lines:[ {|{"id": "a"}|} ] ());
+       false
+     with Invalid_argument _ -> !solved = 0)
+
 let suite =
   [ ("cache key ignores id", `Quick, test_cache_key_ignores_id);
     ("cache provenance rules", `Quick, test_cache_provenance_rules);
@@ -513,6 +542,8 @@ let suite =
      test_daemon_refuses_corrupt_snapshot);
     ("daemon fingerprint pins power model", `Quick,
      test_daemon_fingerprint_pins_power_model);
+    ("serve refuses unwritable snapshot paths", `Quick,
+     test_serve_refuses_unwritable_snapshot_paths);
     ("chaos profile parser", `Quick, test_chaos_profile_parser);
     ("chaos deterministic", `Quick, test_chaos_deterministic);
     ("chaos crash injection restarts", `Quick,

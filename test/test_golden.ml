@@ -38,6 +38,20 @@ let run_lepts args =
   | Unix.WEXITED 0 -> out
   | _ -> Alcotest.failf "lepts %s did not exit 0" (String.concat " " args)
 
+(* Exit code and stderr of one CLI run, stdin and stdout on /dev/null:
+   for the commands that must refuse their arguments. *)
+let lepts_status args =
+  let err = Filename.temp_file "lepts-test" ".err" in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let pid = Unix.create_process lepts (Array.of_list (lepts :: args)) null null fd in
+  Unix.close null;
+  Unix.close fd;
+  let _, status = Unix.waitpid [] pid in
+  let stderr = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove err;
+  ((match status with Unix.WEXITED code -> code | _ -> -1), stderr)
+
 let cli_case ~file args =
   ( "lepts " ^ String.concat " " args,
     `Quick,

@@ -35,26 +35,55 @@ let moderate_spec =
 
 (* --- Fault injector ------------------------------------------------------ *)
 
+(* Bits of a per-instance array, and the counters as one line. *)
+let bits a =
+  Array.to_list
+    (Array.map
+       (fun row ->
+         String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") row)))
+       a)
+
+let counts (c : Fault_injector.counters) =
+  Printf.sprintf "overruns %d jitters %d denials %d" c.Fault_injector.overruns
+    c.Fault_injector.jitters c.Fault_injector.denials
+
 let test_injector_deterministic () =
-  let plan, _ = preemptive_acs () in
+  let plan, acs = preemptive_acs () in
   let totals = Sampler.fixed plan ~value:`Acec in
-  let draw () = Fault_injector.perturb moderate_spec ~round:7 plan ~totals in
-  let a = draw () and b = draw () in
-  Alcotest.(check bool) "same totals" true
-    (a.Fault_injector.totals = b.Fault_injector.totals);
-  Alcotest.(check bool) "same trace" true
-    (Fault_injector.trace a = Fault_injector.trace b);
+  (* Simulating each draw makes the denial stream count too. *)
+  let draw round =
+    let counters = Fault_injector.fresh_counters () in
+    let s = Fault_injector.perturb moderate_spec ~counters ~round plan ~totals in
+    let o =
+      Event_sim.run ~faults:s.Fault_injector.faults ~schedule:acs
+        ~policy:Policy.Greedy ~totals:s.Fault_injector.totals ()
+    in
+    ( (Printf.sprintf "energy %h" o.Outcome.energy :: counts counters
+       :: bits s.Fault_injector.totals)
+      @ bits s.Fault_injector.faults.Event_sim.release_offsets,
+      counters )
+  in
+  let a, ca = draw 3 and b, _ = draw 3 in
+  Alcotest.(check (list string)) "same scenario, counters and outcome" a b;
+  Alcotest.(check bool) "every fault class drawn" true
+    (ca.Fault_injector.overruns > 0 && ca.Fault_injector.jitters > 0
+    && ca.Fault_injector.denials > 0);
   (* Different rounds reseed the generator. *)
-  let c = Fault_injector.perturb moderate_spec ~round:8 plan ~totals in
-  Alcotest.(check bool) "round changes the draw" true
-    (Fault_injector.trace a <> Fault_injector.trace c)
+  let c, _ = draw 4 in
+  Alcotest.(check bool) "round changes the draw" true (a <> c)
 
 let test_injector_zero_is_identity () =
   let plan, _ = preemptive_acs () in
   let totals = Sampler.fixed plan ~value:`Acec in
-  let s = Fault_injector.perturb Fault_injector.zero ~round:3 plan ~totals in
-  Alcotest.(check bool) "totals unchanged" true (s.Fault_injector.totals = totals);
-  Alcotest.(check bool) "no events" true (Fault_injector.trace s = []);
+  let counters = Fault_injector.fresh_counters () in
+  let s = Fault_injector.perturb Fault_injector.zero ~counters ~round:3 plan ~totals in
+  Alcotest.(check (list string)) "totals unchanged" (bits totals)
+    (bits s.Fault_injector.totals);
+  Alcotest.(check (list string)) "no release offsets"
+    (bits (Array.map (Array.map (fun _ -> 0.)) totals))
+    (bits s.Fault_injector.faults.Event_sim.release_offsets);
+  Alcotest.(check string) "no faults counted" "overruns 0 jitters 0 denials 0"
+    (counts counters);
   Alcotest.(check bool) "budget still enforced" true
     s.Fault_injector.faults.Event_sim.enforce_budget
 

@@ -20,11 +20,11 @@ let test_breaker_pinned_transitions () =
      half-open a probe, close on its success — at exact logical times. *)
   let b = Breaker.create ~config:small_breaker () in
   Alcotest.(check bool) "closed routes to ACS" true (Breaker.plan_route b ~now:0);
-  Breaker.observe b ~now:1 ~routed_acs:true ~ok:false;
+  Breaker.observe b ~now:1 ~ok:false;
   Alcotest.(check bool) "one failure stays closed" true
     (Breaker.state b = Breaker.Closed);
   Alcotest.(check bool) "still routes to ACS" true (Breaker.plan_route b ~now:1);
-  Breaker.observe b ~now:2 ~routed_acs:true ~ok:false;
+  Breaker.observe b ~now:2 ~ok:false;
   Alcotest.(check bool) "threshold trips the circuit" true
     (Breaker.state b = Breaker.Open);
   Alcotest.(check bool) "open routes to fallback" false
@@ -34,7 +34,7 @@ let test_breaker_pinned_transitions () =
     (Breaker.plan_route b ~now:5);
   Alcotest.(check bool) "probe budget spent: fallback" false
     (Breaker.plan_route b ~now:5);
-  Breaker.observe b ~now:6 ~routed_acs:true ~ok:true;
+  Breaker.observe b ~now:6 ~ok:true;
   Alcotest.(check bool) "successful probe closes" true
     (Breaker.state b = Breaker.Closed);
   Alcotest.(check bool) "closed again routes to ACS" true
@@ -45,18 +45,18 @@ let test_breaker_pinned_transitions () =
 
 let test_breaker_failed_probe_reopens () =
   let b = Breaker.create ~config:small_breaker () in
-  Breaker.observe b ~now:1 ~routed_acs:true ~ok:false;
-  Breaker.observe b ~now:2 ~routed_acs:true ~ok:false;
+  Breaker.observe b ~now:1 ~ok:false;
+  Breaker.observe b ~now:2 ~ok:false;
   Alcotest.(check bool) "half-open after cooldown" true
     (Breaker.plan_route b ~now:5);
-  Breaker.observe b ~now:6 ~routed_acs:true ~ok:false;
+  Breaker.observe b ~now:6 ~ok:false;
   Alcotest.(check bool) "failed probe reopens" true
     (Breaker.state b = Breaker.Open);
   (* The new episode cools down from the re-open time, not the first. *)
   Alcotest.(check bool) "cooldown restarts" false (Breaker.plan_route b ~now:8);
   Alcotest.(check bool) "second probe after second cooldown" true
     (Breaker.plan_route b ~now:9);
-  Breaker.observe b ~now:10 ~routed_acs:true ~ok:true;
+  Breaker.observe b ~now:10 ~ok:true;
   Alcotest.(check bool) "recovers on the second probe" true
     (Breaker.transitions b
     = [ (2, Breaker.Open); (5, Breaker.Half_open); (6, Breaker.Open);
@@ -64,24 +64,36 @@ let test_breaker_failed_probe_reopens () =
 
 let test_breaker_success_resets_failure_streak () =
   let b = Breaker.create ~config:small_breaker () in
-  Breaker.observe b ~now:1 ~routed_acs:true ~ok:false;
-  Breaker.observe b ~now:2 ~routed_acs:true ~ok:true;
-  Breaker.observe b ~now:3 ~routed_acs:true ~ok:false;
+  Breaker.observe b ~now:1 ~ok:false;
+  Breaker.observe b ~now:2 ~ok:true;
+  Breaker.observe b ~now:3 ~ok:false;
   Alcotest.(check bool) "non-consecutive failures do not trip" true
     (Breaker.state b = Breaker.Closed);
-  Breaker.observe b ~now:4 ~routed_acs:true ~ok:false;
+  Breaker.observe b ~now:4 ~ok:false;
   Alcotest.(check bool) "consecutive ones do" true
     (Breaker.state b = Breaker.Open)
 
-let test_breaker_ignores_fallback_outcomes () =
-  (* Requests routed around ACS say nothing about the stage: their
-     outcomes must not move the state machine. *)
+let test_breaker_release_returns_probe () =
+  (* A slot settled without a verdict goes back to a half-open
+     episode's budget, and is a no-op in the other two states. *)
   let b = Breaker.create ~config:small_breaker () in
-  for now = 1 to 10 do
-    Breaker.observe b ~now ~routed_acs:false ~ok:false
-  done;
-  Alcotest.(check bool) "fallback failures carry no signal" true
-    (Breaker.state b = Breaker.Closed && Breaker.transitions b = [])
+  Alcotest.(check bool) "closed routes to ACS" true (Breaker.plan_route b ~now:0);
+  Breaker.release b;
+  Breaker.observe b ~now:1 ~ok:false;
+  Breaker.observe b ~now:2 ~ok:false;
+  Breaker.release b;
+  Alcotest.(check bool) "open ignores a release" false
+    (Breaker.plan_route b ~now:3);
+  Alcotest.(check bool) "probe granted" true (Breaker.plan_route b ~now:5);
+  Alcotest.(check bool) "budget spent" false (Breaker.plan_route b ~now:5);
+  Breaker.release b;
+  Alcotest.(check bool) "released probe granted again" true
+    (Breaker.plan_route b ~now:6);
+  Alcotest.(check bool) "and spent again" false (Breaker.plan_route b ~now:6);
+  Breaker.observe b ~now:7 ~ok:true;
+  Alcotest.(check bool) "releases never transition" true
+    (Breaker.transitions b
+    = [ (2, Breaker.Open); (5, Breaker.Half_open); (7, Breaker.Closed) ])
 
 let test_breaker_rejects_bad_config () =
   List.iter
@@ -215,6 +227,15 @@ let test_service_admission_shed () =
       (c.Service.status = Service.Shed && c.Service.attempts = 0)
   | _ -> Alcotest.fail "expected one outcome per input line")
 
+(* The report [print_report] writes, one string per line. *)
+let report_lines r =
+  let path = Filename.temp_file "lepts-test" ".report" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> Service.print_report ~oc r);
+      In_channel.with_open_bin path In_channel.input_lines)
+
 let test_control_bytes_rejected_report_stays_json () =
   (* JSON forbids raw bytes below 0x20 inside a string. A request
      carrying one is rejected with a named reason, a reason quoting one
@@ -236,14 +257,6 @@ let test_control_bytes_rejected_report_stays_json () =
       (match debris.Service.status with Service.Rejected _ -> true | _ -> false);
     Alcotest.(check string) "escaped tab accepted" "tab\tbed" escaped.Service.id
   | _ -> Alcotest.fail "expected three outcomes");
-  let path = Filename.temp_file "lepts-test" ".report" in
-  let report =
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        Out_channel.with_open_bin path (fun oc -> Service.print_report ~oc r);
-        In_channel.with_open_bin path In_channel.input_all)
-  in
   List.iter
     (fun line ->
       String.iter
@@ -252,7 +265,47 @@ let test_control_bytes_rejected_report_stays_json () =
             Alcotest.failf "report line holds raw byte 0x%02x: %S" (Char.code c)
               line)
         line)
-    (String.split_on_char '\n' report)
+    (report_lines r)
+
+let test_non_utf8_rejected_report_stays_json () =
+  (* JSON text is UTF-8. A string holding a malformed sequence is
+     rejected at its position, a diagnostic shows a stray byte as 0xNN,
+     and a well-formed multi-byte id is served and echoed unchanged —
+     so every report line decodes as UTF-8 and parses as JSON. *)
+  let lines = [ "{\"id\": \"a\255b\"}"; "{\255}"; {|{"id": "é"}|} ] in
+  let r =
+    Service.run_source ~config:quick_config ~power
+      ~source:(Transport.of_lines lines) ()
+  in
+  let reason o =
+    match o.Service.status with Service.Rejected msg -> msg | _ -> "(not rejected)"
+  in
+  (match r.Service.outcomes with
+  | [ bad_id; debris; accented ] ->
+    Alcotest.(check string) "malformed sequence named with its position"
+      "malformed UTF-8 in string at position 9" (reason bad_id);
+    Alcotest.(check bool) "stray byte shown as 0xff" true
+      (contains ~sub:"found 0xff" (reason debris));
+    Alcotest.(check string) "UTF-8 id echoed unchanged" "é" accented.Service.id;
+    Alcotest.(check string) "and served" "acs" (stage_of accented)
+  | _ -> Alcotest.fail "expected three outcomes");
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) (Printf.sprintf "%S rejected" line) true
+        (Result.is_error (Request.of_json line)))
+    [ "{\"id\": \"\xc0\xaf\"}" (* overlong '/' *);
+      "{\"id\": \"\xed\xa0\x80\"}" (* surrogate *);
+      "{\"id\": \"\xe2\x82\"}" (* truncated sequence *) ];
+  let lines = report_lines r in
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) (Printf.sprintf "%S is UTF-8" line) true
+        (String.is_valid_utf_8 line);
+      Alcotest.(check bool) (Printf.sprintf "%S parses" line) true
+        (Test_obs.json_valid line))
+    lines;
+  Alcotest.(check bool) "the id travels as raw UTF-8" true
+    (List.exists (contains ~sub:{|{"id":"é","status":"done"|}) lines)
 
 let test_service_jobs_bit_identical () =
   let lines =
@@ -311,35 +364,112 @@ let test_service_span_names_bounded () =
             (contains ~sub:"alpha-req" path || contains ~sub:"beta-req" path))
         paths)
 
-let test_service_retries_then_fails () =
-  (* A 64-task request cannot satisfy the random generator's
-     sub-instance cap (any short period splits every lower-priority
-     instance, blowing far past 1000 sub-instances), so every solve
-     attempt fails in-band — the deterministic trigger for the
-     bounded-retry path. *)
+(* A 64-task request cannot satisfy the random generator's sub-instance
+   cap (any short period splits every lower-priority instance, blowing
+   far past 1000 sub-instances), so its solve fails in-band, the same
+   way on every run. *)
+let doomed id seed = Printf.sprintf {|{"id": "%s", "tasks": 64, "seed": %d}|} id seed
+
+let test_service_failed_solve_runs_once () =
   let attempts_seen = ref [] in
   let before_solve ~attempt (req : Request.t) =
     attempts_seen := (req.Request.id, attempt) :: !attempts_seen
   in
-  let config = { quick_config with Service.max_retries = 2 } in
   let r =
-    Service.run_source ~config ~power ~before_solve
-      ~source:(Transport.of_lines [ {|{"id": "doomed", "tasks": 64, "seed": 1}|} ])
-      ()
+    Service.run_source ~config:quick_config ~power ~before_solve
+      ~source:(Transport.of_lines [ doomed "doomed" 1 ]) ()
   in
   (match r.Service.outcomes with
   | [ o ] ->
-    Alcotest.(check bool) "failed after exhausting retries" true
+    Alcotest.(check bool) "failed" true
       (match o.Service.status with Service.Failed _ -> true | _ -> false);
-    Alcotest.(check int) "initial attempt plus two retries" 3
-      o.Service.attempts;
+    Alcotest.(check int) "one attempt" 1 o.Service.attempts;
     Alcotest.(check int) "no crashes involved" 0 o.Service.crashes;
     Alcotest.(check bool) "request degraded" true o.Service.degraded
   | _ -> Alcotest.fail "expected one outcome");
-  Alcotest.(check bool) "every attempt went through the hook" true
-    (List.rev !attempts_seen = [ ("doomed", 1); ("doomed", 2); ("doomed", 3) ]);
+  Alcotest.(check bool) "the hook saw one attempt" true
+    (!attempts_seen = [ ("doomed", 1) ]);
   Alcotest.(check bool) "solver failure is not service degradation" false
     r.Service.degraded
+
+let test_service_generation_failure_folds_no_verdict () =
+  (* The ACS stage never sees a request whose task set cannot be
+     generated, so three of them in a row must not trip the breaker:
+     the healthy request after them is still routed to ACS. *)
+  let config = { Service.default_config with Service.wave = 1 } in
+  let lines = [ doomed "d1" 1; doomed "d2" 2; doomed "d3" 3; {|{"id": "ok"}|} ] in
+  let r = Service.run_source ~config ~power ~source:(Transport.of_lines lines) () in
+  (match r.Service.shards with
+  | [ s ] -> Alcotest.(check bool) "breaker never moved" true (s.Shard.transitions = [])
+  | _ -> Alcotest.fail "expected one shard");
+  match r.Service.outcomes with
+  | [ d1; d2; d3; ok ] ->
+    Alcotest.(check bool) "generation failures failed" true
+      (List.for_all
+         (fun o -> match o.Service.status with Service.Failed _ -> true | _ -> false)
+         [ d1; d2; d3 ]);
+    Alcotest.(check bool) "healthy request routed to ACS" true ok.Service.routed_acs;
+    Alcotest.(check string) "and served by it" "acs" (stage_of ok)
+  | _ -> Alcotest.fail "expected four outcomes"
+
+let test_service_generation_failure_returns_probe () =
+  (* A half-open probe taken by a request whose task set cannot be
+     generated settles no verdict, so it is handed back: the healthy
+     request after it probes and closes the breaker, instead of the
+     shard staying half-open with no probe left. *)
+  let lines =
+    [ {|{"id": "f1", "acs_max_outer": 0}|};
+      {|{"id": "f2", "acs_max_outer": 0}|};
+      {|{"id": "f3", "acs_max_outer": 0}|};
+      {|{"id": "f4", "acs_max_outer": 0}|};
+      doomed "probe5" 5;
+      {|{"id": "ok6"}|} ]
+  in
+  let r =
+    Service.run_source ~config:quick_config ~power
+      ~source:(Transport.of_lines lines) ()
+  in
+  (match r.Service.shards with
+  | [ s ] ->
+    Alcotest.(check bool) "the next request's probe closes" true
+      (s.Shard.transitions
+      = [ (2, Breaker.Open); (4, Breaker.Half_open); (6, Breaker.Closed) ])
+  | _ -> Alcotest.fail "expected one shard");
+  Alcotest.(check (list bool)) "both probes routed to ACS"
+    [ true; true; false; false; true; true ]
+    (List.map (fun o -> o.Service.routed_acs) r.Service.outcomes);
+  Alcotest.(check (list string)) "the healthy probe is served by ACS"
+    [ "wcs"; "wcs"; "wcs"; "wcs"; "?"; "acs" ]
+    (List.map stage_of r.Service.outcomes)
+
+let test_service_fallback_folds_no_verdict () =
+  (* At wave 2 the half-open probe's sibling is planned with no probe
+     left and routed around ACS; it folds after the probe has closed
+     the breaker. Were its WCS answer folded as an ACS failure, the
+     next ACS failure would make two in a row and trip the breaker. *)
+  let config = { quick_config with Service.wave = 2 } in
+  let lines =
+    [ {|{"id": "f1", "acs_max_outer": 0}|};
+      {|{"id": "f2", "acs_max_outer": 0}|};
+      {|{"id": "r3"}|};
+      {|{"id": "r4"}|};
+      {|{"id": "p5"}|};
+      {|{"id": "x6"}|};
+      {|{"id": "f7", "acs_max_outer": 0}|} ]
+  in
+  let r = Service.run_source ~config ~power ~source:(Transport.of_lines lines) () in
+  (match r.Service.shards with
+  | [ s ] ->
+    Alcotest.(check bool) "one ACS failure after closing does not trip" true
+      (s.Shard.transitions
+      = [ (2, Breaker.Open); (4, Breaker.Half_open); (5, Breaker.Closed) ])
+  | _ -> Alcotest.fail "expected one shard");
+  Alcotest.(check (list bool)) "the probe's sibling is routed around ACS"
+    [ true; true; false; false; true; false; true ]
+    (List.map (fun o -> o.Service.routed_acs) r.Service.outcomes);
+  Alcotest.(check (list string)) "stages"
+    [ "wcs"; "wcs"; "wcs"; "wcs"; "acs"; "wcs"; "wcs" ]
+    (List.map stage_of r.Service.outcomes)
 
 let test_service_worker_restart_recovers () =
   (* Supervision: two induced worker crashes are absorbed by restarts
@@ -542,9 +672,9 @@ let suite =
     ("breaker failed probe reopens", `Quick, test_breaker_failed_probe_reopens);
     ("breaker success resets streak", `Quick,
      test_breaker_success_resets_failure_streak);
-    ("breaker ignores fallback outcomes", `Quick,
-     test_breaker_ignores_fallback_outcomes);
     ("breaker config validated", `Quick, test_breaker_rejects_bad_config);
+    ("breaker release returns probe", `Quick,
+     test_breaker_release_returns_probe);
     ("request defaults", `Quick, test_request_defaults);
     ("request round-trip", `Quick, test_request_roundtrip);
     ("request rejections name the field", `Quick,
@@ -553,9 +683,18 @@ let suite =
     ("service admission shed", `Quick, test_service_admission_shed);
     ("control bytes rejected, report stays JSON", `Quick,
      test_control_bytes_rejected_report_stays_json);
+    ("non-UTF-8 rejected, report stays JSON", `Quick,
+     test_non_utf8_rejected_report_stays_json);
     ("service jobs bit-identical", `Quick, test_service_jobs_bit_identical);
     ("service span names bounded", `Quick, test_service_span_names_bounded);
-    ("service retries then fails", `Quick, test_service_retries_then_fails);
+    ("service failed solve runs once", `Quick,
+     test_service_failed_solve_runs_once);
+    ("service generation failure folds no verdict", `Quick,
+     test_service_generation_failure_folds_no_verdict);
+    ("service generation failure returns probe", `Quick,
+     test_service_generation_failure_returns_probe);
+    ("service fallback folds no verdict", `Quick,
+     test_service_fallback_folds_no_verdict);
     ("service worker restart recovers", `Quick,
      test_service_worker_restart_recovers);
     ("service worker crash-out degrades", `Quick,

@@ -340,14 +340,6 @@ let check_trace_bits msg (e : Trace.t) (g : Trace.t) =
   Alcotest.(check (list string)) (msg ^ " spans")
     (List.map span_key e.Trace.spans) (List.map span_key g.Trace.spans)
 
-let event_key = function
-  | Fault_injector.Overrun { task; instance; actual; wcec } ->
-    Printf.sprintf "overrun %d.%d %h %h" task instance actual wcec
-  | Fault_injector.Jitter { task; instance; delay } ->
-    Printf.sprintf "jitter %d.%d %h" task instance delay
-  | Fault_injector.Denial { task; instance; sub; time; requested } ->
-    Printf.sprintf "denial %d.%d.%d %h %h" task instance sub time requested
-
 let oracle_plans () =
   let rng = Lepts_prng.Xoshiro256.create ~seed:2026 in
   List.concat_map
@@ -380,12 +372,32 @@ let oracle_spec =
 
 (* One dispatcher run with its own fault scenario and containment hook
    (both are stateful, and every run must see the same dispatches):
-   the outcome, the trace if [simulate] records one, the fault events
-   and the containment counters. *)
+   the outcome, the trace if [simulate] records one, every denial query
+   with its answer, and the fault and containment counters. *)
 let oracle_arm ~plan ~round ~totals ~faulty ~contained simulate =
+  let fault_counters = Fault_injector.fresh_counters () in
+  let queries = ref [] in
   let scenario =
-    if faulty then Some (Fault_injector.perturb oracle_spec ~round plan ~totals)
-    else None
+    if not faulty then None
+    else
+      let sc =
+        Fault_injector.perturb oracle_spec ~counters:fault_counters ~round plan
+          ~totals
+      in
+      let deny ~task ~instance ~sub ~now ~requested =
+        let denied =
+          sc.Fault_injector.faults.Event_sim.deny_transition ~task ~instance ~sub
+            ~now ~requested
+        in
+        queries :=
+          Printf.sprintf "%d.%d.%d %h %h %b" task instance sub now requested denied
+          :: !queries;
+        denied
+      in
+      Some
+        { sc with
+          Fault_injector.faults =
+            { sc.Fault_injector.faults with Event_sim.deny_transition = deny } }
   in
   let counters = Containment.fresh_counters () in
   let control =
@@ -398,13 +410,10 @@ let oracle_arm ~plan ~round ~totals ~faulty ~contained simulate =
         ~totals:sc.Fault_injector.totals
     | None -> simulate ~faults:None ~control ~totals
   in
-  let events =
-    match scenario with
-    | Some sc -> List.map event_key (Fault_injector.trace sc)
-    | None -> []
-  in
-  ( outcome, trace, events,
-    [ counters.Containment.escalated_dispatches;
+  ( outcome, trace, List.rev !queries,
+    [ fault_counters.Fault_injector.overruns; fault_counters.Fault_injector.jitters;
+      fault_counters.Fault_injector.denials;
+      counters.Containment.escalated_dispatches;
       counters.Containment.escalated_instances;
       counters.Containment.shed_instances ] )
 
@@ -433,7 +442,7 @@ let test_dispatcher_matches_reference () =
                     (Plan.size plan) s round setup
                 in
                 let arm = oracle_arm ~plan ~round ~totals ~faulty ~contained in
-                let expect, expect_trace, expect_events, expect_counts =
+                let expect, expect_trace, expect_queries, expect_counts =
                   arm (fun ~faults ~control ~totals ->
                       let o, t =
                         Reference.Event_sim.run_traced ?transition ?faults ?control
@@ -441,15 +450,15 @@ let test_dispatcher_matches_reference () =
                       in
                       (o, Some t))
                 in
-                let check name (got, got_trace, events, counts) =
+                let check name (got, got_trace, queries, counts) =
                   let msg = msg ^ " " ^ name in
                   check_outcome_bits msg expect got;
                   Option.iter
                     (check_trace_bits msg (Option.get expect_trace))
                     got_trace;
-                  Alcotest.(check (list string)) (msg ^ " fault events")
-                    expect_events events;
-                  Alcotest.(check (list int)) (msg ^ " containment") expect_counts
+                  Alcotest.(check (list string)) (msg ^ " denial queries")
+                    expect_queries queries;
+                  Alcotest.(check (list int)) (msg ^ " counters") expect_counts
                     counts
                 in
                 check "run"

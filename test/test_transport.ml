@@ -232,12 +232,7 @@ let test_socket_end_to_end_with_replay () =
       (contains ~sub:"oversized line: 80 bytes exceeds limit 64" over);
     Alcotest.(check bool) "partial line diagnosed" true
       (contains ~sub:"connection closed mid-line after" part)
-  | _ ->
-    Alcotest.failf "unexpected outcomes: %s"
-      (String.concat "; "
-         (List.map
-            (fun s -> Format.asprintf "%a" Service.pp_status s)
-            statuses)));
+  | _ -> Alcotest.failf "unexpected outcomes:\n%s" (render_report live));
   (* The journal replays the live run byte-identically — the whole
      point of recording arrivals. *)
   let replayed =
