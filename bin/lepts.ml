@@ -19,23 +19,55 @@ let setup_logs verbose =
 let verbose_arg =
   Arg.(value & flag & info [ "verbose" ] ~doc:"Enable debug logging.")
 
-let power_of ~v_min ~v_max = Model.ideal ~v_min ~v_max ()
+(* [checked base ~expect ok] parses like [base] and refuses a value that
+   fails [ok]. cmdliner reports the refusal as a usage error naming the
+   flag (exit 124) before the command prints or computes anything; the
+   library's own [Invalid_argument] checks stay for library callers.
+   Every float predicate below is written so that NaN fails it. *)
+let checked base ~expect ok =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expect))
+    | Error _ as err -> err
+  in
+  Arg.conv (parse, Arg.conv_printer base)
 
-let v_min_arg =
-  Arg.(value & opt float 0.5 & info [ "v-min" ] ~docv:"VOLTS" ~doc:"Minimum supply voltage.")
+let positive = checked Arg.int ~expect:"an integer >= 1" (fun n -> n >= 1)
 
-let v_max_arg =
-  Arg.(value & opt float 4.0 & info [ "v-max" ] ~docv:"VOLTS" ~doc:"Maximum supply voltage.")
+let non_negative = checked Arg.int ~expect:"an integer >= 0" (fun n -> n >= 0)
+
+(* Probabilities and BCEC/WCEC ratios. *)
+let unit_interval =
+  checked Arg.float ~expect:"a number in [0, 1]" (fun x -> x >= 0. && x <= 1.)
+
+(* The supply range, checked as a pair: [Model.ideal] needs
+   0 < v_min <= v_max. *)
+let power_arg =
+  let v_min =
+    Arg.(value & opt float 0.5 & info [ "v-min" ] ~docv:"VOLTS" ~doc:"Minimum supply voltage.")
+  and v_max =
+    Arg.(value & opt float 4.0 & info [ "v-max" ] ~docv:"VOLTS" ~doc:"Maximum supply voltage.")
+  in
+  let power v_min v_max =
+    if 0. < v_min && v_min <= v_max && v_max < infinity then
+      Ok (Model.ideal ~v_min ~v_max ())
+    else
+      Error
+        (Printf.sprintf "options '--v-min' %g and '--v-max' %g: need 0 < v-min <= v-max"
+           v_min v_max)
+  in
+  Term.(cli_parse_result' (const power $ v_min $ v_max))
 
 let rounds_arg default =
-  Arg.(value & opt int default
+  Arg.(value & opt positive default
        & info [ "rounds" ] ~docv:"N" ~doc:"Hyper-periods simulated per schedule.")
 
 let seed_arg =
   Arg.(value & opt int 2005 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
 let jobs_arg =
-  Arg.(value & opt int 1
+  Arg.(value & opt non_negative 1
        & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:"Worker domains (results are bit-identical for every value; \
                  0 = one per core). Each command hands them to its coarsest \
@@ -44,10 +76,7 @@ let jobs_arg =
                  and the Monte-Carlo rounds — and work nested inside a worker \
                  runs sequentially.")
 
-let resolve_jobs jobs =
-  if jobs < 0 then invalid_arg "--jobs must be non-negative"
-  else if jobs = 0 then Lepts_par.Pool.default_jobs ()
-  else jobs
+let resolve_jobs jobs = if jobs = 0 then Lepts_par.Pool.default_jobs () else jobs
 
 let progress line =
   print_endline line;
@@ -194,11 +223,9 @@ let motivation_cmd ~profile =
 (* --- fig6a ------------------------------------------------------------- *)
 
 let fig6a_cmd ~profile =
-  let run verbose sets rounds seed jobs v_min v_max checkpoint resume
-      telemetry_file =
+  let run verbose sets rounds seed jobs power checkpoint resume telemetry_file =
     setup_logs verbose;
     let jobs = resolve_jobs jobs in
-    let power = power_of ~v_min ~v_max in
     let config =
       { Experiments.Fig6a.paper_config with sets_per_point = sets; rounds; seed }
     in
@@ -209,8 +236,8 @@ let fig6a_cmd ~profile =
       Checkpoint.fingerprint
         ~parts:
           [ "fig6a"; "layout:cells-largest-first"; string_of_int sets;
-            string_of_int rounds; string_of_int seed; string_of_float v_min;
-            string_of_float v_max ]
+            string_of_int rounds; string_of_int seed;
+            string_of_float power.Model.v_min; string_of_float power.Model.v_max ]
     in
     with_observability ~command:"fig6a" ~profile ~telemetry_file
     @@ fun telemetry ->
@@ -233,22 +260,20 @@ let fig6a_cmd ~profile =
     0
   in
   let sets =
-    Arg.(value & opt int 10
+    Arg.(value & opt positive 10
          & info [ "sets" ] ~docv:"N" ~doc:"Random task sets per (tasks, ratio) point (paper: 100).")
   in
   Cmd.v
     (Cmd.info "fig6a" ~doc:"Reproduce Fig 6(a): improvement vs task count and BCEC/WCEC ratio.")
     Term.(const run $ verbose_arg $ sets $ rounds_arg 1000 $ seed_arg $ jobs_arg
-          $ v_min_arg $ v_max_arg $ checkpoint_arg $ resume_arg $ telemetry_arg)
+          $ power_arg $ checkpoint_arg $ resume_arg $ telemetry_arg)
 
 (* --- fig6b ------------------------------------------------------------- *)
 
 let fig6b_cmd ~profile =
-  let run verbose rounds seed jobs v_min v_max no_gap checkpoint resume
-      telemetry_file =
+  let run verbose rounds seed jobs power no_gap checkpoint resume telemetry_file =
     setup_logs verbose;
     let jobs = resolve_jobs jobs in
-    let power = power_of ~v_min ~v_max in
     let config =
       { Experiments.Fig6b.paper_config with rounds; seed; include_gap = not no_gap }
     in
@@ -256,8 +281,8 @@ let fig6b_cmd ~profile =
       Checkpoint.fingerprint
         ~parts:
           [ "fig6b"; string_of_int rounds; string_of_int seed;
-            string_of_bool (not no_gap); string_of_float v_min;
-            string_of_float v_max ]
+            string_of_bool (not no_gap); string_of_float power.Model.v_min;
+            string_of_float power.Model.v_max ]
     in
     with_observability ~command:"fig6b" ~profile ~telemetry_file
     @@ fun telemetry ->
@@ -277,17 +302,15 @@ let fig6b_cmd ~profile =
   Cmd.v
     (Cmd.info "fig6b" ~doc:"Reproduce Fig 6(b): improvement on the CNC and GAP task sets.")
     Term.(const run $ verbose_arg $ rounds_arg 1000 $ seed_arg $ jobs_arg
-          $ v_min_arg $ v_max_arg $ no_gap $ checkpoint_arg $ resume_arg
-          $ telemetry_arg)
+          $ power_arg $ no_gap $ checkpoint_arg $ resume_arg $ telemetry_arg)
 
 (* --- schedule ---------------------------------------------------------- *)
 
 let schedule_cmd ~profile =
-  let run verbose v_min v_max =
+  let run verbose power =
     setup_logs verbose;
     with_observability ~command:"schedule" ~profile ~telemetry_file:None
     @@ fun _telemetry ->
-    let power = power_of ~v_min ~v_max in
     let ts = Lepts_workloads.Cnc.task_set ~power ~ratio:0.1 () in
     let plan = Plan.expand ts in
     Format.printf "CNC fully preemptive plan:@.%a@." Plan.pp_timeline plan;
@@ -306,15 +329,14 @@ let schedule_cmd ~profile =
   Cmd.v
     (Cmd.info "schedule"
        ~doc:"Expand and solve the CNC task set; print the plan and the ACS schedule.")
-    Term.(const run $ verbose_arg $ v_min_arg $ v_max_arg)
+    Term.(const run $ verbose_arg $ power_arg)
 
 (* --- random ------------------------------------------------------------ *)
 
 let random_cmd ~profile =
-  let run verbose n ratio rounds seed jobs v_min v_max telemetry_file =
+  let run verbose n ratio rounds seed jobs power telemetry_file =
     setup_logs verbose;
     let jobs = resolve_jobs jobs in
-    let power = power_of ~v_min ~v_max in
     let rng = Lepts_prng.Xoshiro256.create ~seed in
     let config = Lepts_workloads.Random_gen.default_config ~n_tasks:n ~ratio in
     with_observability ~command:"random" ~profile ~telemetry_file
@@ -334,24 +356,23 @@ let random_cmd ~profile =
     0
   in
   let n =
-    Arg.(value & opt int 5 & info [ "tasks"; "n" ] ~docv:"N" ~doc:"Number of tasks.")
+    Arg.(value & opt positive 5 & info [ "tasks"; "n" ] ~docv:"N" ~doc:"Number of tasks.")
   in
   let ratio =
-    Arg.(value & opt float 0.1 & info [ "ratio" ] ~docv:"R" ~doc:"BCEC/WCEC ratio.")
+    Arg.(value & opt unit_interval 0.1 & info [ "ratio" ] ~docv:"R" ~doc:"BCEC/WCEC ratio.")
   in
   Cmd.v
     (Cmd.info "random" ~doc:"Generate one random task set and measure ACS vs WCS.")
     Term.(const run $ verbose_arg $ n $ ratio $ rounds_arg 1000 $ seed_arg $ jobs_arg
-          $ v_min_arg $ v_max_arg $ telemetry_arg)
+          $ power_arg $ telemetry_arg)
 
 (* --- policies ---------------------------------------------------------- *)
 
 let policies_cmd ~profile =
-  let run verbose rounds seed v_min v_max =
+  let run verbose rounds seed power =
     setup_logs verbose;
     with_observability ~command:"policies" ~profile ~telemetry_file:None
     @@ fun _telemetry ->
-    let power = power_of ~v_min ~v_max in
     let ts = Lepts_workloads.Cnc.task_set ~power ~ratio:0.1 () in
     (match Experiments.Policies.run ~rounds ~task_set:ts ~power ~seed () with
     | Error e -> Format.printf "error: %a@." Solver.pp_error e
@@ -363,17 +384,16 @@ let policies_cmd ~profile =
   Cmd.v
     (Cmd.info "policies"
        ~doc:"Ablate online policies (max-speed / static / greedy) on both schedules.")
-    Term.(const run $ verbose_arg $ rounds_arg 500 $ seed_arg $ v_min_arg $ v_max_arg)
+    Term.(const run $ verbose_arg $ rounds_arg 500 $ seed_arg $ power_arg)
 
 (* --- ablations ---------------------------------------------------------- *)
 
 let ablations_cmd ~profile =
-  let run verbose rounds seed jobs v_min v_max =
+  let run verbose rounds seed jobs power =
     setup_logs verbose;
     let jobs = resolve_jobs jobs in
     with_observability ~command:"ablations" ~profile ~telemetry_file:None
     @@ fun _telemetry ->
-    let power = power_of ~v_min ~v_max in
     let ts = Lepts_workloads.Cnc.task_set ~power ~ratio:0.1 () in
     let show title = function
       | Error e -> Format.printf "%s: error: %a@." title Solver.pp_error e
@@ -408,18 +428,16 @@ let ablations_cmd ~profile =
   Cmd.v
     (Cmd.info "ablations"
        ~doc:"Run the design-choice ablations from DESIGN.md on the CNC task set.")
-    Term.(const run $ verbose_arg $ rounds_arg 500 $ seed_arg $ jobs_arg
-          $ v_min_arg $ v_max_arg)
+    Term.(const run $ verbose_arg $ rounds_arg 500 $ seed_arg $ jobs_arg $ power_arg)
 
 (* --- utilization sweep --------------------------------------------------- *)
 
 let utilization_cmd ~profile =
-  let run verbose rounds seed jobs v_min v_max =
+  let run verbose rounds seed jobs power =
     setup_logs verbose;
     let jobs = resolve_jobs jobs in
     with_observability ~command:"utilization" ~profile ~telemetry_file:None
     @@ fun _telemetry ->
-    let power = power_of ~v_min ~v_max in
     let ts = Lepts_workloads.Cnc.task_set ~power ~ratio:0.1 () in
     let points =
       Experiments.Utilization_sweep.run ~rounds ~jobs ~task_set:ts ~power ~seed ()
@@ -431,13 +449,12 @@ let utilization_cmd ~profile =
   Cmd.v
     (Cmd.info "utilization"
        ~doc:"Sweep worst-case utilization and measure the ACS gain (extension).")
-    Term.(const run $ verbose_arg $ rounds_arg 400 $ seed_arg $ jobs_arg $ v_min_arg
-          $ v_max_arg)
+    Term.(const run $ verbose_arg $ rounds_arg 400 $ seed_arg $ jobs_arg $ power_arg)
 
 (* --- faults ------------------------------------------------------------- *)
 
 let faults_cmd ~profile =
-  let run verbose n ratio rounds seed jobs v_min v_max overrun_prob
+  let run verbose n ratio rounds seed jobs power overrun_prob
       overrun_factor jitter_prob jitter_frac denial_prob no_shed no_escalate
       adaptive ewma_alpha drift_threshold hysteresis
       resolve_every resolve_budget fail_on_degraded checkpoint resume
@@ -452,14 +469,9 @@ let faults_cmd ~profile =
     in
     (* Malformed estimator parameters are a usage error (exit 2, like
        --chaos), caught before any solving starts. *)
-    (match
-       (if adaptive then Lepts_sim.Estimator.validate adaptive_config.estimator;
-        if adaptive && resolve_every < 1 then
-          invalid_arg "--resolve-every must be >= 1")
-     with
-    | () -> ()
-    | exception Invalid_argument msg -> prerr_endline ("lepts faults: " ^ msg); exit 2);
-    let power = power_of ~v_min ~v_max in
+    (if adaptive then
+       try Lepts_sim.Estimator.validate adaptive_config.estimator
+       with Invalid_argument msg -> prerr_endline ("lepts faults: " ^ msg); exit 2);
     let workload_result =
       if n = 0 then Ok (Lepts_workloads.Cnc.task_set ~power ~ratio ())
       else
@@ -562,35 +574,42 @@ let faults_cmd ~profile =
         else 0)
   in
   let n =
-    Arg.(value & opt int 0
+    Arg.(value & opt non_negative 0
          & info [ "tasks"; "n" ] ~docv:"N"
              ~doc:"Number of random tasks; 0 (default) uses the CNC task set.")
   in
   let ratio =
-    Arg.(value & opt float 0.1 & info [ "ratio" ] ~docv:"R" ~doc:"BCEC/WCEC ratio.")
+    Arg.(value & opt unit_interval 0.1 & info [ "ratio" ] ~docv:"R" ~doc:"BCEC/WCEC ratio.")
   in
   let overrun_prob =
-    Arg.(value & opt float 0.05
+    Arg.(value & opt unit_interval 0.05
          & info [ "overrun-prob" ] ~docv:"P"
              ~doc:"Per-instance probability of a WCEC overrun.")
   in
   let overrun_factor =
-    Arg.(value & opt float 1.5
+    Arg.(value
+         & opt (checked Arg.float ~expect:"a finite number >= 1" (fun f ->
+                    f >= 1. && f < infinity))
+             1.5
          & info [ "overrun-factor" ] ~docv:"F"
              ~doc:"Actual cycles = F * WCEC on an overrun (F >= 1).")
   in
   let jitter_prob =
-    Arg.(value & opt float 0.05
+    Arg.(value & opt unit_interval 0.05
          & info [ "jitter-prob" ] ~docv:"P"
              ~doc:"Per-instance probability of release jitter.")
   in
   let jitter_frac =
-    Arg.(value & opt float 0.1
+    Arg.(value
+         & opt
+             (checked Arg.float ~expect:"a number in [0, 1)" (fun x ->
+                  x >= 0. && x < 1.))
+             0.1
          & info [ "jitter-frac" ] ~docv:"F"
              ~doc:"Maximum jitter as a fraction of the period.")
   in
   let denial_prob =
-    Arg.(value & opt float 0.05
+    Arg.(value & opt unit_interval 0.05
          & info [ "denial-prob" ] ~docv:"P"
              ~doc:"Per-dispatch probability that a voltage change is denied.")
   in
@@ -643,7 +662,7 @@ let faults_cmd ~profile =
                    once drift falls to T*(1-H) or below; 0 disables.")
   in
   let resolve_every =
-    Arg.(value & opt int 25
+    Arg.(value & opt positive 25
          & info [ "resolve-every" ] ~docv:"K"
              ~doc:"Drift-check cadence in rounds (the adaptive epoch \
                    length; re-solves only happen at epoch boundaries).")
@@ -662,7 +681,7 @@ let faults_cmd ~profile =
              optionally followed by the adaptive-estimator sweep \
              (--adaptive).")
     Term.(const run $ verbose_arg $ n $ ratio $ rounds_arg 500 $ seed_arg
-          $ jobs_arg $ v_min_arg $ v_max_arg $ overrun_prob
+          $ jobs_arg $ power_arg $ overrun_prob
           $ overrun_factor $ jitter_prob $ jitter_frac $ denial_prob $ no_shed
           $ no_escalate $ adaptive $ ewma_alpha $ drift_threshold $ hysteresis
           $ resolve_every $ resolve_budget
@@ -673,12 +692,11 @@ let faults_cmd ~profile =
 let serve_cmd ~profile =
   let run verbose input socket_path spool_dir replay_path journal_path
       accept_backlog read_timeout_ms max_line_bytes idle_exit_ms jobs shards
-      high_water wave max_crashes threshold cooldown probes
-      v_min v_max cache_path snapshot_every health_every max_cache_entries
-      cache_stats chaos_spec fail_on_degraded telemetry_file =
+      high_water wave max_crashes threshold cooldown probes power cache_path
+      snapshot_every health_every max_cache_entries cache_stats chaos_spec
+      fail_on_degraded telemetry_file =
     setup_logs verbose;
     let jobs = resolve_jobs jobs in
-    let power = power_of ~v_min ~v_max in
     let chaos =
       match chaos_spec with
       | None -> Ok None
@@ -704,7 +722,6 @@ let serve_cmd ~profile =
     in
     let usage_error =
       if modes > 1 then Some "--socket, --spool and --replay are mutually exclusive"
-      else if max_cache_entries < 0 then Some "--max-cache-entries must be >= 0"
       else Lepts_serve.Daemon.refused_path config
     in
     match (chaos, usage_error) with
@@ -843,7 +860,7 @@ let serve_cmd ~profile =
                    without a signal.")
   in
   let shards =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive 1
          & info [ "shards" ] ~docv:"N"
              ~doc:"Request-queue shards. Requests are partitioned by a \
                    content hash of their id; each shard has its own \
@@ -851,36 +868,36 @@ let serve_cmd ~profile =
                    client family degrades one shard, not the service.")
   in
   let high_water =
-    Arg.(value & opt int 64
+    Arg.(value & opt positive 64
          & info [ "high-water" ] ~docv:"N"
              ~doc:"Per-shard admission high-water mark: valid requests \
                    hashing to a shard beyond its first N are load-shed.")
   in
   let wave =
-    Arg.(value & opt int 8
+    Arg.(value & opt positive 8
          & info [ "wave" ] ~docv:"N"
              ~doc:"Requests solved between circuit-breaker folds. Part of \
                    the service semantics, so results are identical for \
                    every -j value.")
   in
   let max_crashes =
-    Arg.(value & opt int 2
+    Arg.(value & opt non_negative 2
          & info [ "max-crashes" ] ~docv:"N"
              ~doc:"Worker restarts granted per request before it is failed \
                    and the service marked degraded.")
   in
   let threshold =
-    Arg.(value & opt int 3
+    Arg.(value & opt positive 3
          & info [ "breaker-threshold" ] ~docv:"N"
              ~doc:"Consecutive ACS failures that open the circuit.")
   in
   let cooldown =
-    Arg.(value & opt int 8
+    Arg.(value & opt positive 8
          & info [ "breaker-cooldown" ] ~docv:"N"
              ~doc:"Requests an open circuit waits before half-open probing.")
   in
   let probes =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive 1
          & info [ "breaker-probes" ] ~docv:"N"
              ~doc:"ACS probe slots per half-open episode.")
   in
@@ -895,19 +912,19 @@ let serve_cmd ~profile =
                    cold.")
   in
   let snapshot_every =
-    Arg.(value & opt int 8
+    Arg.(value & opt positive 8
          & info [ "snapshot-every" ] ~docv:"WAVES"
              ~doc:"Waves between periodic cache snapshots (with --cache).")
   in
   let health_every =
-    Arg.(value & opt int 0
+    Arg.(value & opt non_negative 0
          & info [ "health-every" ] ~docv:"WAVES"
              ~doc:"Emit a one-line health report (cache hit rate, shard \
                    backlogs, breaker states) to stderr every N waves; 0 \
                    disables.")
   in
   let max_cache_entries =
-    Arg.(value & opt int 0
+    Arg.(value & opt non_negative 0
          & info [ "max-cache-entries" ] ~docv:"N"
              ~doc:"Bound the schedule cache to N entries, evicting \
                    deterministically (second-chance, fallback entries \
@@ -962,18 +979,17 @@ let serve_cmd ~profile =
           $ replay_path $ journal_path $ accept_backlog $ read_timeout_ms
           $ max_line_bytes $ idle_exit_ms $ jobs_arg $ shards $ high_water
           $ wave $ max_crashes $ threshold $ cooldown
-          $ probes $ v_min_arg $ v_max_arg $ cache_path $ snapshot_every
+          $ probes $ power_arg $ cache_path $ snapshot_every
           $ health_every $ max_cache_entries $ cache_stats $ chaos_spec
           $ fail_on_degraded $ telemetry_arg)
 
 (* --- export -------------------------------------------------------------- *)
 
 let export_cmd ~profile =
-  let run verbose n ratio seed v_min v_max out =
+  let run verbose n ratio seed power out =
     setup_logs verbose;
     with_observability ~command:"export" ~profile ~telemetry_file:None
     @@ fun _telemetry ->
-    let power = power_of ~v_min ~v_max in
     let ts =
       if n = 0 then Lepts_workloads.Cnc.task_set ~power ~ratio ()
       else
@@ -1002,12 +1018,12 @@ let export_cmd ~profile =
     0
   in
   let n =
-    Arg.(value & opt int 0
+    Arg.(value & opt non_negative 0
          & info [ "tasks"; "n" ] ~docv:"N"
              ~doc:"Number of random tasks; 0 (default) exports the CNC schedule.")
   in
   let ratio =
-    Arg.(value & opt float 0.1 & info [ "ratio" ] ~docv:"R" ~doc:"BCEC/WCEC ratio.")
+    Arg.(value & opt unit_interval 0.1 & info [ "ratio" ] ~docv:"R" ~doc:"BCEC/WCEC ratio.")
   in
   let out =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
@@ -1015,7 +1031,7 @@ let export_cmd ~profile =
   in
   Cmd.v
     (Cmd.info "export" ~doc:"Export an ACS schedule as CSV (the firmware tables).")
-    Term.(const run $ verbose_arg $ n $ ratio $ seed_arg $ v_min_arg $ v_max_arg $ out)
+    Term.(const run $ verbose_arg $ n $ ratio $ seed_arg $ power_arg $ out)
 
 let commands ~profile =
   [ motivation_cmd ~profile; fig6a_cmd ~profile; fig6b_cmd ~profile;

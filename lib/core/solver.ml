@@ -277,24 +277,6 @@ let repair ~(plan : Plan.t) ~power ~e ~q =
   done;
   if !ok then Ok (e, q) else Error (Solver_stalled "repair could not place all workload")
 
-(* Latest-feasible ("as late as possible") end-times for given quotas:
-   push every end-time right until it hits its segment boundary or the
-   worst-case fit of its successor. This is the structure the paper's
-   insight points at ("extend the end time of each task to as long as
-   that allowed by the worst-case execution scenario") and a valuable
-   second starting point for the non-convex NLP. *)
-let alap_end_times (plan : Plan.t) ~t_max ~e ~q =
-  let m = Array.length plan.Plan.order in
-  let out = Array.copy e in
-  if m > 0 then begin
-    out.(m - 1) <- plan.Plan.order.(m - 1).Sub.boundary;
-    for k = m - 2 downto 0 do
-      let b = plan.Plan.order.(k).Sub.boundary in
-      out.(k) <- Float.max e.(k) (Float.min b (out.(k + 1) -. (t_max *. q.(k + 1))))
-    done
-  end;
-  out
-
 (* Slack vector realising given end-times under the frontier
    recursion. *)
 let slacks_for (plan : Plan.t) ~t_max ~e ~q =
@@ -574,31 +556,27 @@ let solve_from ?deadline ?telemetry ~max_outer ~scenarios ~(ws : Workspace.t) ~p
     result
 
 (* The NLP is non-convex and piecewise smooth, so a single descent run
-   can stall. Each solve therefore starts from several structurally
-   distinct feasible points — the greedy (as-soon-as-possible)
-   worst-case schedule, its ALAP push-right, and any caller-provided
-   warm starts (e.g. the WCS solution when solving ACS) — and keeps the
-   best result. The starts are independent, so [jobs > 1] runs them on
-   a domain pool; each start owns its workspace, results come back
-   indexed by start, and the reduction below scans them in start order
-   with a strict-improvement test — so the pick is the same schedule
-   for every [jobs] value. *)
+   can stall. Each solve therefore runs one descent from the greedy
+   (as-soon-as-possible) worst-case schedule plus one from each
+   caller-provided warm start (e.g. the WCS solution when solving ACS),
+   and keeps the best result. The starts are independent, so
+   [jobs > 1] runs them on a domain pool; each start owns its
+   workspace, results come back indexed by start, and the reduction
+   below scans them in start order with a strict-improvement test — so
+   the pick is the same schedule for every [jobs] value. *)
 let solve_multi_start ?telemetry ?(jobs = 1) ~budget ~warm_starts ~scenarios
     ~(plan : Plan.t) ~power () =
   match initial_point ~plan ~power with
   | Error _ as err -> err
-  | Ok (e0, q0) ->
+  | Ok (_, q0) ->
     let m = Array.length plan.Plan.order in
     let t_max = t_at_vmax power in
     let t0 = now () in
     let deadline = Option.map (fun b -> t0 +. b) budget.wall_budget in
     let point_of_eq (e, q) = Array.append q (slacks_for plan ~t_max ~e ~q) in
-    let alap = alap_end_times plan ~t_max ~e:e0 ~q:q0 in
     let candidates =
       Array.of_list
-        (Array.append q0 (Array.make m 0.)
-         :: point_of_eq (alap, q0)
-         :: List.map point_of_eq warm_starts)
+        (Array.append q0 (Array.make m 0.) :: List.map point_of_eq warm_starts)
     in
     let n_starts = Array.length candidates in
     Metrics.incr m_solves;

@@ -48,6 +48,10 @@ type stats = {
   outer_iterations : int;
   inner_iterations : int;
 }
+(** Describes the returned start only. The iteration counts are that
+    start's descent, not the solve's work: they read [0]/[0] when
+    {!solve_warm} keeps its seed, even though a continuation descent
+    ran. A telemetry sink counts every start. *)
 
 type budget = {
   max_outer : int;
@@ -93,11 +97,11 @@ val solve :
   unit ->
   (Static_schedule.t * stats, error) result
 (** Solve for the given objective mode. The NLP is non-convex, so the
-    solver runs from several structurally distinct feasible starts —
-    greedy as-soon-as-possible, its ALAP push-right, and any
-    [warm_starts] given as [(end_times, quotas)] pairs (e.g. the WCS
-    solution when solving ACS) — and returns the best. Every descent
-    uses the analytic adjoint gradient
+    solver runs one descent from the greedy as-soon-as-possible start
+    plus one from each of the [warm_starts], given as
+    [(end_times, quotas)] pairs (e.g. the WCS solution when solving
+    ACS), and returns the best: a cold solve is one descent. Every
+    descent uses the analytic adjoint gradient
     ({!Objective.eval_with_gradient_ws}).
 
     [jobs] (default 1, must be [>= 1]) runs the independent starts on

@@ -1,5 +1,6 @@
 module Plan = Lepts_preempt.Plan
 module Solver = Lepts_core.Solver
+module Telemetry = Lepts_obs.Telemetry
 
 type point = {
   ratio : float;
@@ -21,20 +22,24 @@ let run ?(warm = false) ?jobs ?(mode = Lepts_core.Objective.Average) ~ratios
     | ratio :: rest -> (
       let plan = Plan.expand (build ~ratio) in
       let t1 = Unix.gettimeofday () in
+      (* [stats] describes only the returned start; the sink counts
+         every descent the solve ran. *)
+      let telemetry = Telemetry.solve_sink ~label:"continuation" () in
       let solved =
         match prev with
         | Some p when warm ->
-          Solver.solve_warm ?jobs ~mode ~prev:p ~plan ~power ()
-        | _ -> Solver.solve ?jobs ~mode ~plan ~power ()
+          Solver.solve_warm ?jobs ~telemetry ~mode ~prev:p ~plan ~power ()
+        | _ -> Solver.solve ?jobs ~telemetry ~mode ~plan ~power ()
       in
       match solved with
       | Error _ as err -> err
       | Ok (schedule, stats) ->
+        let sum f = Telemetry.sum_starts f telemetry in
         let point =
           { ratio; predicted_energy = stats.Solver.objective;
             solve_s = Unix.gettimeofday () -. t1;
-            outer_iterations = stats.Solver.outer_iterations;
-            inner_iterations = stats.Solver.inner_iterations;
+            outer_iterations = sum (fun s -> s.Telemetry.outer_rounds);
+            inner_iterations = sum (fun s -> s.Telemetry.inner_iterations);
             continued = (warm && prev <> None) }
         in
         go (Some schedule) (point :: acc) rest)

@@ -20,7 +20,10 @@ type point = {
   predicted_energy : float;  (** solver objective at this point *)
   solve_s : float;  (** wall-clock of this point's solve *)
   outer_iterations : int;
-  inner_iterations : int;  (** 0/0 = the warm seed was kept as-is *)
+  inner_iterations : int;
+      (** rounds and iterations summed over every start the point's
+          solve ran, read from a telemetry sink: a warm point counts its
+          continuation descent even when it keeps its seed *)
   continued : bool;  (** seeded from the previous point's solution *)
 }
 

@@ -88,6 +88,8 @@ let init_starts s ~n =
 
 let start_slot s i = s.starts.(i)
 
+let sum_starts f s = Array.fold_left (fun acc st -> acc + f st) 0 s.starts
+
 type collector = {
   max_solves : int;
   c_capacity : int;

@@ -88,6 +88,10 @@ val init_starts : solve -> n:int -> unit
 
 val start_slot : solve -> int -> start
 
+val sum_starts : (start -> int) -> solve -> int
+(** [f] summed over every start: the solve's whole work, where
+    [Solver.stats] describes only the returned start. *)
+
 (** {2 Bounded collectors}
 
     Experiment sweeps run hundreds of solves; a {!collector} keeps the

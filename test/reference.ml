@@ -358,6 +358,11 @@ let make_projection (plan : Plan.t) ~scale ~hyper =
       z.(k) <- Lepts_util.Num_ext.clamp ~lo:0. ~hi:hyper z.(k)
     done
 
+(* Latest-feasible ("as late as possible") end-times for given quotas:
+   every end-time pushed right until it hits its segment boundary or
+   the worst-case fit of its successor. No production solve starts
+   from it; it is [test_sim]'s second dispatcher fixture and the
+   second WCS start of [test_solver]'s parallel multi-start test. *)
 let alap_end_times (plan : Plan.t) ~t_max ~e ~q =
   let m = Array.length plan.Plan.order in
   let out = Array.copy e in
@@ -518,20 +523,18 @@ let solve_from ~max_outer ~totals_list ~(plan : Plan.t) ~power ~y0 =
         { Solver.objective; max_violation = !violation; outer_iterations = !outer;
           inner_iterations = !inner_total } )
 
-(* Sequential multi-start over the greedy start, its ALAP push-right
-   and the warm starts, on the mean energy over [totals_list]; the
-   first strictly best result wins. *)
+(* Sequential multi-start over the greedy start and the warm starts,
+   on the mean energy over [totals_list]; the first strictly best
+   result wins. *)
 let solve_multi_start ~max_outer ~warm_starts ~totals_list ~(plan : Plan.t) ~power =
   match Solver.initial_point ~plan ~power with
   | Error _ as err -> err
-  | Ok (e0, q0) ->
+  | Ok (_, q0) ->
     let m = Array.length plan.Plan.order in
     let t_max = t_at_vmax power in
     let point_of_eq (e, q) = Array.append q (slacks_for plan ~t_max ~e ~q) in
     let candidates =
-      Array.append q0 (Array.make m 0.)
-      :: point_of_eq (alap_end_times plan ~t_max ~e:e0 ~q:q0, q0)
-      :: List.map point_of_eq warm_starts
+      Array.append q0 (Array.make m 0.) :: List.map point_of_eq warm_starts
     in
     let best =
       List.fold_left

@@ -388,7 +388,7 @@ let test_directory_path_refused () =
   refused "Snapshot.read"
     (Checkpoint.Snapshot.read ~path:dir ~magic:"lepts-checkpoint" ~version:1);
   refused "start" (Checkpoint.start ~path:dir ~resume:false ~fingerprint:"aa");
-  let code, err =
+  let code, _, err =
     Test_golden.lepts_status [ "faults"; "--rounds"; "10"; "--checkpoint"; dir ]
   in
   Alcotest.(check int) "faults --checkpoint DIR exits 2" 2 code;

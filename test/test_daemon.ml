@@ -505,7 +505,7 @@ let test_serve_refuses_unwritable_snapshot_paths () =
   let orphan = Filename.concat (Filename.concat dir "missing") "x.cache" in
   List.iter
     (fun (flag, path, diagnostic) ->
-      let code, err = Test_golden.lepts_status [ "serve"; flag; path ] in
+      let code, _, err = Test_golden.lepts_status [ "serve"; flag; path ] in
       Alcotest.(check int) (flag ^ " exits 2") 2 code;
       Alcotest.(check bool) (Printf.sprintf "%s diagnostic %S" flag err) true
         (contains ~sub:diagnostic err))

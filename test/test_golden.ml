@@ -38,19 +38,48 @@ let run_lepts args =
   | Unix.WEXITED 0 -> out
   | _ -> Alcotest.failf "lepts %s did not exit 0" (String.concat " " args)
 
-(* Exit code and stderr of one CLI run, stdin and stdout on /dev/null:
+(* Exit code, stdout and stderr of one CLI run, stdin on /dev/null:
    for the commands that must refuse their arguments. *)
 let lepts_status args =
+  let out = Filename.temp_file "lepts-test" ".out" in
   let err = Filename.temp_file "lepts-test" ".err" in
-  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-  let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  let pid = Unix.create_process lepts (Array.of_list (lepts :: args)) null null fd in
-  Unix.close null;
-  Unix.close fd;
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+  let sink path = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let out_fd = sink out and err_fd = sink err in
+  let pid =
+    Unix.create_process lepts (Array.of_list (lepts :: args)) null out_fd err_fd
+  in
+  List.iter Unix.close [ null; out_fd; err_fd ];
   let _, status = Unix.waitpid [] pid in
-  let stderr = In_channel.with_open_bin err In_channel.input_all in
-  Sys.remove err;
-  ((match status with Unix.WEXITED code -> code | _ -> -1), stderr)
+  let read path =
+    let text = In_channel.with_open_bin path In_channel.input_all in
+    Sys.remove path;
+    text
+  in
+  let stdout = read out in
+  let stderr = read err in
+  ((match status with Unix.WEXITED code -> code | _ -> -1), stdout, stderr)
+
+(* An invalid option value is a usage error: exit 124 with a message
+   naming the flag, and nothing on stdout, before any work starts. *)
+let test_refuses_invalid_values () =
+  List.iter
+    (fun (args, flag) ->
+      let what = "lepts " ^ String.concat " " args in
+      let code, out, err = lepts_status args in
+      Alcotest.(check int) (what ^ ": exit") 124 code;
+      Alcotest.(check string) (what ^ ": stdout") "" out;
+      Alcotest.(check bool) (Printf.sprintf "%s: %S names %s" what err flag) true
+        (Test_serve.contains ~sub:flag err))
+    [ ([ "fig6a"; "--sets"; "0"; "--rounds"; "10" ], "'--sets'");
+      ([ "faults"; "--overrun-prob"; "2"; "--rounds"; "20" ], "'--overrun-prob'");
+      ([ "faults"; "--jitter-frac"; "1" ], "'--jitter-frac'");
+      ([ "fig6a"; "--rounds"; "0" ], "'--rounds'");
+      ([ "random"; "-n"; "0" ], "'-n'");
+      ([ "random"; "--ratio"; "1.5" ], "'--ratio'");
+      ([ "random"; "--jobs=-1" ], "'--jobs'");
+      ([ "fig6a"; "--v-min"; "5" ], "'--v-min'");
+      ([ "serve"; "--wave"; "0" ], "'--wave'") ]
 
 let cli_case ~file args =
   ( "lepts " ^ String.concat " " args,
@@ -115,4 +144,5 @@ let suite =
     cli_case ~file:"export_0.1.csv" [ "export"; "--ratio"; "0.1" ];
     cli_case ~file:"export_0.5.csv" [ "export"; "--ratio"; "0.5" ];
     cli_case ~file:"export_0.9.csv" [ "export"; "--ratio"; "0.9" ];
-    ("Literal_nlp pinned bits", `Quick, literal_nlp_bits) ]
+    ("Literal_nlp pinned bits", `Quick, literal_nlp_bits);
+    ("lepts refuses invalid option values", `Quick, test_refuses_invalid_values) ]

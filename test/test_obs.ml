@@ -278,6 +278,13 @@ let motivation_plan_power () =
   let power = Lepts_experiments.Motivation.power () in
   (Plan.expand (Lepts_experiments.Motivation.task_set ()), power)
 
+(* The WCS solution as an ACS warm start: a second start, so a solve
+   with [jobs > 1] really runs its starts on the domain pool (a cold
+   solve is one start, which the pool runs sequentially). *)
+let wcs_warm_starts ~plan ~power =
+  let wcs, _ = Result.get_ok (Solver.solve_wcs ~plan ~power ()) in
+  [ (wcs.Static_schedule.end_times, wcs.Static_schedule.quotas) ]
+
 let test_real_report_json_valid () =
   let plan, power = motivation_plan_power () in
   let collector = Telemetry.collector () in
@@ -310,7 +317,10 @@ let schedule_bits (s : Static_schedule.t) =
 
 let test_bit_identity_on_off () =
   let plan, power = motivation_plan_power () in
-  let plain, plain_stats = Result.get_ok (Solver.solve_acs ~plan ~power ()) in
+  let warm_starts = wcs_warm_starts ~plan ~power in
+  let plain, plain_stats =
+    Result.get_ok (Solver.solve_acs ~warm_starts ~plan ~power ())
+  in
   let check_against label solve =
     let observed, observed_stats = Result.get_ok (solve ()) in
     Alcotest.(check (pair (array int64) (array int64)))
@@ -322,24 +332,40 @@ let test_bit_identity_on_off () =
       (Int64.bits_of_float observed_stats.Solver.objective)
   in
   let sink () = Telemetry.solve_sink ~label:"t" () in
-  let seq_sink = sink () in
+  let seq_sink = sink () and pool_sink = sink () in
   check_against "telemetry, sequential" (fun () ->
-      Solver.solve_acs ~telemetry:seq_sink ~plan ~power ());
+      Solver.solve_acs ~telemetry:seq_sink ~warm_starts ~plan ~power ());
   check_against "telemetry, jobs=4" (fun () ->
-      Solver.solve_acs ~telemetry:(sink ()) ~jobs:4 ~plan ~power ());
+      Solver.solve_acs ~telemetry:pool_sink ~jobs:4 ~warm_starts ~plan ~power ());
+  (* Two starts, so jobs=4 fills its slots from pool workers. *)
+  List.iter
+    (fun (label, (s : Telemetry.solve)) ->
+      Alcotest.(check int) (label ^ ": greedy and WCS starts") 2
+        (Array.length s.Telemetry.starts))
+    [ ("sequential", seq_sink); ("jobs=4", pool_sink) ];
+  (* Each worker writes its own start's slot: per start, the pool's
+     counts equal the sequential run's. *)
+  Array.iter2
+    (fun (s : Telemetry.start) (p : Telemetry.start) ->
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "start %d: jobs=4 outer and inner counts" s.Telemetry.start_index)
+        (s.Telemetry.outer_rounds, s.Telemetry.inner_iterations)
+        (p.Telemetry.outer_rounds, p.Telemetry.inner_iterations))
+    seq_sink.Telemetry.starts pool_sink.Telemetry.starts;
+  let all_starts = Array.append seq_sink.Telemetry.starts pool_sink.Telemetry.starts in
   (* The capture must actually have captured something, each start
      written exactly once. *)
   Alcotest.(check bool) "records captured" true
     (Array.for_all
        (fun (st : Telemetry.start) -> Telemetry.pushed st.Telemetry.s_ring > 0)
-       seq_sink.Telemetry.starts);
+       all_starts);
   Array.iter
     (fun (st : Telemetry.start) ->
       Alcotest.(check bool) "outcome recorded" true
         (st.Telemetry.outer_rounds > 0
         && (st.Telemetry.failure <> None
            || Float.is_finite st.Telemetry.final_objective)))
-    seq_sink.Telemetry.starts
+    all_starts
 
 (* --- span determinism across domain counts ----------------------------- *)
 
@@ -348,6 +374,7 @@ let span_shape aggs =
 
 let test_span_merge_deterministic () =
   let plan, power = motivation_plan_power () in
+  let warm_starts = wcs_warm_starts ~plan ~power in
   Fun.protect
     ~finally:(fun () ->
       Span.set_enabled false;
@@ -356,11 +383,14 @@ let test_span_merge_deterministic () =
       Span.set_enabled true;
       let shape jobs =
         Span.reset ();
-        ignore (Result.get_ok (Solver.solve_acs ~jobs ~plan ~power ()));
+        ignore (Result.get_ok (Solver.solve_acs ~jobs ~warm_starts ~plan ~power ()));
         span_shape (Span.report ())
       in
       let seq = shape 1 in
-      Alcotest.(check bool) "spans recorded" true (seq <> []);
+      (* Both starts nest under the solve, also when pool workers
+         (empty span stacks) run them. *)
+      Alcotest.(check (option int)) "two starts under solve:acs" (Some 2)
+        (List.assoc_opt "solve:acs/start" seq);
       Alcotest.(check (list (pair string int))) "jobs=2 same tree" seq (shape 2);
       Alcotest.(check (list (pair string int))) "jobs=4 same tree" seq (shape 4))
 

@@ -154,9 +154,9 @@ let test_random_sets_solve_and_validate () =
       Alcotest.(check bool) "acs no worse" true (avg acs <= avg wcs +. 1e-6)
   done
 
-let test_alap_never_infeasible () =
-  (* The ALAP start point used internally must remain feasible: check
-     via a full solve on a set with tight boundaries. *)
+let test_tight_boundaries_feasible () =
+  (* Segments barely longer than their worst-case work at v_max: the
+     solved ACS schedule must still validate. *)
   let power = Model.ideal ~v_min:0.5 ~v_max:4. () in
   let ts =
     Task_set.create
@@ -179,17 +179,32 @@ let check_bits_arr msg expect got =
 let test_parallel_multistart_bit_identical () =
   (* Without a wall budget the multi-start is deterministic: every
      [jobs] value must return exactly the same schedule and stats on
-     both the simple and the preemptive set. *)
+     both the simple and the preemptive set. Each solve runs two
+     starts, so [jobs > 1] really uses the pool: WCS gets the ALAP
+     push-right of the greedy point as a warm start, ACS the WCS
+     solution. *)
   let run_set ts power =
     let plan = Plan.expand ts in
+    let e0, q0 = Result.get_ok (Solver.initial_point ~plan ~power) in
+    let t_max = Model.cycle_time power ~v:power.Model.v_max in
+    let alap = (Reference.alap_end_times plan ~t_max ~e:e0 ~q:q0, q0) in
+    let two_starts solve =
+      let sink = Lepts_obs.Telemetry.solve_sink ~label:"starts" () in
+      let result = Result.get_ok (solve ~telemetry:sink) in
+      Alcotest.(check int) "two starts" 2 (Array.length sink.Lepts_obs.Telemetry.starts);
+      result
+    in
     let solve jobs =
-      let wcs, _ = Result.get_ok (Solver.solve_wcs ~jobs ~plan ~power ()) in
+      let wcs, _ =
+        two_starts (fun ~telemetry ->
+            Solver.solve_wcs ~telemetry ~jobs ~warm_starts:[ alap ] ~plan ~power ())
+      in
       let acs, stats =
-        Result.get_ok
-          (Solver.solve_acs ~jobs
-             ~warm_starts:
-               [ (wcs.Static_schedule.end_times, wcs.Static_schedule.quotas) ]
-             ~plan ~power ())
+        two_starts (fun ~telemetry ->
+            Solver.solve_acs ~telemetry ~jobs
+              ~warm_starts:
+                [ (wcs.Static_schedule.end_times, wcs.Static_schedule.quotas) ]
+              ~plan ~power ())
       in
       (wcs, acs, stats)
     in
@@ -233,8 +248,25 @@ let test_wall_budget_returns () =
     unbudgeted.Static_schedule.end_times generous.Static_schedule.end_times
 
 let test_stats_reported () =
+  (* A cold solve runs one descent from the greedy start, plus one per
+     warm start; [stats] describes the start it returns. *)
   let plan = Plan.expand (motivation_ts ()) in
-  let _, stats = Result.get_ok (Solver.solve_acs ~plan ~power ()) in
+  let starts solve =
+    let sink = Lepts_obs.Telemetry.solve_sink ~label:"starts" () in
+    let result = Result.get_ok (solve ~telemetry:sink) in
+    (result, Array.length sink.Lepts_obs.Telemetry.starts)
+  in
+  let (wcs, _), wcs_starts =
+    starts (fun ~telemetry -> Solver.solve_wcs ~telemetry ~plan ~power ())
+  in
+  Alcotest.(check int) "cold WCS starts" 1 wcs_starts;
+  let (_, stats), acs_starts =
+    starts (fun ~telemetry ->
+        Solver.solve_acs ~telemetry
+          ~warm_starts:[ (wcs.Static_schedule.end_times, wcs.Static_schedule.quotas) ]
+          ~plan ~power ())
+  in
+  Alcotest.(check int) "ACS starts: greedy and WCS seed" 2 acs_starts;
   Alcotest.(check bool) "outer > 0" true (stats.Solver.outer_iterations > 0);
   Alcotest.(check bool) "violation small" true (stats.Solver.max_violation < 1e-3)
 
@@ -249,7 +281,7 @@ let suite =
     ("quota sums equal WCEC", `Quick, test_quota_sums);
     ("end-times within segments", `Quick, test_end_times_within_segments);
     ("random sets solve + validate", `Slow, test_random_sets_solve_and_validate);
-    ("tight boundaries stay feasible", `Quick, test_alap_never_infeasible);
+    ("tight boundaries stay feasible", `Quick, test_tight_boundaries_feasible);
     ("stats reported", `Quick, test_stats_reported);
     ("parallel multi-start bit-identical", `Slow, test_parallel_multistart_bit_identical);
     ("wall budget returns a schedule", `Quick, test_wall_budget_returns) ]
